@@ -2,8 +2,10 @@
 
 Each check is a pure function of a :class:`_Ctx` (run configuration plus the
 resolved coefficient fields) returning a verdict and human-readable detail
-lines.  Checks never abort the run: any exception inside one becomes a FAIL
-with the error message in the details.  Randomized checks draw from
+lines.  A check that declares a field scope (odd, characteristic 2, finite) is
+SKIPPED by the runner, without running, when no selected field is in scope.
+Checks never abort the run: any exception inside one becomes a FAIL with the
+error message in the details.  Randomized checks draw from
 ``random.Random(f"{seed}-{check_id}")`` so every check is reproducible in
 isolation and the whole run is deterministic for a given configuration.
 
@@ -55,8 +57,12 @@ class _Ctx:
         return [f for f in self.fields if f.is_finite]
 
 
-_NO_ODD = "no field of characteristic != 2 selected"
-_NO_CHAR2 = "no field of characteristic 2 selected"
+# the reason a check scoped to a _Ctx field list is SKIPPED when it is empty
+_SKIP_REASONS = {
+    "odd_fields": "no field of characteristic != 2 selected",
+    "char2_fields": "no field of characteristic 2 selected",
+    "finite_fields": "no finite field selected",
+}
 
 
 def _in_scope(text: str, vals: dict, field: Field):
@@ -97,11 +103,8 @@ def _run_cr_inv(ctx):
 
 
 def _run_sigma_table(ctx):
-    flds = ctx.odd_fields
-    if not flds:
-        return SKIPPED, [_NO_ODD]
     ok, details = True, []
-    for f in flds:
+    for f in ctx.odd_fields:
         bad = _table_errors(f, tables.point_action(f), tables.SIGMA_ODD)
         ok &= not bad
         details.append(f"{f.name}: " + (f"mismatch at {', '.join(bad)}" if bad
@@ -110,11 +113,8 @@ def _run_sigma_table(ctx):
 
 
 def _run_sigma2_table(ctx):
-    flds = ctx.odd_fields
-    if not flds:
-        return SKIPPED, [_NO_ODD]
     ok, details = True, []
-    for f in flds:
+    for f in ctx.odd_fields:
         act = tables.point_action(f)
         bad = _table_errors(f, act * act, tables.SIGMA2_ODD)
         ok &= not bad
@@ -124,11 +124,8 @@ def _run_sigma2_table(ctx):
 
 
 def _run_basis_ids(ctx):
-    flds = ctx.odd_fields
-    if not flds:
-        return SKIPPED, [_NO_ODD]
     ok, details = True, []
-    for f in flds:
+    for f in ctx.odd_fields:
         vals = tables.derived_values(f)
         bad = []
         for lhs, rhs in tables.BASIS_IDS_ODD:
@@ -141,11 +138,8 @@ def _run_basis_ids(ctx):
 
 
 def _run_conic_b(ctx):
-    flds = ctx.odd_fields
-    if not flds:
-        return SKIPPED, [_NO_ODD]
     ok, details = True, []
-    for f in flds:
+    for f in ctx.odd_fields:
         zero = tables.in_derived(tables.CONIC_ODD_TEXT, f).is_zero()
         ok &= zero
         details.append(f"{f.name}: (1 - a)*u^2 - t^2 + a "
@@ -157,11 +151,8 @@ _LEM_A_CERTS = ("negate_invert_full", "negate_base")
 
 
 def _run_lem_a_inv(ctx):
-    flds = ctx.odd_fields
-    if not flds:
-        return SKIPPED, [_NO_ODD]
     ok, details = True, []
-    for f in flds:
+    for f in ctx.odd_fields:
         for name in _LEM_A_CERTS:
             ver = certs.verify_certificate(certs.shipped_certificate(name), f)
             c1 = ver.conditions[0]
@@ -172,11 +163,8 @@ def _run_lem_a_inv(ctx):
 
 
 def _run_lem_a_rel(ctx):
-    flds = ctx.odd_fields
-    if not flds:
-        return SKIPPED, [_NO_ODD]
     ok, details = True, []
-    for f in flds:
+    for f in ctx.odd_fields:
         for name in _LEM_A_CERTS:
             ver = certs.verify_certificate(certs.shipped_certificate(name), f)
             rest = ver.conditions[1:]
@@ -203,12 +191,9 @@ def _run_lem_a_rel(ctx):
 
 
 def _run_iso_crit(ctx):
-    flds = ctx.odd_fields
-    if not flds:
-        return SKIPPED, [_NO_ODD]
     ok, details = True, []
     d_obs = ctx.config.obstruction_degree
-    for f in flds:
+    for f in ctx.odd_fields:
         dec = conic.decide_isotropy(f, d_obs)
         expected = f.sqrt_minus_one() is not None
         ok &= dec.isotropic == expected
@@ -223,18 +208,18 @@ def _run_iso_crit(ctx):
 
 
 def _run_iso_search(ctx):
-    flds = ctx.finite_fields
-    if not flds:
-        return SKIPPED, ["no finite field selected"]
-    ok, details = True, []
-    for f in flds:
-        form = conic.criterion_form(f)
+    ok, details, searched = True, [], 0
+    for f in ctx.finite_fields:
         d = ctx.config.degree_bound
         while d >= 0 and (f.order ** (d + 1)) ** 3 > conic.SEARCH_BUDGET:
             d -= 1
         if d < 0:
-            details.append(f"{f.name}: not searched (degree 0 already exceeds the budget)")
+            reason = ("the degree bound is negative" if ctx.config.degree_bound < 0
+                      else "degree 0 already exceeds the budget")
+            details.append(f"{f.name}: not searched ({reason})")
             continue
+        searched += 1
+        form = conic.criterion_form(f)
         pt = conic.bounded_point_search(form, d)
         expect_found = True if f.characteristic == 2 else f.sqrt_minus_one() is not None
         if pt is not None:
@@ -246,6 +231,8 @@ def _run_iso_search(ctx):
             ok &= not expect_found
             details.append(f"{f.name}: no zero with coordinates of degree <= {d} "
                            "(exhaustive)")
+    if not searched:
+        return SKIPPED, details
     return (PASS if ok else FAIL), details
 
 
@@ -320,11 +307,8 @@ def _run_certs(ctx):
 
 
 def _run_char2_table(ctx):
-    flds = ctx.char2_fields
-    if not flds:
-        return SKIPPED, [_NO_CHAR2]
     ok, details = True, []
-    for f in flds:
+    for f in ctx.char2_fields:
         act = tables.point_action(f)
         bad1 = _table_errors(f, act, tables.SIGMA_CHAR2)
         bad2 = _table_errors(f, act * act, tables.SIGMA2_CHAR2)
@@ -339,11 +323,8 @@ def _run_char2_table(ctx):
 
 
 def _run_conic_c(ctx):
-    flds = ctx.char2_fields
-    if not flds:
-        return SKIPPED, [_NO_CHAR2]
     ok, details = True, []
-    for f in flds:
+    for f in ctx.char2_fields:
         zero = tables.in_derived(tables.CONIC_CHAR2_TEXT, f).is_zero()
         ok &= zero
         details.append(f"{f.name}: a*u^2 + a*u + t^2 + t "
@@ -355,11 +336,8 @@ _LEM_B_CERTS = ("shift_full_char2", "shift_base_char2", "conic_reflection_char2"
 
 
 def _run_lem_b_all(ctx):
-    flds = ctx.char2_fields
-    if not flds:
-        return SKIPPED, [_NO_CHAR2]
     ok, details = True, []
-    for f in flds:
+    for f in ctx.char2_fields:
         form = conic.char2_form(f)
         x = rvar(form.ring, "x")
         pt = conic.ProjPoint2(form.ring, (x, 1, 1))
@@ -499,12 +477,9 @@ def _run_indep(ctx):
 
 
 def _run_main_b(ctx):
-    flds = ctx.odd_fields
-    if not flds:
-        return SKIPPED, [_NO_ODD]
     ok, details = True, []
     d_obs = ctx.config.obstruction_degree
-    for f in flds:
+    for f in ctx.odd_fields:
         dec = conic.decide_isotropy(f, d_obs)
         expected = f.sqrt_minus_one() is not None
         ok &= dec.isotropic == expected
@@ -522,11 +497,8 @@ def _run_main_b(ctx):
 
 
 def _run_main_c(ctx):
-    flds = ctx.char2_fields
-    if not flds:
-        return SKIPPED, [_NO_CHAR2]
     ok, details = True, []
-    for f in flds:
+    for f in ctx.char2_fields:
         form = conic.char2_form(f)
         x = rvar(form.ring, "x")
         pt = conic.ProjPoint2(form.ring, (x, 1, 1))
@@ -550,6 +522,7 @@ class CheckSpec:
     id: str
     anchor: str
     run: object
+    scope: str = None  # a _Ctx field list; SKIPPED without running when empty
 
 
 CHECKS = (
@@ -560,34 +533,34 @@ CHECKS = (
     CheckSpec("SIGMA-TABLE",
               "away from characteristic 2 the distinguished 4-cycle acts on "
               "(w, y, z, a, u, t, b, x) by the recorded table",
-              _run_sigma_table),
+              _run_sigma_table, "odd_fields"),
     CheckSpec("SIGMA2-TABLE",
               "the square of the 4-cycle negates w, y, t and fixes z, a, u, b, x",
-              _run_sigma2_table),
+              _run_sigma2_table, "odd_fields"),
     CheckSpec("BASIS-IDS",
               "point differences are half sums/differences of w, y, z, and the "
               "cross ratio equals (w^2 - z^2)/(w^2 - y^2)",
-              _run_basis_ids),
+              _run_basis_ids, "odd_fields"),
     CheckSpec("CONIC-B",
               "the pair (u, t) satisfies (1 - a)u^2 - t^2 + a = 0 over the "
               "cross-ratio field",
-              _run_conic_b),
+              _run_conic_b, "odd_fields"),
     CheckSpec("LEM-A-INV",
               "x = b^2, y = b(u^2+1)/(2u), z = (u^2-1)/(2u) are invariant under "
               "b -> -b, u -> -1/u",
-              _run_lem_a_inv),
+              _run_lem_a_inv, "odd_fields"),
     CheckSpec("LEM-A-REL",
               "u is quadratic over the invariants via T^2 - 2zT - 1, every "
               "ambient generator is recovered, and the action has order 2",
-              _run_lem_a_rel),
+              _run_lem_a_rel, "odd_fields"),
     CheckSpec("ISO-CRIT",
               "Y^2 - xZ^2 - xW^2 has a k(x)-point precisely when k contains a "
               "square root of -1",
-              _run_iso_crit),
+              _run_iso_crit, "odd_fields"),
     CheckSpec("ISO-SEARCH",
               "exhaustive bounded-degree point search over finite fields agrees "
               "with the isotropy criterion",
-              _run_iso_search),
+              _run_iso_search, "finite_fields"),
     CheckSpec("PARAM",
               "a conic with a point is parametrized by the pencil of lines "
               "through it, with verified forward and inverse maps",
@@ -599,15 +572,15 @@ CHECKS = (
     CheckSpec("CHAR2-TABLE",
               "in characteristic 2 the 4-cycle fixes w, shifts a and u by 1, and "
               "the recorded sigma and sigma^2 tables hold",
-              _run_char2_table),
+              _run_char2_table, "char2_fields"),
     CheckSpec("CONIC-C",
               "in characteristic 2 the pair (u, t) satisfies "
               "t^2 + t = a u^2 + a u over the cross-ratio field",
-              _run_conic_c),
+              _run_conic_c, "char2_fields"),
     CheckSpec("LEM-B-ALL",
               "the characteristic-2 chain holds: the conic point (x : 1 : 1), "
               "the shift certificates, and the invariance of a^2+a, u^2+u, a+u",
-              _run_lem_b_all),
+              _run_lem_b_all, "char2_fields"),
     CheckSpec("SPLIT",
               "all 30 subgroups of the symmetric group on four letters split "
               "over their Klein part except the three cyclic groups of order 4",
@@ -631,11 +604,11 @@ CHECKS = (
               "away from characteristic 2, the 4-cycle invariant field is "
               "rational over the cross-ratio invariants exactly when the "
               "coefficient field contains a square root of -1",
-              _run_main_b),
+              _run_main_b, "odd_fields"),
     CheckSpec("MAIN-C-VERDICT",
               "in characteristic 2 the 4-cycle invariant field is always "
               "rational over the cross-ratio invariants",
-              _run_main_c),
+              _run_main_c, "char2_fields"),
 )
 
 CHECK_IDS = tuple(spec.id for spec in CHECKS)
@@ -661,7 +634,10 @@ def run_checklist(config: RunConfig, only=None) -> Report:
     for spec in selected:
         t0 = time.perf_counter()
         try:
-            verdict, details = spec.run(ctx)
+            if spec.scope and not getattr(ctx, spec.scope):
+                verdict, details = SKIPPED, [_SKIP_REASONS[spec.scope]]
+            else:
+                verdict, details = spec.run(ctx)
         except XratioError as exc:
             verdict, details = FAIL, [f"error: {exc}"]
         except Exception as exc:

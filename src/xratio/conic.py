@@ -53,6 +53,34 @@ SEARCH_BUDGET = 10 ** 7
 _PAIRS = (("Y", "Y"), ("Z", "Z"), ("W", "W"), ("Y", "Z"), ("Y", "W"), ("Z", "W"))
 
 
+def _clear_denominators(rfs) -> list:
+    """Each numerator times every other denominator: the same projective
+    point (or the same zero set, for form coefficients) with polynomial
+    entries."""
+    dens = [f.den for f in rfs]
+    out = []
+    for k, f in enumerate(rfs):
+        p = f.num
+        for j, d in enumerate(dens):
+            if j != k:
+                p = p * d
+        out.append(p)
+    return out
+
+
+def _strip_monomial_content(polys) -> list:
+    """Divide every nonzero polynomial by the monomial they all share."""
+    shared = None
+    for p in polys:
+        if p.is_zero():
+            continue
+        m = p.monomial_content()
+        shared = m if shared is None else tuple(min(a, b) for a, b in zip(shared, m))
+    if shared and any(shared):
+        polys = [p if p.is_zero() else p.divide_monomial(shared) for p in polys]
+    return polys
+
+
 class ProjPoint2:
     """Point of P^2 over a fraction field: a nonzero coordinate triple."""
 
@@ -70,22 +98,7 @@ class ProjPoint2:
     def canonicalized(self) -> "ProjPoint2":
         """Clear denominators, strip common monomial content, and scale so
         the first nonzero coordinate (Y, Z, W order) has leading coeff 1."""
-        dens = [c.den for c in self.coords]
-        polys = []
-        for k, c in enumerate(self.coords):
-            p = c.num
-            for j, d in enumerate(dens):
-                if j != k:
-                    p = p * d
-            polys.append(p)
-        shared = None
-        for p in polys:
-            if p.is_zero():
-                continue
-            m = p.monomial_content()
-            shared = m if shared is None else tuple(min(a, b) for a, b in zip(shared, m))
-        if shared and any(shared):
-            polys = [p if p.is_zero() else p.divide_monomial(shared) for p in polys]
+        polys = _strip_monomial_content(_clear_denominators(self.coords))
         lead = next(p for p in polys if not p.is_zero())
         _, lc = lead.leading()
         if not lc.is_one():
@@ -371,6 +384,8 @@ def decide_isotropy(field: Field, degree_bound: int = 4) -> IsotropyDecision:
     (0 : s : 1) is re-verified by evaluation, and the anisotropic branch
     carries a fully verified ObstructionRecord.
     """
+    if degree_bound < 0:
+        raise XratioError(f"degree bound must be >= 0, got {degree_bound}")
     form = standard_form(field)
     s = field.sqrt_minus_one()
     if s is not None:
@@ -408,6 +423,8 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
         raise XratioError("exhaustive search needs a finite coefficient field")
     if len(form.ring.variables) != 1:
         raise XratioError("search expects a univariate coefficient ring")
+    if degree_bound < 0:
+        raise XratioError(f"degree bound must be >= 0, got {degree_bound}")
     q = field.order
     n_polys = q ** (degree_bound + 1)
     if n_polys ** 3 > SEARCH_BUDGET:
@@ -415,17 +432,8 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
             f"{n_polys ** 3} candidate triples exceed the budget {SEARCH_BUDGET}")
 
     # clear denominators once; scaling by a nonzero element of k(x) keeps zeros
-    items = list(form.coeffs.items())
-    dens = [c.den for _, c in items]
-    cleared = {}
-    maxdeg = 0
-    for k, (pair, c) in enumerate(items):
-        p = c.num
-        for j, d in enumerate(dens):
-            if j != k:
-                p = p * d
-        cleared[pair] = p
-        maxdeg = max(maxdeg, p.total_degree())
+    cleared = dict(zip(form.coeffs, _clear_denominators(list(form.coeffs.values()))))
+    maxdeg = max(0, *(p.total_degree() for p in cleared.values()))
     cl = {pair: _coeff_list(p, maxdeg) for pair, p in cleared.items()}
 
     zero = field.zero
@@ -585,25 +593,9 @@ def parametrize(form: TernaryForm, point: ProjPoint2) -> ParametrizationMap:
     Fu = u0e * Q - P
     Fv = v0e * Q - s * P
     Fc = Q
-    prim = [Fu, Fv, Fc]
-    dens = [f.den for f in prim]
-    cleared = []
-    for k, f in enumerate(prim):
-        p = f.num
-        for j, d in enumerate(dens):
-            if j != k:
-                p = p * d
-        cleared.append(p)
-    shared = None
-    for p in cleared:
-        if p.is_zero():
-            continue
-        m = p.monomial_content()
-        shared = m if shared is None else tuple(min(a, b) for a, b in zip(shared, m))
-    if shared and any(shared):
-        cleared = [p if p.is_zero() else p.divide_monomial(shared) for p in cleared]
     forward = [None, None, None]
-    forward[iu], forward[iv], forward[ic] = cleared
+    forward[iu], forward[iv], forward[ic] = _strip_monomial_content(
+        _clear_denominators([Fu, Fv, Fc]))
 
     on_conic = form.eval_at(rat(pring, forward[0]), rat(pring, forward[1]),
                             rat(pring, forward[2]), pring)

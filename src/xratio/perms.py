@@ -17,6 +17,7 @@ composition by substitution elsewhere in the package.
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import combinations, permutations
 
 from .fields import XratioError
@@ -142,11 +143,13 @@ def closure(gens) -> frozenset:
     return frozenset(group)
 
 
-def subgroups():
-    """All subgroups of Sym4, deterministically ordered.
+@cache
+def subgroups() -> tuple:
+    """All subgroups of Sym4 as one sorted tuple, computed once per process.
 
     Every subgroup of Sym4 is generated by at most two elements, so closures
     of all pairs (plus singletons and the trivial group) are exhaustive.
+    Every call returns the same immutable tuple of frozensets.
     """
     elems = all_perms()
     found = {frozenset({IDENTITY})}
@@ -154,7 +157,7 @@ def subgroups():
         found.add(closure([g]))
     for g, h in combinations(elems, 2):
         found.add(closure([g, h]))
-    return sorted(found, key=_subgroup_key)
+    return tuple(sorted(found, key=_subgroup_key))
 
 
 def _subgroup_key(s):

@@ -8,14 +8,17 @@ projective linear group.
 
 The upper-triangular subgroup B (c = 0) is exactly the stabilizer of the
 infinite point; its q*(q-1) elements act on affine points as s -> a*s + b.
-Stabilizers of unordered tuples are computed by brute force over B (4-sets)
-or over the whole projective linear group, q^3 - q elements (5-sets), with
-a size guard of q <= 257.
+Stabilizers of unordered 4-sets in B are exhaustive via two-point
+candidates (see ``borel_stabilizer``); 5-sets are stabilized by brute force
+over the whole projective linear group, q^3 - q elements.  Both keep a size
+guard of q <= 257.
 """
 
 from __future__ import annotations
 
-from .fields import Field, FieldElement, XratioError
+from itertools import permutations
+
+from .fields import Field, XratioError
 
 BRUTE_FORCE_MAX_Q = 257
 
@@ -194,27 +197,29 @@ def _check_tuple(points, field, size):
 def borel_stabilizer(points, field: Field):
     """All upper-triangular elements mapping the unordered 4-set to itself.
 
-    Brute force over every element of B; the result is a subgroup of B.
-    All-affine sets over a prime field take a residue-arithmetic fast path
-    that scans the same q*(q-1) elements in the same order.
+    Exhaustive via two-point candidates.  An element s -> alpha*s + beta of B
+    fixes infinity and is determined by the images of two distinct affine
+    points s0, s1 of the set; a stabilizing map sends them to two distinct
+    affine points t0, t1 of the set.  The ordered pairs (t0, t1) -- 12 for an
+    all-affine set, 6 when infinity is in it -- therefore give every
+    candidate alpha = (t1 - t0)/(s1 - s0), beta = t0 - alpha*s0, and each is
+    kept only if it maps the whole set into itself.  The result is a subgroup
+    of B, listed in the order of a scan over (alpha, beta) in
+    ``field.elements()`` order, which is increasing payload order.
     """
     pts = _check_tuple(points, field, 4)
     _require_small_finite(field)
-    if field.order == field.characteristic and not any(p.infinite for p in pts):
-        q = field.order
-        vals = frozenset(p.value.v for p in pts)
-        out = []
-        for a in range(1, q):
-            for b in range(q):
-                if all((a * v + b) % q in vals for v in vals):
-                    out.append(Moebius(field, field.from_int(a), field.from_int(b),
-                                       field.zero, field.one))
-        return out
-    out = []
-    for m in borel_elements(field):
-        if all(m.apply(p) in pts for p in pts):
-            out.append(m)
-    return out
+    # payload order, so the work done does not vary with set iteration order
+    vals = sorted((p.value for p in pts if not p.infinite), key=lambda v: v.v)
+    targets = frozenset(vals)
+    s0, s1 = vals[0], vals[1]
+    found = {}
+    for t0, t1 in permutations(vals, 2):
+        alpha = (t1 - t0) / (s1 - s0)
+        beta = t0 - alpha * s0
+        if all(alpha * v + beta in targets for v in vals):
+            found[alpha.v, beta.v] = Moebius(field, alpha, beta, field.zero, field.one)
+    return [found[key] for key in sorted(found)]
 
 
 def pgl2_stabilizer(points, field: Field):

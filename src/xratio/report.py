@@ -23,6 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
+from .fields import XratioError
+
 VERSION = "0.1.0"
 
 PASS = "PASS"
@@ -52,6 +54,14 @@ class RunConfig:
 
     def __post_init__(self):
         self.fields = tuple(self.fields)
+        if len(set(self.fields)) != len(self.fields):
+            raise XratioError(f"duplicate field names in {','.join(self.fields)}")
+        if self.samples < 1:
+            raise XratioError(f"samples must be >= 1, got {self.samples}")
+        for name in ("degree_bound", "obstruction_degree"):
+            if getattr(self, name) < 0:
+                raise XratioError(f"{name.replace('_', ' ')} must be >= 0, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass

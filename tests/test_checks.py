@@ -131,6 +131,30 @@ def test_skipped_is_not_a_pass():
     assert counts[FAIL] == 0
 
 
+def test_iso_search_that_searched_nothing_is_skipped():
+    res = run_checklist(RunConfig(fields=("F1009",)), only={"ISO-SEARCH"}).checks[0]
+    assert res.verdict == SKIPPED
+    assert res.details == ["F1009: not searched (degree 0 already exceeds the budget)"]
+    mixed = run_checklist(RunConfig(fields=("F3", "F1009")), only={"ISO-SEARCH"})
+    assert mixed.checks[0].verdict == PASS
+    cfg = RunConfig(fields=("F3",))
+    cfg.degree_bound = -1  # bypasses the RunConfig validation
+    res = run_checklist(cfg, only={"ISO-SEARCH"}).checks[0]
+    assert res.verdict == SKIPPED
+    assert res.details == ["F3: not searched (the degree bound is negative)"]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"samples": 0}, "samples must be >= 1"),
+    ({"degree_bound": -1}, "degree bound must be >= 0"),
+    ({"obstruction_degree": -1}, "obstruction degree must be >= 0"),
+    ({"fields": ("Q", "F3", "Q")}, "duplicate field names"),
+])
+def test_run_config_rejects_bad_values(kwargs, message):
+    with pytest.raises(XratioError, match=message):
+        RunConfig(**kwargs)
+
+
 def test_seed_changes_genfree_sampling_details():
     a = run_checklist(RunConfig(seed=1), only={"GENFREE"})
     b = run_checklist(RunConfig(seed=2), only={"GENFREE"})

@@ -164,6 +164,35 @@ def test_stabilizer_validation_errors(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["-1", "0"])
+def test_run_samples_below_one_exits_2(capsys, samples):
+    assert main(["run", "--checks", "GENFREE", "--samples", samples]) == 2
+    assert "samples must be >= 1" in capsys.readouterr().err
+
+
+def test_run_negative_degree_bound_exits_2(capsys):
+    assert main(["run", "--checks", "ISO-SEARCH", "--degree-bound", "-1"]) == 2
+    assert "degree bound must be >= 0" in capsys.readouterr().err
+
+
+def test_run_duplicate_fields_exits_2(capsys):
+    assert main(["run", "--fields", "Q,Q"]) == 2
+    assert "duplicate field names" in capsys.readouterr().err
+
+
+def test_conic_decide_negative_degree_bound_exits_2(capsys):
+    for field in ("Q", "F5"):
+        assert main(["conic", "decide", "--field", field, "--degree-bound", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "degree bound must be >= 0" in err
+        assert "is not a variable" not in err
+
+
+def test_conic_search_negative_degree_bound_exits_2(capsys):
+    assert main(["conic", "search", "--field", "F3", "--degree-bound", "-1"]) == 2
+    assert "degree bound must be >= 0" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main([])

@@ -102,6 +102,15 @@ def test_search_budget_guard():
         bounded_point_search(form, 1)
 
 
+def test_negative_degree_bound_is_rejected():
+    with pytest.raises(XratioError, match="degree bound must be >= 0"):
+        bounded_point_search(criterion_form(prime_field(3)), -1)
+    with pytest.raises(XratioError, match="degree bound must be >= 0"):
+        decide_isotropy(rationals(), -1)
+    with pytest.raises(XratioError, match="degree bound must be >= 0"):
+        decide_isotropy(prime_field(5), -1)
+
+
 def test_search_rejects_infinite_fields():
     with pytest.raises(XratioError):
         bounded_point_search(standard_form(rationals()), 1)

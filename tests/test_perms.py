@@ -112,3 +112,26 @@ def test_whole_group_and_trivial_group_edge_cases():
 def test_subgroup_str_is_deterministic():
     s = frozenset({IDENTITY, parse_perm("(1 2)")})
     assert subgroup_str(s) == "{id, (1 2)}"
+
+
+def test_subgroups_is_one_memoized_tuple():
+    first = subgroups()
+    assert subgroups() is first
+    assert type(first) is tuple and len(first) == 30
+    assert all(type(s) is frozenset for s in first)
+    assert subgroups.__wrapped__() == first  # a fresh computation agrees
+
+
+def test_splits_and_classes_pinned_on_memoized_tuple():
+    subs = subgroups()
+    classes = subgroup_conjugacy_classes()
+    assert [[subs.index(s) for s in cls] for cls in classes] == [
+        [0], [1, 2, 3, 4, 6, 8], [5, 7, 9], [10, 11, 12, 13], [14, 15, 16],
+        [17], [18, 19, 20], [21, 22, 23, 24], [25, 26, 27], [28], [29]]
+    complements = []
+    for s in subs:
+        did, comp = splits(s)
+        complements.append(subs.index(comp) if did else None)
+    assert complements == [0, 1, 2, 3, 4, 0, 6, 0, 8, 0, 10, 11, 12, 13, 1, 2,
+                           3, 0, None, None, None, 21, 22, 23, 24, 1, 2, 3, 10,
+                           21]

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from xratio.fields import XratioError, field_by_name, prime_field
@@ -82,6 +84,17 @@ def test_borel_fast_path_matches_generic_enumeration():
         assert [str(m) for m in fast] == [str(m) for m in slow]
     mixed = pts(f13, (0, 1, 2, "inf"))
     assert any(not m.is_identity() for m in borel_stabilizer(mixed, f13))
+
+
+@pytest.mark.parametrize("name", ["F5", "F7", "F3(i)"])
+def test_borel_stabilizer_matches_filter_over_every_4_subset(name):
+    field = field_by_name(name)
+    elements = list(borel_elements(field))
+    for sample in combinations(p1_points(field), 4):
+        members = set(sample)
+        scanned = [m for m in elements
+                   if all(m.apply(p) in members for p in sample)]
+        assert borel_stabilizer(sample, field) == scanned, sample
 
 
 def test_stabilizer_input_validation():
