@@ -2,7 +2,8 @@
 
 Each check is a pure function of a :class:`_Ctx` (run configuration plus the
 resolved coefficient fields) returning a verdict and human-readable detail
-lines.  A check that declares a field scope (odd, characteristic 2, finite) is
+lines.  The context computes the objects checks share (derived values, the
+4-cycle action, certificate verifications) once per run and per field.  A check that declares a field scope (odd, characteristic 2, finite) is
 SKIPPED by the runner, without running, when no selected field is in scope.
 Checks never abort the run: any exception inside one becomes a FAIL with the
 error message in the details.  Randomized checks draw from
@@ -20,7 +21,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from . import certs, conic, tables
 from .autos import perm_automorphism
@@ -40,9 +41,26 @@ from .report import (ASSUMED, EVIDENCE, FAIL, PASS, SKIPPED, CheckResult,
 class _Ctx:
     config: RunConfig
     fields: tuple
+    memo: dict = dc_field(default_factory=dict)  # shared objects, one run only
 
     def rng(self, check_id: str) -> random.Random:
         return random.Random(f"{self.config.seed}-{check_id}")
+
+    def _once(self, key, make):
+        if key not in self.memo:
+            self.memo[key] = make()
+        return self.memo[key]
+
+    def values(self, f: Field) -> dict:
+        return self._once(("values", f.name), lambda: tables.derived_values(f))
+
+    def action(self, f: Field):
+        return self._once(("action", f.name),
+                          lambda: tables.point_action(f, self.values(f)))
+
+    def verified(self, name: str, f: Field):
+        return self._once(("cert", name, f.name), lambda: certs.verify_certificate(
+            certs.shipped_certificate(name), f))
 
     @property
     def odd_fields(self):
@@ -65,17 +83,11 @@ _SKIP_REASONS = {
 }
 
 
-def _in_scope(text: str, vals: dict, field: Field):
-    """Parse `text` over point variables plus derived names; value in k(x1..x4)."""
-    scope = Ring(field, tables.POINT_VARS + tuple(vals))
-    return parse_expression(text, scope).substitute(vals, tables.point_ring(field))
-
-
-def _table_errors(field: Field, act, claims) -> list:
-    vals = tables.derived_values(field)
+def _table_errors(ctx, field: Field, act, claims) -> list:
+    vals = ctx.values(field)
     bad = []
     for name, text in claims:
-        expected = _in_scope(text, vals, field)
+        expected = tables.in_derived(text, vals, field)
         if not rf_eq(act.apply(vals[name]), expected):
             bad.append(name)
     return bad
@@ -89,7 +101,7 @@ def _run_cr_inv(ctx):
     v4 = klein_group()
     for f in ctx.fields:
         ring = tables.point_ring(f)
-        a = tables.derived_values(f)["a"]
+        a = ctx.values(f)["a"]
         bad = []
         for p in all_perms():
             if rf_eq(perm_automorphism(ring, p).apply(a), a) != (p in v4):
@@ -105,7 +117,7 @@ def _run_cr_inv(ctx):
 def _run_sigma_table(ctx):
     ok, details = True, []
     for f in ctx.odd_fields:
-        bad = _table_errors(f, tables.point_action(f), tables.SIGMA_ODD)
+        bad = _table_errors(ctx, f, ctx.action(f), tables.SIGMA_ODD)
         ok &= not bad
         details.append(f"{f.name}: " + (f"mismatch at {', '.join(bad)}" if bad
                                         else f"{len(tables.SIGMA_ODD)}/8 entries verified"))
@@ -115,8 +127,8 @@ def _run_sigma_table(ctx):
 def _run_sigma2_table(ctx):
     ok, details = True, []
     for f in ctx.odd_fields:
-        act = tables.point_action(f)
-        bad = _table_errors(f, act * act, tables.SIGMA2_ODD)
+        act = ctx.action(f)
+        bad = _table_errors(ctx, f, act * act, tables.SIGMA2_ODD)
         ok &= not bad
         details.append(f"{f.name}: " + (f"mismatch at {', '.join(bad)}" if bad
                                         else f"{len(tables.SIGMA2_ODD)}/8 entries verified"))
@@ -126,10 +138,10 @@ def _run_sigma2_table(ctx):
 def _run_basis_ids(ctx):
     ok, details = True, []
     for f in ctx.odd_fields:
-        vals = tables.derived_values(f)
+        vals = ctx.values(f)
         bad = []
         for lhs, rhs in tables.BASIS_IDS_ODD:
-            if not rf_eq(_in_scope(lhs, vals, f), _in_scope(rhs, vals, f)):
+            if not rf_eq(tables.in_derived(lhs, vals, f), tables.in_derived(rhs, vals, f)):
                 bad.append(f"{lhs} = {rhs}")
         ok &= not bad
         details.append(f"{f.name}: " + (f"failed: {'; '.join(bad)}" if bad
@@ -140,7 +152,7 @@ def _run_basis_ids(ctx):
 def _run_conic_b(ctx):
     ok, details = True, []
     for f in ctx.odd_fields:
-        zero = tables.in_derived(tables.CONIC_ODD_TEXT, f).is_zero()
+        zero = tables.in_derived(tables.CONIC_ODD_TEXT, ctx.values(f), f).is_zero()
         ok &= zero
         details.append(f"{f.name}: (1 - a)*u^2 - t^2 + a "
                        + ("vanishes identically in k(x1..x4)" if zero else "does NOT vanish"))
@@ -154,8 +166,7 @@ def _run_lem_a_inv(ctx):
     ok, details = True, []
     for f in ctx.odd_fields:
         for name in _LEM_A_CERTS:
-            ver = certs.verify_certificate(certs.shipped_certificate(name), f)
-            c1 = ver.conditions[0]
+            c1 = ctx.verified(name, f).conditions[0]
             ok &= c1.ok
             details.append(f"{f.name}: {name} invariance "
                            + ("verified" if c1.ok else f"FAILED ({c1.detail})"))
@@ -166,7 +177,7 @@ def _run_lem_a_rel(ctx):
     ok, details = True, []
     for f in ctx.odd_fields:
         for name in _LEM_A_CERTS:
-            ver = certs.verify_certificate(certs.shipped_certificate(name), f)
+            ver = ctx.verified(name, f)
             rest = ver.conditions[1:]
             good = all(c.ok for c in rest)
             ok &= good
@@ -210,9 +221,7 @@ def _run_iso_crit(ctx):
 def _run_iso_search(ctx):
     ok, details, searched = True, [], 0
     for f in ctx.finite_fields:
-        d = ctx.config.degree_bound
-        while d >= 0 and (f.order ** (d + 1)) ** 3 > conic.SEARCH_BUDGET:
-            d -= 1
+        d = conic.searchable_degree(f, ctx.config.degree_bound)
         if d < 0:
             reason = ("the degree bound is negative" if ctx.config.degree_bound < 0
                       else "degree 0 already exceeds the budget")
@@ -286,10 +295,9 @@ def _run_certs(ctx):
     for f in ctx.fields:
         parts = []
         for name in names:
-            cert = shipped[name]
-            if not cert.applies_to(f):
+            if not shipped[name].applies_to(f):
                 continue
-            ver = certs.verify_certificate(cert, f)
+            ver = ctx.verified(name, f)
             checked += 1
             if name in certs.COUNTEREXAMPLE_CERT_NAMES:
                 cond1_failed = not ver.conditions[0].ok
@@ -309,9 +317,9 @@ def _run_certs(ctx):
 def _run_char2_table(ctx):
     ok, details = True, []
     for f in ctx.char2_fields:
-        act = tables.point_action(f)
-        bad1 = _table_errors(f, act, tables.SIGMA_CHAR2)
-        bad2 = _table_errors(f, act * act, tables.SIGMA2_CHAR2)
+        act = ctx.action(f)
+        bad1 = _table_errors(ctx, f, act, tables.SIGMA_CHAR2)
+        bad2 = _table_errors(ctx, f, act * act, tables.SIGMA2_CHAR2)
         ok &= not bad1 and not bad2
         if bad1 or bad2:
             details.append(f"{f.name}: mismatch at "
@@ -325,7 +333,7 @@ def _run_char2_table(ctx):
 def _run_conic_c(ctx):
     ok, details = True, []
     for f in ctx.char2_fields:
-        zero = tables.in_derived(tables.CONIC_CHAR2_TEXT, f).is_zero()
+        zero = tables.in_derived(tables.CONIC_CHAR2_TEXT, ctx.values(f), f).is_zero()
         ok &= zero
         details.append(f"{f.name}: a*u^2 + a*u + t^2 + t "
                        + ("vanishes identically in k(x1..x4)" if zero else "does NOT vanish"))
@@ -338,20 +346,17 @@ _LEM_B_CERTS = ("shift_full_char2", "shift_base_char2", "conic_reflection_char2"
 def _run_lem_b_all(ctx):
     ok, details = True, []
     for f in ctx.char2_fields:
-        form = conic.char2_form(f)
-        x = rvar(form.ring, "x")
-        pt = conic.ProjPoint2(form.ring, (x, 1, 1))
+        form, pt = _param_instance(f)
         on = form.is_point(pt)
         ok &= on
         details.append(f"{f.name}: (x : 1 : 1) "
                        + ("lies on" if on else "is NOT on") + " the conic")
         for name in _LEM_B_CERTS:
-            ver = certs.verify_certificate(certs.shipped_certificate(name), f)
+            ver = ctx.verified(name, f)
             ok &= ver.valid
             details.append(f"{f.name}: {name} "
                            + ("VALID" if ver.valid else ver.render()))
-        vals = tables.derived_values(f)
-        act = tables.point_action(f)
+        vals, act = ctx.values(f), ctx.action(f)
         moved = [n for n in ("inv_x", "inv_y", "inv_z")
                  if not rf_eq(act.apply(vals[n]), vals[n])]
         ok &= not moved
@@ -439,7 +444,7 @@ def _run_genfree(ctx):
 
 def _run_indep(ctx):
     q = rationals()
-    vq = tables.derived_values(q)
+    vq = ctx.values(q)
     rank = jacobian_rank([vq["a"], vq["u"]], tables.POINT_VARS)
     ok0 = rank == 2
     details = [f"Jacobian of (a, u) in (x1..x4) has rank {rank} over Q "
@@ -450,7 +455,7 @@ def _run_indep(ctx):
     f2 = prime_field(2)
     rng = ctx.rng("INDEP")
     sring = Ring(f2, ("s",))
-    vals2 = tables.derived_values(f2)
+    vals2 = ctx.values(f2)
     target_draws, pairs, attempts = 25, [], 0
     while len(pairs) < target_draws and attempts < 500:
         attempts += 1
@@ -499,13 +504,9 @@ def _run_main_b(ctx):
 def _run_main_c(ctx):
     ok, details = True, []
     for f in ctx.char2_fields:
-        form = conic.char2_form(f)
-        x = rvar(form.ring, "x")
-        pt = conic.ProjPoint2(form.ring, (x, 1, 1))
+        form, pt = _param_instance(f)
         on = form.is_point(pt)
-        certs_ok = all(
-            certs.verify_certificate(certs.shipped_certificate(n), f).valid
-            for n in _LEM_B_CERTS)
+        certs_ok = all(ctx.verified(n, f).valid for n in _LEM_B_CERTS)
         if on:
             conic.parametrize(form, pt)
         ok &= on and certs_ok

@@ -48,8 +48,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_identity(args) -> int:
     field = field_by_name(args.field)
-    lhs = tables.in_derived(args.lhs, field)
-    rhs = tables.in_derived(args.rhs, field)
+    values = tables.derived_values(field)
+    lhs = tables.in_derived(args.lhs, values, field)
+    rhs = tables.in_derived(args.rhs, values, field)
     equal = rf_eq(lhs, rhs)
     word = "EQUAL" if equal else "NOT EQUAL"
     print(f"{word} over {field.name}: {args.lhs}  vs  {args.rhs}")

@@ -19,7 +19,10 @@ and the record says so.
 enumeration of polynomial coordinate triples up to a degree bound, in a
 deterministic order (coordinate precedence W, Z, Y, matching the chart
 preference of :func:`parametrize`, and polynomials ordered radix-style with
-the constant coefficient fastest).
+the constant coefficient fastest).  It walks the (W, Z) pairs in that order
+and finds the least matching Y by exact table lookup instead of a third
+loop; every table holds every Y, so the search is still exhaustive, with
+O(n^2) lookups for n polynomials per coordinate instead of O(n^3) sums.
 
 :func:`parametrize` builds the standard line-pencil parametrization through
 a given point and verifies, symbolically and before returning, that the
@@ -94,17 +97,6 @@ class ProjPoint2:
             raise XratioError("(0 : 0 : 0) is not a projective point")
         self.ring = ring
         self.coords = coords
-
-    def canonicalized(self) -> "ProjPoint2":
-        """Clear denominators, strip common monomial content, and scale so
-        the first nonzero coordinate (Y, Z, W order) has leading coeff 1."""
-        polys = _strip_monomial_content(_clear_denominators(self.coords))
-        lead = next(p for p in polys if not p.is_zero())
-        _, lc = lead.leading()
-        if not lc.is_one():
-            inv = self.ring.field.one / lc
-            polys = [p * inv for p in polys]
-        return ProjPoint2(self.ring, polys)
 
     def same_point(self, other: "ProjPoint2") -> bool:
         """Projective equality: all 2x2 minors of the coordinate pair vanish."""
@@ -409,6 +401,15 @@ def _coeff_list(p: MultiPoly, upto: int):
     return out
 
 
+def searchable_degree(field: Field, degree_bound: int) -> int:
+    """The largest d <= degree_bound whose (q^(d+1))^3 candidate triples fit
+    the search budget, or -1 when none does."""
+    d = degree_bound
+    while d >= 0 and (field.order ** (d + 1)) ** 3 > SEARCH_BUDGET:
+        d -= 1
+    return d
+
+
 def bounded_point_search(form: TernaryForm, degree_bound: int):
     """First polynomial-coordinate zero, or None after full enumeration.
 
@@ -417,6 +418,13 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
     degree_bound ordered radix-style (constant coefficient fastest).  The
     first zero found is therefore the least triple in that order.  Budget
     guard: (q^(d+1))^3 <= 10^7 candidate triples.
+
+    The Y loop is a lookup: for fixed (W, Z) the form is zero exactly when
+    c_YY Y^2 + L Y = -(c_ZZ Z^2 + c_WW W^2 + c_ZW Z W) with L = c_YZ Z + c_YW W.
+    A table per distinct L maps each exact left-hand side to the least Y index
+    >= 1 that attains it.  It is built over every Y, so each (W, Z) pair still
+    meets all its candidates and the search stays exhaustive; Y = 0 answers
+    when the (W, Z) part vanishes on its own and (W, Z) != (0, 0).
     """
     field = form.ring.field
     if not field.is_finite:
@@ -425,9 +433,8 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
         raise XratioError("search expects a univariate coefficient ring")
     if degree_bound < 0:
         raise XratioError(f"degree bound must be >= 0, got {degree_bound}")
-    q = field.order
-    n_polys = q ** (degree_bound + 1)
-    if n_polys ** 3 > SEARCH_BUDGET:
+    n_polys = field.order ** (degree_bound + 1)
+    if searchable_degree(field, degree_bound) < degree_bound:
         raise SearchBudgetError(
             f"{n_polys ** 3} candidate triples exceed the budget {SEARCH_BUDGET}")
 
@@ -458,45 +465,49 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
             out[j] = out[j] + bj
         return out
 
-    def is_zero_list(a):
-        return all(x.is_zero() for x in a)
+    def key(a):
+        """Exact, hashable coefficient payloads with trailing zeros dropped."""
+        out = [c.v for c in a]
+        while out and out[-1] == zero.v:
+            out.pop()
+        return tuple(out)
 
     sq = [lmul(p, p) for p in polys]
     tY = [lmul(cl[("Y", "Y")], s) for s in sq]
     tZ = [lmul(cl[("Z", "Z")], s) for s in sq]
     tW = [lmul(cl[("W", "W")], s) for s in sq]
     cYZ, cYW, cZW = cl[("Y", "Z")], cl[("Y", "W")], cl[("Z", "W")]
-    use_cross = not (is_zero_list(cYZ) and is_zero_list(cYW) and is_zero_list(cZW))
-    memo = {}
+    tables = {}
 
-    def cross(i, j):
-        key = (i, j) if i <= j else (j, i)
-        v = memo.get(key)
-        if v is None:
-            v = lmul(polys[i], polys[j])
-            memo[key] = v
-        return v
+    def y_table(lin):
+        """-(c_YY Y^2 + lin Y) -> least Y index >= 1 reaching it."""
+        k = key(lin)
+        table = tables.get(k)
+        if table is None:
+            if len(tables) >= n_polys:  # memory stays at n tables of n entries
+                tables.clear()
+            table = {}
+            for iy in range(len(polys) - 1, 0, -1):
+                part = ladd(tY[iy], lmul(lin, polys[iy]))
+                table[key([-c for c in part])] = iy
+            tables[k] = table
+        return table
 
     rng_ = range(len(polys))
     for iw in rng_:
-        pw = tW[iw]
         for iz in rng_:
-            pzw = ladd(pw, tZ[iz])
-            if use_cross:
-                pzw = ladd(pzw, lmul(cZW, cross(iz, iw)))
-            for iy in rng_:
-                if iy == 0 and iz == 0 and iw == 0:
-                    continue
-                val = ladd(pzw, tY[iy])
-                if use_cross:
-                    val = ladd(val, lmul(cYZ, cross(iy, iz)))
-                    val = ladd(val, lmul(cYW, cross(iy, iw)))
-                if is_zero_list(val):
-                    coords = []
-                    for idx in (iy, iz, iw):
-                        terms = {(k,): c for k, c in enumerate(polys[idx])}
-                        coords.append(form.ring.poly(terms))
-                    return ProjPoint2(form.ring, coords)
+            pz, pw = polys[iz], polys[iw]
+            rest = key(ladd(ladd(tW[iw], tZ[iz]), lmul(cZW, lmul(pz, pw))))
+            if not rest and (iz or iw):
+                iy = 0
+            else:
+                iy = y_table(ladd(lmul(cYZ, pz), lmul(cYW, pw))).get(rest)
+            if iy is not None:
+                coords = []
+                for idx in (iy, iz, iw):
+                    terms = {(k,): c for k, c in enumerate(polys[idx])}
+                    coords.append(form.ring.poly(terms))
+                return ProjPoint2(form.ring, coords)
     return None
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from .fields import Field, FieldElement, XratioError
+from .fields import XratioError
 from .poly import Ring
 from .ratfunc import RatFunc, rat
 
@@ -57,11 +57,6 @@ def tokenize(text: str):
         k = m.end()
     out.append(("end", None, len(text)))
     return out
-
-
-def identifiers_in(text: str):
-    """Variable names mentioned in an expression ('i' is not a variable)."""
-    return {v for kind, v, _ in tokenize(text) if kind == "ident" and v != "i"}
 
 
 class _Parser:
@@ -159,9 +154,3 @@ class _Parser:
 
 def parse_expression(text: str, ring: Ring) -> RatFunc:
     return _Parser(text, ring).parse()
-
-
-def parse_scalar(text: str, field: Field) -> FieldElement:
-    """Parse a constant expression (no variables) into a field element."""
-    f = parse_expression(text, Ring(field, ()))
-    return f.num.constant_value() / f.den.constant_value()

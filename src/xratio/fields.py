@@ -145,9 +145,6 @@ class Field:
     def from_int(self, n: int) -> FieldElement:
         return FieldElement(self, self._int_payload(n))
 
-    def el(self, payload) -> FieldElement:
-        return FieldElement(self, self._canon(payload))
-
     @property
     def is_finite(self):
         return self.order is not None
@@ -176,9 +173,6 @@ class RationalField(Field):
     def _int_payload(self, n):
         return Fraction(n)
 
-    def _canon(self, payload):
-        return Fraction(payload)
-
     def add(self, a, b):
         return FieldElement(self, a.v + b.v)
 
@@ -205,10 +199,6 @@ class GaussianRationalField(Field):
 
     def _int_payload(self, n):
         return (Fraction(n), Fraction(0))
-
-    def _canon(self, payload):
-        re_, im_ = payload
-        return (Fraction(re_), Fraction(im_))
 
     def add(self, a, b):
         return FieldElement(self, (a.v[0] + b.v[0], a.v[1] + b.v[1]))
@@ -260,8 +250,6 @@ class PrimeField(Field):
 
     def _int_payload(self, n):
         return n % self.p
-
-    _canon = _int_payload
 
     def add(self, a, b):
         return FieldElement(self, (a.v + b.v) % self.p)
@@ -316,10 +304,6 @@ class PrimeQuadraticField(Field):
 
     def _int_payload(self, n):
         return (n % self.p, 0)
-
-    def _canon(self, payload):
-        re_, im_ = payload
-        return (re_ % self.p, im_ % self.p)
 
     def add(self, a, b):
         p = self.p

@@ -237,10 +237,6 @@ def has_fixed_point(s) -> bool:
     return any(len(o) == 1 for o in orbits(s))
 
 
-def has_odd_orbit(s) -> bool:
-    return any(len(o) % 2 == 1 for o in orbits(s))
-
-
 def is_cyclic(s) -> bool:
     n = len(s)
     return any(g.order() == n for g in s)

@@ -116,18 +116,17 @@ def derived_values(field: Field) -> dict:
     return values
 
 
-def in_derived(text: str, field: Field) -> RatFunc:
-    """Parse an expression in the point variables and derived names; value in
-    k(x1..x4)."""
-    values = derived_values(field)
+def in_derived(text: str, values: dict, field: Field) -> RatFunc:
+    """Parse an expression in the point variables and the derived names of
+    `values` (from :func:`derived_values`); value in k(x1..x4)."""
     scope = Ring(field, POINT_VARS + tuple(values))
     return parse_expression(text, scope).substitute(values, point_ring(field))
 
 
-def point_action(field: Field) -> Automorphism:
-    """The 4-cycle acting by sigma(x_k) = x_{sigma(k)}, orientation-checked."""
+def point_action(field: Field, values: dict) -> Automorphism:
+    """The 4-cycle acting by sigma(x_k) = x_{sigma(k)}, orientation-checked
+    against `values` (from :func:`derived_values`)."""
     act = perm_automorphism(point_ring(field), four_cycle())
-    values = derived_values(field)
     if field.characteristic == 2:
         ok = rf_eq(act.apply(values["y"]), values["w"] + values["y"])
     else:

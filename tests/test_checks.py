@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import jsonschema
 import pytest
 
+from xratio import certs, tables
 from xratio.checks import CHECK_IDS, CHECKS, resolve_fields, run_checklist
 from xratio.fields import XratioError
 from xratio.report import (ASSUMED, DEFAULT_FIELDS, EVIDENCE, FAIL, PASS,
@@ -161,3 +163,28 @@ def test_seed_changes_genfree_sampling_details():
     a = run_checklist(RunConfig(seed=1), only={"GENFREE"})
     b = run_checklist(RunConfig(seed=2), only={"GENFREE"})
     assert a.checks[0].details != b.checks[0].details
+
+
+def test_run_computes_shared_objects_once_per_run(monkeypatch):
+    verified, derived = Counter(), Counter()
+    real_verify, real_derived = certs.verify_certificate, tables.derived_values
+
+    def counting_verify(cert, field):
+        verified[(cert.name, field.name)] += 1
+        return real_verify(cert, field)
+
+    def counting_derived(field):
+        derived[field.name] += 1
+        return real_derived(field)
+
+    monkeypatch.setattr(certs, "verify_certificate", counting_verify)
+    monkeypatch.setattr(tables, "derived_values", counting_derived)
+    first = run_checklist(RunConfig())
+    assert len(verified) == 19
+    assert set(verified.values()) == {1}
+    assert set(derived) == set(DEFAULT_FIELDS)
+    assert max(derived.values()) <= 2
+    # a second run shares nothing with the first
+    second = run_checklist(RunConfig())
+    assert set(verified.values()) == {2}
+    assert second.to_json() == first.to_json()

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from xratio.cli import main
+
+DATA = Path(__file__).parent / "data"
+NINE_FIELDS = "Q,Q(i),F2,F3,F5,F7,F3(i),F7(i),F101"
 
 
 def test_run_single_check_json_to_file(tmp_path):
@@ -203,3 +207,20 @@ def test_bad_format_choice_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["run", "--format", "yaml"])
     assert info.value.code == 2
+
+
+# Reports written by `replay run --format json` before the run-scoped memo and
+# the table-lookup point search; both changes must leave every byte as it was.
+# A change to the report schema regenerates these files.
+@pytest.mark.parametrize("golden, argv", [
+    ("report_default.json", []),
+    ("report_F2.json", ["--fields", "F2"]),
+    ("report_Q_F7i.json", ["--fields", "Q,F7(i)"]),
+    ("report_nine_fields.json", ["--fields", NINE_FIELDS]),
+    ("report_nine_fields_iso_search.json",
+     ["--fields", NINE_FIELDS, "--checks", "ISO-SEARCH"]),
+])
+def test_run_json_matches_golden_report(tmp_path, golden, argv):
+    out = tmp_path / "report.json"
+    main(["run", "--format", "json", "--out", str(out)] + argv)
+    assert out.read_bytes() == (DATA / golden).read_bytes()

@@ -1,9 +1,12 @@
+from itertools import product
+
 import pytest
 
-from xratio.conic import (DegenerateConicError, ProjPoint2, SearchBudgetError,
-                          TernaryForm, bounded_point_search, char2_form,
+from xratio.conic import (SEARCH_BUDGET, DegenerateConicError, ProjPoint2,
+                          SearchBudgetError, TernaryForm, _clear_denominators,
+                          _coeff_list, bounded_point_search, char2_form,
                           criterion_form, decide_isotropy, form_from_text,
-                          parametrize, standard_form)
+                          parametrize, searchable_degree, standard_form)
 from xratio.exprparse import parse_expression
 from xratio.fields import XratioError, field_by_name, prime_field, rationals
 from xratio.poly import Ring
@@ -94,6 +97,120 @@ def test_bounded_search_frozen_results(name, degree, expected):
     else:
         assert str(found) == expected
         assert form.is_point(found)
+
+
+def _reference_search(form, degree_bound):
+    """The plain triple loop over (W, Z, Y): the search's defining order."""
+    field = form.ring.field
+    cleared = dict(zip(form.coeffs, _clear_denominators(list(form.coeffs.values()))))
+    maxdeg = max(0, *(p.total_degree() for p in cleared.values()))
+    cl = {pair: _coeff_list(p, maxdeg) for pair, p in cleared.items()}
+
+    zero = field.zero
+    elems = list(field.elements())
+    polys = [tuple(reversed(t)) for t in product(elems, repeat=degree_bound + 1)]
+
+    def lmul(a, b):
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai.is_zero():
+                continue
+            for j, bj in enumerate(b):
+                if not bj.is_zero():
+                    out[i + j] = out[i + j] + ai * bj
+        return out
+
+    def ladd(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for j, bj in enumerate(b):
+            out[j] = out[j] + bj
+        return out
+
+    def is_zero_list(a):
+        return all(x.is_zero() for x in a)
+
+    sq = [lmul(p, p) for p in polys]
+    tY = [lmul(cl[("Y", "Y")], s) for s in sq]
+    tZ = [lmul(cl[("Z", "Z")], s) for s in sq]
+    tW = [lmul(cl[("W", "W")], s) for s in sq]
+    cYZ, cYW, cZW = cl[("Y", "Z")], cl[("Y", "W")], cl[("Z", "W")]
+    use_cross = not (is_zero_list(cYZ) and is_zero_list(cYW) and is_zero_list(cZW))
+    memo = {}
+
+    def cross(i, j):
+        key = (i, j) if i <= j else (j, i)
+        v = memo.get(key)
+        if v is None:
+            v = lmul(polys[i], polys[j])
+            memo[key] = v
+        return v
+
+    rng_ = range(len(polys))
+    for iw in rng_:
+        pw = tW[iw]
+        for iz in rng_:
+            pzw = ladd(pw, tZ[iz])
+            if use_cross:
+                pzw = ladd(pzw, lmul(cZW, cross(iz, iw)))
+            for iy in rng_:
+                if iy == 0 and iz == 0 and iw == 0:
+                    continue
+                val = ladd(pzw, tY[iy])
+                if use_cross:
+                    val = ladd(val, lmul(cYZ, cross(iy, iz)))
+                    val = ladd(val, lmul(cYW, cross(iy, iw)))
+                if is_zero_list(val):
+                    coords = []
+                    for idx in (iy, iz, iw):
+                        terms = {(k,): c for k, c in enumerate(polys[idx])}
+                        coords.append(form.ring.poly(terms))
+                    return ProjPoint2(form.ring, coords)
+    return None
+
+
+# None stands for criterion_form; the rest carry Y*Z, Y*W or Z*W cross terms
+SEARCH_FORMS = (
+    None,
+    "Y^2 + Y*Z - x*Z^2 - x*W^2",
+    "x*Y^2 + Y*Z + Z^2 + x^2*W^2 + Y*W",
+    "Y*Z + x*Y*W + x*Z^2 + (x + 1)*W^2",
+    "Y^2/x + Y*W - Z^2 + Z*W",
+    "Z^2 - x*W^2",
+)
+
+SEARCH_CASES = [
+    (name, text, d)
+    for name in ("F2", "F3", "F5", "F7", "F3(i)")
+    for text in SEARCH_FORMS
+    for d in range(7)
+    if (field_by_name(name).order ** (d + 1)) ** 3 <= 2 * 10 ** 6
+]
+
+
+@pytest.mark.parametrize("name, text, degree", SEARCH_CASES)
+def test_search_matches_reference_triple_loop(name, text, degree):
+    field = field_by_name(name)
+    form = criterion_form(field) if text is None else form_from_text(field, text)
+    found = bounded_point_search(form, degree)
+    expected = _reference_search(form, degree)
+    assert str(found) == str(expected)
+    if found is not None:
+        assert form.is_point(found)
+
+
+def test_searchable_degree():
+    assert searchable_degree(prime_field(2), 9) == 6
+    assert searchable_degree(prime_field(3), 2) == 2
+    assert searchable_degree(prime_field(7), 4) == 1
+    assert searchable_degree(field_by_name("F7(i)"), 2) == 0
+    assert searchable_degree(prime_field(1009), 2) == -1
+    assert searchable_degree(prime_field(5), -1) == -1
+    for name in ("F2", "F3", "F5", "F7", "F101"):
+        q = field_by_name(name).order
+        d = searchable_degree(field_by_name(name), 9)
+        assert (q ** (d + 1)) ** 3 <= SEARCH_BUDGET < (q ** (d + 2)) ** 3
 
 
 def test_search_budget_guard():
