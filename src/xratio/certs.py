@@ -302,7 +302,7 @@ def _eval_poly_over(p: MultiPoly, values: dict, ambient):
         zero = ambient.ext.zero
     acc = zero
     names = p.ring.variables
-    for e, c in p.terms.items():
+    for e, c in p.coefficients():
         t = one * c
         for name, k in zip(names, e):
             if k:

@@ -3,8 +3,10 @@
 Each check is a pure function of a :class:`_Ctx` (run configuration plus the
 resolved coefficient fields) returning a verdict and human-readable detail
 lines.  The context computes the objects checks share (derived values, the
-4-cycle action, certificate verifications) once per run and per field.  A check that declares a field scope (odd, characteristic 2, finite) is
-SKIPPED by the runner, without running, when no selected field is in scope.
+4-cycle action, certificate verifications, isotropy decisions, conic
+parametrizations) once per run and per field.  A check that declares a field
+scope (odd, characteristic 2, finite) is SKIPPED by the runner, without
+running, when no selected field is in scope.
 Checks never abort the run: any exception inside one becomes a FAIL with the
 error message in the details.  Randomized checks draw from
 ``random.Random(f"{seed}-{check_id}")`` so every check is reproducible in
@@ -61,6 +63,15 @@ class _Ctx:
     def verified(self, name: str, f: Field):
         return self._once(("cert", name, f.name), lambda: certs.verify_certificate(
             certs.shipped_certificate(name), f))
+
+    def decision(self, f: Field):
+        return self._once(("decision", f.name), lambda: conic.decide_isotropy(
+            f, self.config.obstruction_degree))
+
+    def param(self, f: Field):
+        """The parametrization of `_param_instance(f)`; f must have one."""
+        return self._once(("param", f.name),
+                          lambda: conic.parametrize(*_param_instance(f)))
 
     @property
     def odd_fields(self):
@@ -205,7 +216,7 @@ def _run_iso_crit(ctx):
     ok, details = True, []
     d_obs = ctx.config.obstruction_degree
     for f in ctx.odd_fields:
-        dec = conic.decide_isotropy(f, d_obs)
+        dec = ctx.decision(f)
         expected = f.sqrt_minus_one() is not None
         ok &= dec.isotropic == expected
         if dec.isotropic:
@@ -267,7 +278,7 @@ def _run_param(ctx):
             continue
         any_run = True
         form, base = inst
-        pm = conic.parametrize(form, base)
+        pm = ctx.param(f)
         values = (list(f.elements()) if f.is_finite
                   else [f.from_int(k) for k in (-3, -1, 0, 1, 2, 5)])
         good = total = 0
@@ -485,11 +496,11 @@ def _run_main_b(ctx):
     ok, details = True, []
     d_obs = ctx.config.obstruction_degree
     for f in ctx.odd_fields:
-        dec = conic.decide_isotropy(f, d_obs)
+        dec = ctx.decision(f)
         expected = f.sqrt_minus_one() is not None
         ok &= dec.isotropic == expected
         if dec.isotropic:
-            conic.parametrize(conic.standard_form(f), dec.witness)
+            ctx.param(f)  # the witness is _param_instance's (0 : s : 1)
             details.append(f"{f.name}: RATIONAL over the cross-ratio subfield; "
                            f"conic point {dec.witness} with verified parametrization")
         else:
@@ -508,7 +519,7 @@ def _run_main_c(ctx):
         on = form.is_point(pt)
         certs_ok = all(ctx.verified(n, f).valid for n in _LEM_B_CERTS)
         if on:
-            conic.parametrize(form, pt)
+            ctx.param(f)
         ok &= on and certs_ok
         details.append(f"{f.name}: RATIONAL; explicit conic point (x : 1 : 1), "
                        "verified parametrization and certificate chain"

@@ -396,7 +396,7 @@ def decide_isotropy(field: Field, degree_bound: int = 4) -> IsotropyDecision:
 
 def _coeff_list(p: MultiPoly, upto: int):
     out = [p.ring.field.zero] * (upto + 1)
-    for e, c in p.terms.items():
+    for e, c in p.coefficients():
         out[e[0]] = c
     return out
 

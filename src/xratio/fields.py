@@ -8,14 +8,20 @@ element:
 * ``Fp``      prime fields, residues 0..p-1
 * ``Fp(i)``   Fp[X]/(X^2+1) for p = 3 (mod 4), residue pairs (re, im)
 
-Elements are :class:`FieldElement` wrappers supporting ``+ - * / **`` and
-structural equality.  Mixing elements of two different fields raises
-:class:`FieldMismatchError`.  ``Fp(i)`` demands p = 3 (mod 4) so that
+Each field exposes one set of payload ops on those raw values: ``raw_add``,
+``raw_mul`` and ``raw_neg`` may leave a result unreduced, ``reduce`` maps it
+to the canonical form (one ``% p`` for F_p, the identity over Q and Q(i)),
+and ``raw_zero``/``raw_one`` are the canonical zero and one.  Polynomials
+store these payloads directly.  :class:`FieldElement` wraps one payload for
+the API edges and supports ``+ - * / **`` and structural equality by
+delegating to the payload ops.  Mixing elements of two different fields
+raises :class:`FieldMismatchError`.  ``Fp(i)`` demands p = 3 (mod 4) so that
 X^2+1 is irreducible and the pair arithmetic really is a field.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -58,7 +64,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"cannot combine elements of {self.field.name} and {other.field.name}")
             return other
@@ -66,48 +72,57 @@ class FieldElement:
             return self.field.from_int(other)
         return NotImplemented
 
+    def _made(self, raw):
+        f = self.field
+        return FieldElement(f, f.reduce(raw))
+
     def __add__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else self.field.add(self, o)
+        return o if o is NotImplemented else self._made(self.field.raw_add(self.v, o.v))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else self.field.add(self, self.field.neg(o))
+        return o if o is NotImplemented else self._made(
+            self.field.raw_add(self.v, self.field.raw_neg(o.v)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else self.field.add(o, self.field.neg(self))
+        return o if o is NotImplemented else self._made(
+            self.field.raw_add(o.v, self.field.raw_neg(self.v)))
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else self.field.mul(self, o)
+        return o if o is NotImplemented else self._made(self.field.raw_mul(self.v, o.v))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else self.field.mul(self, self.field.inv(o))
+        return o if o is NotImplemented else self._made(
+            self.field.raw_mul(self.v, self.field.inv(o).v))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else self.field.mul(o, self.field.inv(self))
+        return o if o is NotImplemented else self._made(
+            self.field.raw_mul(o.v, self.field.inv(self).v))
 
     def __neg__(self):
-        return self.field.neg(self)
+        return self._made(self.field.raw_neg(self.v))
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.field.inv(self)
-        out, k = self.field.one, abs(n)
+        f = self.field
+        base = (self if n >= 0 else f.inv(self)).v
+        out, k = f.raw_one, abs(n)
         while k:
             if k & 1:
-                out = self.field.mul(out, base)
-            base = self.field.mul(base, base)
+                out = f.reduce(f.raw_mul(out, base))
+            base = f.reduce(f.raw_mul(base, base))
             k >>= 1
-        return out
+        return FieldElement(f, out)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -119,28 +134,50 @@ class FieldElement:
         return hash((self.field.name, self.v))
 
     def is_zero(self):
-        return self.v == self.field.zero.v
+        return self.v == self.field.raw_zero
 
     def is_one(self):
-        return self.v == self.field.one.v
+        return self.v == self.field.raw_one
 
     def __str__(self):
-        return self.field.render(self)
+        return self.field.render(self.v)
 
     def __repr__(self):
-        return f"<{self.field.name}: {self.field.render(self)}>"
+        return f"<{self.field.name}: {self.field.render(self.v)}>"
+
+
+def _pair_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _pair_mul(a, b):
+    (p, q), (r, s) = a, b
+    return (p * r - q * s, p * s + q * r)
+
+
+def _pair_neg(a):
+    return (-a[0], -a[1])
 
 
 class Field:
-    """Shared surface: subclasses fill in payload arithmetic."""
+    """Shared surface; the default payload ops are the scalar ones (Q, F_p)."""
 
     name = "?"
     characteristic = 0
     order = None  # None means infinite
+    raw_add = staticmethod(operator.add)
+    raw_mul = staticmethod(operator.mul)
+    raw_neg = staticmethod(operator.neg)
 
     def __init__(self):
-        self.zero = FieldElement(self, self._int_payload(0))
-        self.one = FieldElement(self, self._int_payload(1))
+        self.raw_zero = self._int_payload(0)
+        self.raw_one = self._int_payload(1)
+        self.zero = FieldElement(self, self.raw_zero)
+        self.one = FieldElement(self, self.raw_one)
+
+    @staticmethod
+    def reduce(raw):
+        return raw
 
     def from_int(self, n: int) -> FieldElement:
         return FieldElement(self, self._int_payload(n))
@@ -157,7 +194,7 @@ class Field:
         return None
 
     def __eq__(self, other):
-        return isinstance(other, Field) and other.name == self.name
+        return other is self or (isinstance(other, Field) and other.name == self.name)
 
     def __hash__(self):
         return hash(self.name)
@@ -173,22 +210,13 @@ class RationalField(Field):
     def _int_payload(self, n):
         return Fraction(n)
 
-    def add(self, a, b):
-        return FieldElement(self, a.v + b.v)
-
-    def neg(self, a):
-        return FieldElement(self, -a.v)
-
-    def mul(self, a, b):
-        return FieldElement(self, a.v * b.v)
-
     def inv(self, a):
         if a.v == 0:
             raise ZeroDivisionError("division by zero in Q")
         return FieldElement(self, 1 / a.v)
 
-    def render(self, a):
-        return str(a.v)
+    def render(self, v):
+        return str(v)
 
 
 class GaussianRationalField(Field):
@@ -196,19 +224,12 @@ class GaussianRationalField(Field):
 
     name = "Q(i)"
     characteristic = 0
+    raw_add = staticmethod(_pair_add)
+    raw_mul = staticmethod(_pair_mul)
+    raw_neg = staticmethod(_pair_neg)
 
     def _int_payload(self, n):
         return (Fraction(n), Fraction(0))
-
-    def add(self, a, b):
-        return FieldElement(self, (a.v[0] + b.v[0], a.v[1] + b.v[1]))
-
-    def neg(self, a):
-        return FieldElement(self, (-a.v[0], -a.v[1]))
-
-    def mul(self, a, b):
-        (p, q), (r, s) = a.v, b.v
-        return FieldElement(self, (p * r - q * s, p * s + q * r))
 
     def inv(self, a):
         p, q = a.v
@@ -220,8 +241,8 @@ class GaussianRationalField(Field):
     def sqrt_minus_one(self):
         return FieldElement(self, (Fraction(0), Fraction(1)))
 
-    def render(self, a):
-        p, q = a.v
+    def render(self, v):
+        p, q = v
         if q == 0:
             return str(p)
         if q == 1:
@@ -251,14 +272,8 @@ class PrimeField(Field):
     def _int_payload(self, n):
         return n % self.p
 
-    def add(self, a, b):
-        return FieldElement(self, (a.v + b.v) % self.p)
-
-    def neg(self, a):
-        return FieldElement(self, -a.v % self.p)
-
-    def mul(self, a, b):
-        return FieldElement(self, (a.v * b.v) % self.p)
+    def reduce(self, raw):
+        return raw % self.p
 
     def inv(self, a):
         if a.v == 0:
@@ -283,12 +298,16 @@ class PrimeField(Field):
         for k in range(self.p):
             yield FieldElement(self, k)
 
-    def render(self, a):
-        return str(a.v)
+    def render(self, v):
+        return str(v)
 
 
 class PrimeQuadraticField(Field):
     """Fp(i) = Fp[X]/(X^2+1), residue pairs; requires p = 3 (mod 4)."""
+
+    raw_add = staticmethod(_pair_add)
+    raw_mul = staticmethod(_pair_mul)
+    raw_neg = staticmethod(_pair_neg)
 
     def __init__(self, p):
         if not is_prime(p):
@@ -305,18 +324,8 @@ class PrimeQuadraticField(Field):
     def _int_payload(self, n):
         return (n % self.p, 0)
 
-    def add(self, a, b):
-        p = self.p
-        return FieldElement(self, ((a.v[0] + b.v[0]) % p, (a.v[1] + b.v[1]) % p))
-
-    def neg(self, a):
-        p = self.p
-        return FieldElement(self, (-a.v[0] % p, -a.v[1] % p))
-
-    def mul(self, a, b):
-        p = self.p
-        (x, y), (z, w) = a.v, b.v
-        return FieldElement(self, ((x * z - y * w) % p, (x * w + y * z) % p))
+    def reduce(self, raw):
+        return (raw[0] % self.p, raw[1] % self.p)
 
     def inv(self, a):
         p = self.p
@@ -336,8 +345,8 @@ class PrimeQuadraticField(Field):
             for im_ in range(self.p):
                 yield FieldElement(self, (re_, im_))
 
-    def render(self, a):
-        x, y = a.v
+    def render(self, v):
+        x, y = v
         if y == 0:
             return str(x)
         im = "i" if y == 1 else f"{y}*i"

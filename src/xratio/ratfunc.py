@@ -7,10 +7,11 @@ semantic, by cross-multiplication in the fraction field:
     n1/d1 == n2/d2   iff   n1*d2 == n2*d1   (exact polynomial identity)
 
 That identity is sound because polynomial rings over a field are integral
-domains.  Substitution clears denominators term by term, flags substitutions
-that make a denominator vanish identically, and evaluation at a point with a
-vanishing denominator is a pole error (the pair is unreduced, so a vanishing
-denominator is never silently "cancelled").
+domains.  Substitution clears denominators term by term (one
+:func:`.poly.substitute_cleared` call covers numerator and denominator),
+flags substitutions that make a denominator vanish identically, and
+evaluation at a point with a vanishing denominator is a pole error (the pair
+is unreduced, so a vanishing denominator is never silently "cancelled").
 
 Display applies an optional cosmetic normalization (strip common monomial
 content, make the denominator's leading coefficient 1); arithmetic never
@@ -20,7 +21,7 @@ normalizes.
 from __future__ import annotations
 
 from .fields import FieldElement, XratioError
-from .poly import MultiPoly, Ring, RingMismatchError
+from .poly import MultiPoly, Ring, RingMismatchError, substitute_cleared
 
 
 class ZeroDenominatorError(XratioError):
@@ -117,6 +118,8 @@ class RatFunc:
         return RatFunc(self.ring, base.num ** abs(n), base.den ** abs(n))
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement) and other.field != self.ring.field:
+            return False
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -141,17 +144,17 @@ class RatFunc:
             if key not in self.ring._index:
                 raise XratioError(f"{key!r} is not a variable of {self.ring!r}")
         imgs = {}
-        for name in self.ring.variables:
+        occurs = map(max, self.num.degrees(), self.den.degrees())
+        for name, deg in zip(self.ring.variables, occurs):
             g = assignment.get(name)
             if g is None:
-                if not (self.num.degree_in(name) or self.den.degree_in(name)):
+                if not deg:
                     continue
                 imgs[name] = (target.var(name), target.one)
             else:
                 g = rat(target, g)
                 imgs[name] = (g.num, g.den)
-        nn, nd = _subst_poly(self.num, imgs, target)
-        dn, dd = _subst_poly(self.den, imgs, target)
+        (nn, nd), (dn, dd) = substitute_cleared((self.num, self.den), imgs, target)
         if dn.is_zero():
             raise DegenerateSubstitutionError(
                 "substitution sends the denominator to zero")
@@ -219,37 +222,6 @@ def rvars(ring: Ring):
 
 def rf_eq(f: RatFunc, g) -> bool:
     return (f == g) is True
-
-
-def _subst_poly(p: MultiPoly, imgs: dict, target: Ring):
-    """p with v -> n_v/d_v, cleared: returns (N, D) with p(..) = N/D.
-
-    D = prod d_v^deg_v(p); each term is multiplied by d_v^(deg_v - e_v),
-    so no rational arithmetic happens at all.
-    """
-    names = p.ring.variables
-    degs = {v: p.degree_in(v) for v in names}
-    D = target.one
-    for v in names:
-        if not degs[v]:
-            continue
-        dv = imgs[v][1]
-        if not (dv == target.one):
-            D = D * dv ** degs[v]
-    N = target.zero
-    for e, c in p.terms.items():
-        t = target.const(c)
-        for v, k in zip(names, e):
-            if not degs[v]:
-                continue
-            nv, dv = imgs[v]
-            if k:
-                t = t * nv ** k
-            rest = degs[v] - k
-            if rest and not (dv == target.one):
-                t = t * dv ** rest
-        N = N + t
-    return N, D
 
 
 def jacobian_rank(funcs, names) -> int:

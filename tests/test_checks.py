@@ -4,7 +4,7 @@ from collections import Counter
 import jsonschema
 import pytest
 
-from xratio import certs, tables
+from xratio import certs, conic, tables
 from xratio.checks import CHECK_IDS, CHECKS, resolve_fields, run_checklist
 from xratio.fields import XratioError
 from xratio.report import (ASSUMED, DEFAULT_FIELDS, EVIDENCE, FAIL, PASS,
@@ -167,7 +167,9 @@ def test_seed_changes_genfree_sampling_details():
 
 def test_run_computes_shared_objects_once_per_run(monkeypatch):
     verified, derived = Counter(), Counter()
+    decided, parametrized = Counter(), Counter()
     real_verify, real_derived = certs.verify_certificate, tables.derived_values
+    real_decide, real_param = conic.decide_isotropy, conic.parametrize
 
     def counting_verify(cert, field):
         verified[(cert.name, field.name)] += 1
@@ -177,13 +179,28 @@ def test_run_computes_shared_objects_once_per_run(monkeypatch):
         derived[field.name] += 1
         return real_derived(field)
 
+    def counting_decide(field, degree_bound):
+        decided[field.name] += 1
+        return real_decide(field, degree_bound)
+
+    def counting_param(form, point):
+        parametrized[form.ring.field.name] += 1
+        return real_param(form, point)
+
     monkeypatch.setattr(certs, "verify_certificate", counting_verify)
     monkeypatch.setattr(tables, "derived_values", counting_derived)
+    monkeypatch.setattr(conic, "decide_isotropy", counting_decide)
+    monkeypatch.setattr(conic, "parametrize", counting_param)
     first = run_checklist(RunConfig())
     assert len(verified) == 19
     assert set(verified.values()) == {1}
     assert set(derived) == set(DEFAULT_FIELDS)
     assert max(derived.values()) <= 2
+    # ISO-CRIT and MAIN-B-VERDICT share one decision per odd field; PARAM,
+    # MAIN-B-VERDICT and MAIN-C-VERDICT share one parametrization per field
+    # with a known conic point (a square root of -1, or characteristic 2)
+    assert decided == {"Q": 1, "Q(i)": 1, "F3": 1, "F5": 1}
+    assert parametrized == {"Q(i)": 1, "F2": 1, "F5": 1}
     # a second run shares nothing with the first
     second = run_checklist(RunConfig())
     assert set(verified.values()) == {2}

@@ -189,6 +189,7 @@ SEARCH_CASES = [
 ]
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name, text, degree", SEARCH_CASES)
 def test_search_matches_reference_triple_loop(name, text, degree):
     field = field_by_name(name)

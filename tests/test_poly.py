@@ -1,6 +1,6 @@
 import pytest
 
-from xratio.fields import XratioError, prime_field, rationals
+from xratio.fields import FieldMismatchError, XratioError, prime_field, rationals
 from xratio.poly import MultiPoly, Ring, RingMismatchError
 
 
@@ -152,3 +152,36 @@ def test_constant_value_requires_constant(qring):
     with pytest.raises(XratioError):
         qring.var("x").constant_value()
     assert qring.const(4).constant_value() == rationals().from_int(4)
+
+
+def test_foreign_field_scalar_rejected(qring):
+    # an F5 element is not a rational number: it must not be read as 3
+    three = prime_field(5).from_int(3)
+    x = qring.var("x")
+    with pytest.raises(FieldMismatchError):
+        qring.const(three)
+    with pytest.raises(FieldMismatchError):
+        qring.poly({(1, 0, 0): three})
+    with pytest.raises(FieldMismatchError):
+        x + three
+    with pytest.raises(FieldMismatchError):
+        x.substitute({"y": three})
+
+
+def test_foreign_field_scalar_is_never_equal(qring):
+    three_mod5 = prime_field(5).from_int(3)
+    assert not qring.const(3) == three_mod5
+    assert qring.const(3) != three_mod5
+    assert qring.const(3) == rationals().from_int(3)
+
+
+def test_payloads_and_coefficients(qring):
+    f5 = prime_field(5)
+    ring = Ring(f5, ("x",))
+    x = ring.var("x")
+    p = (x + 3) * (x + 4)  # x^2 + 7x + 12 = x^2 + 2x + 2 over F5
+    assert p.terms == {(2,): 1, (1,): 2, (0,): 2}
+    assert dict(p.coefficients()) == {(2,): f5.one, (1,): f5.from_int(2),
+                                      (0,): f5.from_int(2)}
+    assert p.leading() == ((2,), f5.one)
+    assert ring.poly({(0,): 5, (1,): f5.from_int(7)}).terms == {(1,): 2}
