@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
-from .autos import Automorphism, OrderBoundError, identity_automorphism
+from .autos import Automorphism, OrderBoundError
 from .exprparse import parse_expression
 from .fields import Field, FieldElement, XratioError
 from .poly import MultiPoly, Ring
-from .ratfunc import RatFunc, rat, rvar
+from .ratfunc import DegenerateSubstitutionError, RatFunc, rat, rvar
 
 ORDER_BOUND = 24
 
@@ -46,29 +46,28 @@ class CertFormatError(XratioError):
 
 
 class QuadExt:
-    """E = k(base vars)[t] / (t^2 + e*t + f) with e, f rational over the base."""
+    """E = k(base vars)[t] / (t^2 + e*t + f) with e, f rational over the base;
+    the denominators are cleared once into E2*t^2 + E1*t + E0 = 0 (polynomials)."""
 
-    __slots__ = ("ring", "e", "f")
+    __slots__ = ("ring", "e", "f", "E2", "E1", "E0")
 
     def __init__(self, ring: Ring, e: RatFunc, f: RatFunc):
         self.ring = ring
-        self.e = rat(ring, e)
-        self.f = rat(ring, f)
+        self.e = e = rat(ring, e)
+        self.f = f = rat(ring, f)
+        self.E2 = e.den * f.den
+        self.E1 = e.num * f.den
+        self.E0 = f.num * e.den
 
-    def elem(self, a, b=0) -> "ExtElem":
-        return ExtElem(self, rat(self.ring, a), rat(self.ring, b))
-
-    @property
-    def zero(self):
-        return self.elem(0)
-
-    @property
-    def one(self):
-        return self.elem(1)
+    def elem(self, a) -> "ExtElem":
+        """The base-field element `a` (int, scalar, polynomial or RatFunc)."""
+        a = rat(self.ring, a)
+        return ExtElem(self, a.num, self.ring.zero, a.den)
 
     @property
     def gen(self):
-        return self.elem(0, 1)
+        one = self.ring.one
+        return ExtElem(self, self.ring.zero, one, one)
 
     def __eq__(self, other):
         return (isinstance(other, QuadExt) and other.ring == self.ring
@@ -78,18 +77,28 @@ class QuadExt:
 
 
 class ExtElem:
-    """a + b*t in a QuadExt; components are unreduced rational functions."""
+    """(A + B*t)/D in a QuadExt: base polynomials A, B and one unreduced D != 0.
+    Equality cross-multiplies; 1, t is a basis over the base fraction field."""
 
-    __slots__ = ("ext", "a", "b")
+    __slots__ = ("ext", "A", "B", "D")
 
-    def __init__(self, ext: QuadExt, a: RatFunc, b: RatFunc):
+    def __init__(self, ext: QuadExt, A: MultiPoly, B: MultiPoly, D: MultiPoly):
         self.ext = ext
-        self.a = a
-        self.b = b
+        self.A = A
+        self.B = B
+        self.D = D
+
+    @property
+    def a(self) -> RatFunc:
+        return RatFunc(self.ext.ring, self.A, self.D)
+
+    @property
+    def b(self) -> RatFunc:
+        return RatFunc(self.ext.ring, self.B, self.D)
 
     def _coerce(self, other):
         if isinstance(other, ExtElem):
-            if other.ext != self.ext:
+            if other.ext is not self.ext and other.ext != self.ext:
                 raise XratioError("mixed quadratic extensions")
             return other
         if isinstance(other, (int, FieldElement, MultiPoly, RatFunc)):
@@ -100,56 +109,58 @@ class ExtElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return ExtElem(self.ext, self.a + o.a, self.b + o.b)
+        if self.D == o.D:
+            return ExtElem(self.ext, self.A + o.A, self.B + o.B, self.D)
+        return ExtElem(self.ext, self.A * o.D + o.A * self.D,
+                       self.B * o.D + o.B * self.D, self.D * o.D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtElem(self.ext, -self.a, -self.b)
+        return ExtElem(self.ext, -self.A, -self.B, self.D)
 
     def __sub__(self, other):
         o = self._coerce(other)
         return o if o is NotImplemented else self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        e, f = self.ext.e, self.ext.f
-        # (a1 + b1 t)(a2 + b2 t) with t^2 = -e t - f
-        a = self.a * o.a - self.b * o.b * f
-        b = self.a * o.b + o.a * self.b - self.b * o.b * e
-        return ExtElem(self.ext, a, b)
+        ext = self.ext
+        aa = self.A * o.A
+        ab = self.A * o.B + o.A * self.B
+        bb = self.B * o.B
+        if bb.is_zero():
+            return ExtElem(ext, aa, ab, self.D * o.D)
+        # t^2 = -(E1*t + E0)/E2
+        E2 = ext.E2
+        return ExtElem(ext, E2 * aa - ext.E0 * bb, E2 * ab - ext.E1 * bb,
+                       E2 * (self.D * o.D))
 
     __rmul__ = __mul__
 
-    def norm(self) -> RatFunc:
-        a, b, e, f = self.a, self.b, self.ext.e, self.ext.f
-        return a * a - a * b * e + b * b * f
-
     def inv(self) -> "ExtElem":
-        n = self.norm()
-        if n.is_zero():
+        A, B, D, ext = self.A, self.B, self.D, self.ext
+        if B.is_zero():  # a base-field element
+            num, norm = (D, B), A
+        else:
+            # conjugate (A*E2 - B*E1 - B*E2*t)/E2 over norm (E2*A^2 - E1*A*B + E0*B^2)/E2
+            E2, E1 = ext.E2, ext.E1
+            num = (D * (A * E2 - B * E1), -(D * B * E2))
+            norm = E2 * A * A - E1 * A * B + ext.E0 * B * B
+        if norm.is_zero():
             raise ZeroDivisionError("extension element has zero norm")
-        # conjugate is (a - b e) - b t
-        return ExtElem(self.ext, (self.a - self.b * self.ext.e) / n, -self.b / n)
+        return ExtElem(ext, *num, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         return o if o is NotImplemented else self * o.inv()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else o * self.inv()
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise XratioError("extension powers take nonnegative int exponents")
-        out, base, k = self.ext.one, self, n
+        out, base, k = self.ext.elem(1), self, n
         while k:
             if k & 1:
                 out = out * base
@@ -161,17 +172,17 @@ class ExtElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return (self.a == o.a) is True and (self.b == o.b) is True
+        return self.A * o.D == o.A * self.D and self.B * o.D == o.B * self.D
 
     __hash__ = None
 
     def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
+        return self.A.is_zero() and self.B.is_zero()
 
     def __str__(self):
-        if self.b.is_zero():
+        if self.B.is_zero():
             return str(self.a)
-        if self.a.is_zero():
+        if self.A.is_zero():
             return f"({self.b})*t"
         return f"({self.a}) + ({self.b})*t"
 
@@ -197,9 +208,8 @@ class ExtAuto:
                 "the extension relation")
 
     def apply(self, x: ExtElem) -> ExtElem:
-        a = self.ext.elem(self.base_auto.apply(x.a))
-        b = self.ext.elem(self.base_auto.apply(x.b))
-        return a + b * self.t_image
+        ext, move = self.ext, self.base_auto.apply
+        return ext.elem(move(x.a)) + ext.elem(move(x.b)) * self.t_image
 
     __call__ = apply
 
@@ -226,8 +236,6 @@ class ExtAuto:
 class RationalAmbient:
     """Ambient F = k(variables)."""
 
-    kind = "rational"
-
     def __init__(self, field: Field, variables):
         self.field = field
         self.ring = Ring(field, tuple(variables))
@@ -247,77 +255,63 @@ class RationalAmbient:
 class ExtensionAmbient:
     """Ambient F = k(variables)[t] / (t^2 + e*t + f)."""
 
-    kind = "extension"
-
     def __init__(self, field: Field, variables, e: RatFunc, f: RatFunc):
         self.field = field
         self.ring = Ring(field, tuple(variables))
         self.ext = QuadExt(self.ring, e, f)
         self.names = self.ring.variables + ("t",)
-        self._big = Ring(field, self.ring.variables + ("t",))
-
-    def _shrink(self, p: MultiPoly) -> "ExtElem":
-        acc = self.ext.zero
-        tp = self.ext.one
-        for k in range(p.degree_in("t") + 1):
-            ck = p.coefficient_of("t", k).substitute({}, self.ring)
-            if not ck.is_zero():
-                acc = acc + self.ext.elem(ck) * tp
-            tp = tp * self.ext.gen
-        return acc
+        self._big = Ring(field, self.names)
+        self._gens = {v: self.ext.elem(rvar(self.ring, v)) for v in self.ring.variables}
+        self._gens["t"] = self.ext.gen
 
     def element(self, text: str) -> ExtElem:
-        rf = parse_expression(text, self._big)
-        num = self._shrink(rf.num)
-        den = self._shrink(rf.den)
-        if den.is_zero():
-            raise CertFormatError(f"denominator of {text!r} is zero in the extension")
-        return num / den
+        return eval_expression_over(parse_expression(text, self._big), self._gens, self)
 
     def generator(self, name: str) -> ExtElem:
-        if name == "t":
-            return self.ext.gen
-        return self.ext.elem(rvar(self.ring, name))
+        return self._gens[name]
 
     def auto(self, images: dict):
         base_imgs = {}
         for v in self.ring.variables:
-            img = images.get(v, self.ext.elem(rvar(self.ring, v)))
-            if not img.b.is_zero():
+            img = images.get(v, self._gens[v])
+            if not img.B.is_zero():
                 raise CertFormatError(
                     f"image of base variable {v!r} must stay in the base field")
             base_imgs[v] = img.a
-        base = Automorphism(self.ring, base_imgs)
-        t_img = images.get("t", self.ext.gen)
-        return ExtAuto(self.ext, base, t_img)
+        return ExtAuto(self.ext, Automorphism(self.ring, base_imgs),
+                       images.get("t", self._gens["t"]))
 
 
-def _eval_poly_over(p: MultiPoly, values: dict, ambient):
-    """Polynomial with variables mapped to ambient elements (Ext-safe)."""
-    if ambient.kind == "rational":
-        one = rat(ambient.ring, 1)
-        zero = rat(ambient.ring, 0)
-    else:
-        one = ambient.ext.one
-        zero = ambient.ext.zero
-    acc = zero
+def _eval_poly_over(p: MultiPoly, values: dict, ext: QuadExt) -> ExtElem:
+    """Polynomial with variables mapped to extension elements; each power
+    values[name]**k is built once per call."""
+    powers = {}
+    acc = ext.elem(0)
     names = p.ring.variables
     for e, c in p.coefficients():
-        t = one * c
+        t = ext.elem(c)
         for name, k in zip(names, e):
             if k:
-                t = t * values[name] ** k
+                pw = powers.get((name, k))
+                if pw is None:
+                    pw = powers[name, k] = values[name] ** k
+                t = t * pw
         acc = acc + t
     return acc
 
 
 def eval_expression_over(rf: RatFunc, values: dict, ambient):
     """Rational expression with variables mapped to ambient elements."""
-    num = _eval_poly_over(rf.num, values, ambient)
-    den = _eval_poly_over(rf.den, values, ambient)
+    if isinstance(ambient, RationalAmbient):
+        try:
+            return rf.substitute(values, ambient.ring)
+        except DegenerateSubstitutionError:
+            raise CertFormatError("expression denominator collapses to zero") from None
+    num = _eval_poly_over(rf.num, values, ambient.ext)
+    den = _eval_poly_over(rf.den, values, ambient.ext)
     if den.is_zero():
         raise CertFormatError("expression denominator collapses to zero")
-    return num / den if ambient.kind == "extension" else num * den.inv()
+    return num / den
 
 
 # -- certificate files -------------------------------------------------------

@@ -14,6 +14,7 @@ not hold), 2 for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import conic, tables
@@ -130,7 +131,10 @@ def _cmd_stabilizer(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `replay` parser, built on first use and shared by later calls
+    (each parse still starts from a fresh namespace of defaults)."""
     parser = argparse.ArgumentParser(
         prog="replay",
         description="re-verify the cross-ratio rationality computations")
@@ -183,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "conic" and args.degree_bound is None:
         args.degree_bound = 4 if args.action == "decide" else 2
     try:

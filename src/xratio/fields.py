@@ -3,20 +3,23 @@
 Four kinds of field, all with exact arithmetic and one canonical form per
 element:
 
-* ``Q``       rationals, backed by ``fractions.Fraction``
-* ``Q(i)``    gaussian rationals, pairs of Fractions (re, im)
+* ``Q``       rationals: an ``int`` when integral, else a ``Fraction``
+* ``Q(i)``    gaussian rationals, pairs (re, im) of such rationals
 * ``Fp``      prime fields, residues 0..p-1
 * ``Fp(i)``   Fp[X]/(X^2+1) for p = 3 (mod 4), residue pairs (re, im)
 
 Each field exposes one set of payload ops on those raw values: ``raw_add``,
 ``raw_mul`` and ``raw_neg`` may leave a result unreduced, ``reduce`` maps it
-to the canonical form (one ``% p`` for F_p, the identity over Q and Q(i)),
-and ``raw_zero``/``raw_one`` are the canonical zero and one.  Polynomials
-store these payloads directly.  :class:`FieldElement` wraps one payload for
-the API edges and supports ``+ - * / **`` and structural equality by
-delegating to the payload ops.  Mixing elements of two different fields
-raises :class:`FieldMismatchError`.  ``Fp(i)`` demands p = 3 (mod 4) so that
-X^2+1 is irreducible and the pair arithmetic really is a field.
+to the canonical form (one ``% p`` for F_p; over Q and Q(i) a ``Fraction``
+with denominator 1 becomes its ``int`` numerator, so integral coefficients,
+nearly all of them, never pay a ``Fraction`` gcd), and ``raw_zero``/``raw_one``
+are the canonical zero and one.  A payload is never a ``float``: ``inv``
+divides through ``Fraction``.  Polynomials store these payloads directly.
+:class:`FieldElement` wraps one payload for the API edges and supports
+``+ - * / **`` and structural equality by delegating to the payload ops.
+Mixing elements of two different fields raises :class:`FieldMismatchError`.
+``Fp(i)`` demands p = 3 (mod 4) so that X^2+1 is irreducible and the pair
+arithmetic really is a field.
 """
 
 from __future__ import annotations
@@ -203,24 +206,30 @@ class Field:
         return f"Field({self.name})"
 
 
+def _rational(x):
+    """Canonical Q payload: the ``int`` numerator of an integral ``Fraction``."""
+    return x.numerator if x.__class__ is Fraction and x.denominator == 1 else x
+
+
 class RationalField(Field):
     name = "Q"
     characteristic = 0
+    reduce = staticmethod(_rational)
 
     def _int_payload(self, n):
-        return Fraction(n)
+        return n
 
     def inv(self, a):
         if a.v == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return FieldElement(self, 1 / a.v)
+        return FieldElement(self, _rational(Fraction(1) / a.v))
 
     def render(self, v):
         return str(v)
 
 
 class GaussianRationalField(Field):
-    """Q(i): pairs (re, im) of Fractions with i^2 = -1."""
+    """Q(i): pairs (re, im) of canonical Q payloads with i^2 = -1."""
 
     name = "Q(i)"
     characteristic = 0
@@ -228,18 +237,22 @@ class GaussianRationalField(Field):
     raw_mul = staticmethod(_pair_mul)
     raw_neg = staticmethod(_pair_neg)
 
+    @staticmethod
+    def reduce(raw):
+        return (_rational(raw[0]), _rational(raw[1]))
+
     def _int_payload(self, n):
-        return (Fraction(n), Fraction(0))
+        return (n, 0)
 
     def inv(self, a):
         p, q = a.v
-        n = p * p + q * q
+        n = Fraction(p * p + q * q)
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return FieldElement(self, (p / n, -q / n))
+        return FieldElement(self, self.reduce((p / n, -q / n)))
 
     def sqrt_minus_one(self):
-        return FieldElement(self, (Fraction(0), Fraction(1)))
+        return FieldElement(self, (0, 1))
 
     def render(self, v):
         p, q = v

@@ -3,8 +3,9 @@
 A :class:`Ring` fixes the coefficient field and an ordered tuple of variable
 names.  A :class:`MultiPoly` maps exponent tuples to nonzero, canonical
 coefficient *payloads* (the raw values of :mod:`.fields`: int residues for
-F_p, ``Fraction`` for Q, pairs for Q(i)/F_p(i)); the zero polynomial is the
-empty map, so structural equality of the maps is mathematical equality.
+F_p, an ``int`` or a non-integral ``Fraction`` for Q, pairs for Q(i)/F_p(i));
+the zero polynomial is the empty map, so structural equality of the maps is
+mathematical equality.
 Arithmetic sums raw products with the field's payload ops and reduces once
 per output monomial.  :class:`FieldElement` appears only at the edges:
 ``Ring.const``/``Ring.poly`` take ints or elements of the ring's own field

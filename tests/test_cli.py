@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from xratio import cli
 from xratio.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -207,6 +208,28 @@ def test_bad_format_choice_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["run", "--format", "yaml"])
     assert info.value.code == 2
+
+
+def test_parser_built_once_and_each_call_starts_from_defaults(monkeypatch):
+    seen = []
+
+    class _Report:
+        exit_code = 0
+
+        def to_text(self):
+            return ""
+
+    def fake_run(config, only=None):
+        seen.append((config.seed, config.samples, only))
+        return _Report()
+
+    monkeypatch.setattr(cli, "run_checklist", fake_run)
+    cli.build_parser.cache_clear()
+    assert main(["run", "--seed", "5", "--samples", "7", "--checks", "SPLIT"]) == 0
+    assert main(["run"]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert seen == [(5, 7, ["SPLIT"]), (0, 100, None)]
 
 
 # Reports written by `replay run --format json` before the run-scoped memo and

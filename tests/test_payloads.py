@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from xratio.fields import FieldElement, field_by_name
+from xratio.exprparse import parse_expression
+from xratio.fields import FieldElement, field_by_name, gaussian_rationals, rationals
 from xratio.poly import Ring
 
 FIELDS = ("Q", "Q(i)", "F2", "F5", "F3(i)", "F7(i)")
@@ -23,7 +24,7 @@ def _scalar(field, rng):
     if field.is_finite:
         return rng.choice(list(field.elements()))
     re, im = (Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2))
-    return FieldElement(field, re if field.name == "Q" else (re, im))
+    return FieldElement(field, field.reduce(re if field.name == "Q" else (re, im)))
 
 
 def _random_poly(ring, rng, max_terms=5, max_exp=3):
@@ -78,10 +79,18 @@ def _ref_substitute(a, images, one):
     return out
 
 
+def _canonical_scalar(x, field):
+    if type(x) is int:
+        return True
+    return field.characteristic == 0 and type(x) is Fraction and x.denominator > 1
+
+
 def _assert_canonical(p):
     field = p.ring.field
+    pair = isinstance(field.raw_one, tuple)
     for c in p.terms.values():
-        assert type(c) is type(field.raw_one)
+        assert isinstance(c, tuple) == pair
+        assert all(_canonical_scalar(x, field) for x in (c if pair else (c,))), c
         assert field.reduce(c) == c
         assert c != field.raw_zero
 
@@ -127,3 +136,16 @@ def test_cancellation_leaves_no_zero_payload(name):
         b = a.substitute({"x": y + 1})
         _assert_canonical(b)
         assert _ref(b) == _ref_substitute(_ref(a), [_ref(y + 1), _ref(y)], _ref(ring.one))
+
+
+def test_division_goes_through_fraction_not_float():
+    q = rationals()
+    third = q.from_int(3) ** -1
+    assert type(third.v) is Fraction and third.v == Fraction(1, 3)
+    assert type((third * 3).v) is int
+    assert str(parse_expression("x/(2*y)", Ring(q, ("x", "y")))) == "(1/2*x)/(y)"
+    g = gaussian_rationals()
+    z = 1 / (g.one + g.sqrt_minus_one())
+    assert z.v == (Fraction(1, 2), Fraction(-1, 2))
+    assert all(type(x) is Fraction for x in z.v)
+    assert all(type(x) is int for x in (z * 2 * (g.one + g.sqrt_minus_one())).v)
