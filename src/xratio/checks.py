@@ -634,6 +634,8 @@ def run_checklist(config: RunConfig, only=None) -> Report:
     """Run the selected checks (all by default) and collect a Report."""
     fields = resolve_fields(config.fields)
     if only is not None:
+        if not only:
+            raise XratioError("no check ids given")
         unknown = sorted(set(only) - set(CHECK_IDS))
         if unknown:
             raise XratioError(f"unknown check ids: {', '.join(unknown)}")

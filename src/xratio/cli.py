@@ -33,10 +33,10 @@ def _split_csv(text: str) -> list:
 
 
 def _cmd_run(args) -> int:
-    fields = tuple(_split_csv(args.fields)) if args.fields else DEFAULT_FIELDS
+    fields = DEFAULT_FIELDS if args.fields is None else tuple(_split_csv(args.fields))
     config = RunConfig(seed=args.seed, fields=fields,
                        degree_bound=args.degree_bound, samples=args.samples)
-    only = _split_csv(args.checks) if args.checks else None
+    only = None if args.checks is None else _split_csv(args.checks)
     report = run_checklist(config, only=only)
     doc = report.to_json() if args.format == "json" else report.to_text()
     if args.out:

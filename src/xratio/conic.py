@@ -22,7 +22,9 @@ preference of :func:`parametrize`, and polynomials ordered radix-style with
 the constant coefficient fastest).  It walks the (W, Z) pairs in that order
 and finds the least matching Y by exact table lookup instead of a third
 loop; every table holds every Y, so the search is still exhaustive, with
-O(n^2) lookups for n polynomials per coordinate instead of O(n^3) sums.
+O(n^2) lookups for n polynomials per coordinate instead of O(n^3) sums.  It
+works on raw coefficient payloads (:mod:`.fields`), reduced once per compared
+value, and builds field elements only for the point it returns.
 
 :func:`parametrize` builds the standard line-pencil parametrization through
 a given point and verifies, symbolically and before returning, that the
@@ -424,7 +426,9 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
     A table per distinct L maps each exact left-hand side to the least Y index
     >= 1 that attains it.  It is built over every Y, so each (W, Z) pair still
     meets all its candidates and the search stays exhaustive; Y = 0 answers
-    when the (W, Z) part vanishes on its own and (W, Z) != (0, 0).
+    when the (W, Z) part vanishes on its own and (W, Z) != (0, 0).  All lists
+    hold raw payloads, and each coordinate's square and linear parts are
+    built once, outside the (W, Z) loop.
     """
     field = form.ring.field
     if not field.is_finite:
@@ -441,20 +445,22 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
     # clear denominators once; scaling by a nonzero element of k(x) keeps zeros
     cleared = dict(zip(form.coeffs, _clear_denominators(list(form.coeffs.values()))))
     maxdeg = max(0, *(p.total_degree() for p in cleared.values()))
-    cl = {pair: _coeff_list(p, maxdeg) for pair, p in cleared.items()}
+    cl = {pair: [c.v for c in _coeff_list(p, maxdeg)] for pair, p in cleared.items()}
 
-    zero = field.zero
-    elems = list(field.elements())
+    # only key() reduces: reduction mod p commutes with raw sums and products
+    add, mul, neg, reduce = field.raw_add, field.raw_mul, field.raw_neg, field.reduce
+    zero = field.raw_zero
+    elems = [e.v for e in field.elements()]
     polys = [tuple(reversed(t)) for t in product(elems, repeat=degree_bound + 1)]
 
     def lmul(a, b):
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai.is_zero():
+            if ai == zero:
                 continue
             for j, bj in enumerate(b):
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
+                if bj != zero:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
         return out
 
     def ladd(a, b):
@@ -462,21 +468,20 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
             a, b = b, a
         out = list(a)
         for j, bj in enumerate(b):
-            out[j] = out[j] + bj
+            out[j] = add(out[j], bj)
         return out
 
     def key(a):
-        """Exact, hashable coefficient payloads with trailing zeros dropped."""
-        out = [c.v for c in a]
-        while out and out[-1] == zero.v:
+        """Exact, hashable canonical payloads with trailing zeros dropped."""
+        out = list(map(reduce, a))
+        while out and out[-1] == zero:
             out.pop()
         return tuple(out)
 
     sq = [lmul(p, p) for p in polys]
-    tY = [lmul(cl[("Y", "Y")], s) for s in sq]
-    tZ = [lmul(cl[("Z", "Z")], s) for s in sq]
-    tW = [lmul(cl[("W", "W")], s) for s in sq]
-    cYZ, cYW, cZW = cl[("Y", "Z")], cl[("Y", "W")], cl[("Z", "W")]
+    # c_YY Y^2, c_ZZ Z^2, c_WW W^2 as keys; linear parts c_YZ Z, c_YW W, c_ZW Z
+    tY, tZ, tW = ([key(lmul(cl[(c, c)], s)) for s in sq] for c in "YZW")
+    lYZ, lYW, lZW = ([lmul(cl[pair], p) for p in polys] for pair in _PAIRS[3:])
     tables = {}
 
     def y_table(lin):
@@ -488,24 +493,23 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
                 tables.clear()
             table = {}
             for iy in range(len(polys) - 1, 0, -1):
-                part = ladd(tY[iy], lmul(lin, polys[iy]))
-                table[key([-c for c in part])] = iy
+                part = ladd(tY[iy], lmul(k, polys[iy]))
+                table[key(map(neg, part))] = iy
             tables[k] = table
         return table
 
     rng_ = range(len(polys))
     for iw in rng_:
         for iz in rng_:
-            pz, pw = polys[iz], polys[iw]
-            rest = key(ladd(ladd(tW[iw], tZ[iz]), lmul(cZW, lmul(pz, pw))))
+            rest = key(ladd(ladd(tW[iw], tZ[iz]), lmul(lZW[iz], polys[iw])))
             if not rest and (iz or iw):
                 iy = 0
             else:
-                iy = y_table(ladd(lmul(cYZ, pz), lmul(cYW, pw))).get(rest)
+                iy = y_table(ladd(lYZ[iz], lYW[iw])).get(rest)
             if iy is not None:
                 coords = []
                 for idx in (iy, iz, iw):
-                    terms = {(k,): c for k, c in enumerate(polys[idx])}
+                    terms = {(k,): FieldElement(field, c) for k, c in enumerate(polys[idx])}
                     coords.append(form.ring.poly(terms))
                 return ProjPoint2(form.ring, coords)
     return None

@@ -7,16 +7,18 @@ F_p, an ``int`` or a non-integral ``Fraction`` for Q, pairs for Q(i)/F_p(i));
 the zero polynomial is the empty map, so structural equality of the maps is
 mathematical equality.
 Arithmetic sums raw products with the field's payload ops and reduces once
-per output monomial.  :class:`FieldElement` appears only at the edges:
-``Ring.const``/``Ring.poly`` take ints or elements of the ring's own field
-(another field raises :class:`FieldMismatchError`), and ``eval``,
+per output monomial; a product by a single term needs no sums, since its
+shifted exponents stay distinct.  :class:`FieldElement` appears only at the
+edges: ``Ring.const``/``Ring.poly`` take ints or elements of the ring's own
+field (another field raises :class:`FieldMismatchError`), and ``eval``,
 ``constant_value``, ``leading`` and ``coefficients`` return elements.
 :func:`substitute_cleared` is the one substitution loop, shared with
 :mod:`.ratfunc`.  The canonical term order (serialization, leading term) is
 graded lexicographic: higher total degree first, then lexicographic on the
 exponent tuple in ring variable order.
 
-Polynomials are immutable by convention: operations build fresh term maps.
+A :class:`MultiPoly` is never mutated, so an operation may return an operand
+itself (a product by one, an embedding into the polynomial's own ring).
 Operands must share a ring; mixing rings raises :class:`RingMismatchError`.
 """
 
@@ -149,6 +151,14 @@ class MultiPoly:
         if o is NotImplemented:
             return o
         field = self.ring.field
+        p, m = (self, o) if len(o.terms) == 1 else (o, self)
+        if len(m.terms) == 1:  # by a monomial: the shifted exponents stay distinct
+            (e2, c2), = m.terms.items()
+            if c2 == field.raw_one and not any(e2):
+                return p
+            reduce, mul = field.reduce, field.raw_mul
+            return MultiPoly(self.ring, {tuple(map(_iadd, e1, e2)): reduce(mul(c1, c2))
+                                         for e1, c1 in p.terms.items()})
         add, mul = field.raw_add, field.raw_mul
         out = {}
         get = out.get
@@ -301,6 +311,8 @@ class MultiPoly:
 
     def embed(self, target_ring: Ring) -> "MultiPoly":
         """Rename-free embedding into a ring containing these variables."""
+        if target_ring == self.ring:
+            return self
         return self.substitute({}, target_ring)
 
     # -- rendering ----------------------------------------------------------

@@ -54,6 +54,8 @@ class RunConfig:
 
     def __post_init__(self):
         self.fields = tuple(self.fields)
+        if not self.fields:
+            raise XratioError("no fields selected")
         if len(set(self.fields)) != len(self.fields):
             raise XratioError(f"duplicate field names in {','.join(self.fields)}")
         if self.samples < 1:

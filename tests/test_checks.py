@@ -59,6 +59,12 @@ def test_unknown_check_id_rejected():
         run_checklist(RunConfig(), only={"SPLIT", "NOPE"})
 
 
+@pytest.mark.parametrize("only", [(), set(), []])
+def test_empty_check_selection_rejected(only):
+    with pytest.raises(XratioError, match="no check ids given"):
+        run_checklist(RunConfig(), only=only)
+
+
 def test_resolve_fields_validates_names():
     fields = resolve_fields(DEFAULT_FIELDS)
     assert [f.name for f in fields] == list(DEFAULT_FIELDS)
@@ -153,6 +159,7 @@ def test_iso_search_that_searched_nothing_is_skipped():
     ({"degree_bound": -1}, "degree bound must be >= 0"),
     ({"obstruction_degree": -1}, "obstruction degree must be >= 0"),
     ({"fields": ("Q", "F3", "Q")}, "duplicate field names"),
+    ({"fields": ()}, "no fields selected"),
 ])
 def test_run_config_rejects_bad_values(kwargs, message):
     with pytest.raises(XratioError, match=message):

@@ -185,6 +185,20 @@ def test_run_duplicate_fields_exits_2(capsys):
     assert "duplicate field names" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--checks", ",", "no check ids given"),
+    ("--checks", "", "no check ids given"),
+    ("--fields", ",", "no fields selected"),
+    ("--fields", "", "no fields selected"),
+])
+def test_run_empty_selection_exits_2(capsys, option, value, message):
+    # an empty list is not the default: it would run nothing and still say OK
+    assert main(["run", option, value]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "overall" not in captured.out
+
+
 def test_conic_decide_negative_degree_bound_exits_2(capsys):
     for field in ("Q", "F5"):
         assert main(["conic", "decide", "--field", field, "--degree-bound", "-1"]) == 2

@@ -4,7 +4,8 @@
 output monomial.  Each operation below is recomputed term by term with
 FieldElement arithmetic (plain double loops, written here), on seeded random
 sparse polynomials over every kind of coefficient field, and every stored
-payload must be canonical and nonzero.
+payload must be canonical and nonzero.  Products by one and by a single term
+take their own path in `MultiPoly.__mul__`, so they get explicit operands.
 """
 
 import random
@@ -120,6 +121,58 @@ def test_payload_arithmetic_matches_field_elements(name):
         for got, expected in results:
             _assert_canonical(got)
             assert _ref(got) == expected
+
+
+def _scalar_not_one(field, rng):
+    """A nonzero scalar other than 1; None over F2, which has none."""
+    if field.order == 2:
+        return None
+    c = _scalar(field, rng)
+    while c.is_zero() or c.is_one():
+        c = _scalar(field, rng)
+    return c
+
+
+def _single_terms(ring, rng):
+    """ring.one, a constant c != 1, x^e and c*x^e: one term each."""
+    c = _scalar_not_one(ring.field, rng)
+    e = (1, 0, 2)
+    out = [ring.one, ring.poly({e: 1})]
+    if c is not None:
+        out += [ring.const(c), ring.poly({e: c}), ring.poly({(0, 3, 1): c})]
+    return out
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_products_by_one_and_by_a_monomial(name):
+    # random operands seldom have exactly one term, and almost never equal 1
+    field = field_by_name(name)
+    rng = random.Random(f"monomial-{name}")
+    ring = Ring(field, ("x", "y", "z"))
+    singles = _single_terms(ring, rng)
+    others = [ring.zero] + singles + [_random_poly(ring, rng) for _ in range(CASES)]
+    for m in singles:
+        for a in others:
+            for got in (a * m, m * a):
+                _assert_canonical(got)
+                assert _ref(got) == _ref_mul(_ref(a), _ref(m))
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_embed_into_own_and_larger_ring(name):
+    field = field_by_name(name)
+    rng = random.Random(f"embed-{name}")
+    ring = Ring(field, ("x", "y"))
+    bigger = Ring(field, ("w", "y", "x", "z"))
+    for _ in range(CASES):
+        p = _random_poly(ring, rng)
+        assert p.embed(p.ring) == p
+        assert p.embed(Ring(field, ("x", "y"))) == p
+        big = p.embed(bigger)
+        assert big.ring == bigger
+        _assert_canonical(big)
+        assert big == p.substitute({}, bigger)
+        assert big.substitute({}, ring) == p
 
 
 @pytest.mark.parametrize("name", FIELDS)
