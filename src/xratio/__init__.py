@@ -25,7 +25,7 @@ from .conic import (DegenerateConicError, IsotropyDecision, ObstructionRecord,
                     ParametrizationMap, ProjPoint2, SearchBudgetError,
                     TernaryForm, VerificationError, bounded_point_search,
                     char2_form, criterion_form, decide_isotropy, form_from_text,
-                    parametrize, standard_form)
+                    known_point, parametrize, standard_form)
 from .certs import (Certificate, CertFormatError, CertVerification,
                     parse_certificate, shipped_certificate,
                     shipped_certificates, verify_certificate)

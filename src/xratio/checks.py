@@ -34,7 +34,7 @@ from .perms import (all_perms, cyclic_order4_subgroups, has_fixed_point,
                     subgroup_str, subgroups)
 from .poly import Ring
 from .projline import ProjPoint1, borel_stabilizer
-from .ratfunc import DegenerateSubstitutionError, jacobian_rank, rf_eq, rvar
+from .ratfunc import DegenerateSubstitutionError, jacobian_rank, rf_eq
 from .report import (ASSUMED, EVIDENCE, FAIL, PASS, SKIPPED, CheckResult,
                      Report, RunConfig)
 
@@ -65,13 +65,12 @@ class _Ctx:
             certs.shipped_certificate(name), f))
 
     def decision(self, f: Field):
-        return self._once(("decision", f.name), lambda: conic.decide_isotropy(
-            f, self.config.obstruction_degree))
+        return self._once(("decision", f.name), lambda: conic.decide_isotropy(f))
 
     def param(self, f: Field):
-        """The parametrization of `_param_instance(f)`; f must have one."""
+        """The parametrization of `conic.known_point(f)`; f must have one."""
         return self._once(("param", f.name),
-                          lambda: conic.parametrize(*_param_instance(f)))
+                          lambda: conic.parametrize(*conic.known_point(f)))
 
     @property
     def odd_fields(self):
@@ -214,7 +213,6 @@ def _run_lem_a_rel(ctx):
 
 def _run_iso_crit(ctx):
     ok, details = True, []
-    d_obs = ctx.config.obstruction_degree
     for f in ctx.odd_fields:
         dec = ctx.decision(f)
         expected = f.sqrt_minus_one() is not None
@@ -223,7 +221,7 @@ def _run_iso_crit(ctx):
             details.append(f"{f.name}: isotropic, verified witness {dec.witness}")
         else:
             details.append(f"{f.name}: anisotropic; {len(dec.obstruction.steps)}-step "
-                           f"obstruction verified on templates of degree <= {d_obs}")
+                           "obstruction verified at every degree (opaque tails)")
         if dec.isotropic != expected:
             details.append(f"{f.name}: DISAGREES with the square-root-of-minus-one criterion")
     return (PASS if ok else FAIL), details
@@ -241,7 +239,7 @@ def _run_iso_search(ctx):
         searched += 1
         form = conic.criterion_form(f)
         pt = conic.bounded_point_search(form, d)
-        expect_found = True if f.characteristic == 2 else f.sqrt_minus_one() is not None
+        expect_found = conic.known_point(f) is not None
         if pt is not None:
             on = form.is_point(pt)
             ok &= on and expect_found
@@ -256,23 +254,10 @@ def _run_iso_search(ctx):
     return (PASS if ok else FAIL), details
 
 
-def _param_instance(f: Field):
-    """The characteristic-appropriate (form, base point) pair, or None."""
-    if f.characteristic == 2:
-        form = conic.char2_form(f)
-        x = rvar(form.ring, "x")
-        return form, conic.ProjPoint2(form.ring, (x, 1, 1))
-    s = f.sqrt_minus_one()
-    if s is None:
-        return None
-    form = conic.standard_form(f)
-    return form, conic.ProjPoint2(form.ring, (0, s, 1))
-
-
 def _run_param(ctx):
     ok, details, any_run = True, [], False
     for f in ctx.fields:
-        inst = _param_instance(f)
+        inst = conic.known_point(f)
         if inst is None:
             details.append(f"{f.name}: no known point, nothing to parametrize")
             continue
@@ -357,7 +342,7 @@ _LEM_B_CERTS = ("shift_full_char2", "shift_base_char2", "conic_reflection_char2"
 def _run_lem_b_all(ctx):
     ok, details = True, []
     for f in ctx.char2_fields:
-        form, pt = _param_instance(f)
+        form, pt = conic.known_point(f)
         on = form.is_point(pt)
         ok &= on
         details.append(f"{f.name}: (x : 1 : 1) "
@@ -494,19 +479,17 @@ def _run_indep(ctx):
 
 def _run_main_b(ctx):
     ok, details = True, []
-    d_obs = ctx.config.obstruction_degree
     for f in ctx.odd_fields:
         dec = ctx.decision(f)
         expected = f.sqrt_minus_one() is not None
         ok &= dec.isotropic == expected
         if dec.isotropic:
-            ctx.param(f)  # the witness is _param_instance's (0 : s : 1)
+            ctx.param(f)  # the witness is conic.known_point's (0 : s : 1)
             details.append(f"{f.name}: RATIONAL over the cross-ratio subfield; "
                            f"conic point {dec.witness} with verified parametrization")
         else:
             details.append(f"{f.name}: NOT rational: the presentation conic is "
-                           f"anisotropic (verified obstruction, templates of "
-                           f"degree <= {d_obs})")
+                           "anisotropic (verified obstruction, every degree)")
     details.append("criterion: rational exactly when the coefficient field "
                    "contains a square root of -1")
     return (PASS if ok else FAIL), details
@@ -515,7 +498,7 @@ def _run_main_b(ctx):
 def _run_main_c(ctx):
     ok, details = True, []
     for f in ctx.char2_fields:
-        form, pt = _param_instance(f)
+        form, pt = conic.known_point(f)
         on = form.is_point(pt)
         certs_ok = all(ctx.verified(n, f).valid for n in _LEM_B_CERTS)
         if on:

@@ -75,18 +75,20 @@ def _cmd_subgroups(_args) -> int:
 
 
 def _cmd_conic(args) -> int:
+    if args.degree_bound is not None and args.action != "search":
+        raise XratioError("--degree-bound applies to 'conic search' only, "
+                          f"not to 'conic {args.action}'")
     field = field_by_name(args.field)
     if args.action == "decide":
-        decision = conic.decide_isotropy(field, args.degree_bound)
-        print(decision.render())
+        print(conic.decide_isotropy(field).render())
         return 0
     if args.action == "search":
+        bound = 2 if args.degree_bound is None else args.degree_bound
         form = conic.criterion_form(field)
-        point = conic.bounded_point_search(form, args.degree_bound)
+        point = conic.bounded_point_search(form, bound)
         print(f"form {form} over {field.name}(x)")
         if point is None:
-            print(f"no zero with coordinates of degree <= {args.degree_bound} "
-                  "(exhaustive)")
+            print(f"no zero with coordinates of degree <= {bound} (exhaustive)")
         else:
             print(f"first zero: {point}")
         return 0
@@ -97,17 +99,12 @@ def _cmd_conic(args) -> int:
                   for t in _split_csv(args.point)]
         base = conic.ProjPoint2(form.ring, coords)
     else:
-        if field.characteristic == 2:
-            form = conic.char2_form(field)
-            base = conic.ProjPoint2(form.ring, (parse_expression("x", form.ring), 1, 1))
-        else:
-            s = field.sqrt_minus_one()
-            if s is None:
-                raise XratioError(
-                    f"{field.name} has no square root of -1, so the standard "
-                    "conic has no default point; pass --point Y,Z,W")
-            form = conic.standard_form(field)
-            base = conic.ProjPoint2(form.ring, (0, s, 1))
+        known = conic.known_point(field)
+        if known is None:
+            raise XratioError(
+                f"{field.name} has no square root of -1, so the standard "
+                "conic has no default point; pass --point Y,Z,W")
+        form, base = known
     pm = conic.parametrize(form, base)
     print(f"form {form} over {field.name}(x)")
     print(f"base point {base}")
@@ -172,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                                          "presentation conics")
     p_con.add_argument("action", choices=("decide", "search", "parametrize"))
     p_con.add_argument("--field", default="Q")
-    p_con.add_argument("--degree-bound", type=int, default=None)
+    p_con.add_argument("--degree-bound", type=int, default=None,
+                       help="polynomial degree bound, 'search' only (default 2)")
     p_con.add_argument("--point", default=None,
                        help="comma-separated Y,Z,W coordinates (expressions in x)")
     p_con.set_defaults(func=_cmd_conic)
@@ -188,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "conic" and args.degree_bound is None:
-        args.degree_bound = 4 if args.action == "decide" else 2
     try:
         return args.func(args)
     except XratioError as exc:

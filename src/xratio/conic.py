@@ -9,11 +9,11 @@ coefficients in a rational function field k(x).  Two families matter here:
 For the first family the existence of a k(x)-point is decided exactly:
 if the field has a square root s of -1 then (0 : s : 1) is a point; if it
 has none, the x = 0 valuation argument shows there is no point at all, and
-:func:`valuation_obstruction` replays that argument mechanically on symbolic
-coefficient templates of bounded degree (plus an exhaustive impossibility
-check for b^2 + c^2 = 0 in finite fields).  The replay covers templates up
-to the stated degree bound; it does not claim an unbounded-degree proof,
-and the record says so.
+:func:`valuation_obstruction` replays that argument mechanically at every
+degree: one identity mod x^2 in which each coordinate's tail past its first
+coefficients is an opaque variable (plus an exhaustive impossibility check
+for b^2 + c^2 = 0 in finite fields).  :func:`known_point` names the point
+of each family the other routes start from.
 
 :func:`bounded_point_search` is the independent cross-check: exhaustive
 enumeration of polynomial coordinate triples up to a degree bound, in a
@@ -33,6 +33,7 @@ forward map lands on the conic and that the inverse recovers the parameter.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
@@ -132,22 +133,15 @@ class TernaryForm:
         key = (a, b) if (a, b) in self.coeffs else (b, a)
         return self.coeffs[key]
 
-    def eval_at(self, Y, Z, W, target_ring: Ring = None) -> RatFunc:
-        """Plug in coordinates from any ring containing this form's variables."""
-        target = target_ring
-        if target is None:
-            for v in (Y, Z, W):
-                if isinstance(v, RatFunc):
-                    target = v.ring
-                    break
-        if target is None:
-            target = self.ring
-        vals = {"Y": rat(target, Y), "Z": rat(target, Z), "W": rat(target, W)}
-        acc = rat(target, 0)
+    def eval_at(self, Y, Z, W, target_ring: Ring) -> RatFunc:
+        """Plug in coordinates from `target_ring`, a ring containing this
+        form's variables."""
+        vals = {"Y": rat(target_ring, Y), "Z": rat(target_ring, Z), "W": rat(target_ring, W)}
+        acc = rat(target_ring, 0)
         for (a, b), c in self.coeffs.items():
             if c.is_zero():
                 continue
-            acc = acc + c.embed(target) * vals[a] * vals[b]
+            acc = acc + c.embed(target_ring) * vals[a] * vals[b]
         return acc
 
     def is_point(self, p: ProjPoint2) -> bool:
@@ -191,7 +185,9 @@ class TernaryForm:
     __repr__ = __str__
 
 
+@functools.cache
 def base_ring(field: Field) -> Ring:
+    """k[x], one shared ring per field."""
     return Ring(field, ("x",))
 
 
@@ -220,6 +216,19 @@ def criterion_form(field: Field) -> TernaryForm:
     return char2_form(field) if field.characteristic == 2 else standard_form(field)
 
 
+def known_point(field: Field):
+    """The criterion form with its known point, or None: (x : 1 : 1) in
+    characteristic 2, (0 : s : 1) for a square root s of -1 otherwise."""
+    if field.characteristic == 2:
+        form = char2_form(field)
+        return form, ProjPoint2(form.ring, (rvar(form.ring, "x"), 1, 1))
+    s = field.sqrt_minus_one()
+    if s is None:
+        return None
+    form = standard_form(field)
+    return form, ProjPoint2(form.ring, (0, s, 1))
+
+
 def form_from_text(field: Field, text: str) -> TernaryForm:
     """Parse e.g. 'Y^2 - x*Z^2 - x*W^2' (reserved names Y, Z, W, x)."""
     from .exprparse import parse_expression
@@ -231,7 +240,6 @@ def form_from_text(field: Field, text: str) -> TernaryForm:
         raise XratioError("form denominator must not involve Y, Z, W")
     ring1 = base_ring(field)
     coeffs = {}
-    seen = set()
     for exps, c in f.num.terms.items():
         ex, ey, ez, ew = exps
         if ey + ez + ew != 2:
@@ -241,7 +249,6 @@ def form_from_text(field: Field, text: str) -> TernaryForm:
         mono = MultiPoly(ring1, {(ex,): c})
         prev = coeffs.get(pair)
         coeffs[pair] = mono if prev is None else prev + mono
-        seen.add(pair)
     den1 = den.substitute({}, ring1)
     return TernaryForm(ring1, {p: RatFunc(ring1, c, den1) for p, c in coeffs.items()})
 
@@ -259,9 +266,7 @@ class ObstructionStep:
 @dataclass
 class ObstructionRecord:
     field_name: str
-    degree_bound: int
     steps: list = dc_field(default_factory=list)
-    note: str = ""
 
     @property
     def verified(self) -> bool:
@@ -269,12 +274,10 @@ class ObstructionRecord:
 
     def render(self) -> str:
         lines = [f"valuation obstruction at x = 0 over {self.field_name}, "
-                 f"coordinate templates of degree <= {self.degree_bound}:"]
+                 "polynomial coordinates of every degree:"]
         for k, s in enumerate(self.steps, start=1):
             flag = "ok" if s.verified else "FAILED"
             lines.append(f"  {k}. [{flag}] {s.description}  [{s.method}]")
-        if self.note:
-            lines.append(f"  note: {self.note}")
         return "\n".join(lines)
 
 
@@ -291,12 +294,24 @@ class IsotropyDecision:
         return f"anisotropic over {self.field_name}(x)\n{self.obstruction.render()}"
 
 
-def valuation_obstruction(field: Field, degree_bound: int = 4) -> ObstructionRecord:
+def tail_remainder(field: Field) -> MultiPoly:
+    """E - A0^2 - x(2 A0 A1 - B0^2 - C0^2) for E = A^2 - x(B^2 + C^2) with
+    A = A0 + A1 x + x^2 Ar, B = B0 + x Br, C = C0 + x Cr; the opaque tails
+    Ar, Br, Cr stand for any polynomials in x."""
+    ring = Ring(field, ("x", "A0", "A1", "Ar", "B0", "Br", "C0", "Cr"))
+    x, a0, a1, ar, b0, br, c0, cr = ring.vars()
+    A, B, C = a0 + a1 * x + x * x * ar, b0 + x * br, c0 + x * cr
+    E = A * A - x * (B * B + C * C)
+    return E - a0 * a0 - x * (2 * a0 * a1 - b0 * b0 - c0 * c0)
+
+
+def valuation_obstruction(field: Field) -> ObstructionRecord:
     """Mechanical replay of the x = 0 argument against A^2 = x(B^2 + C^2).
 
-    Works on symbolic coefficient templates A = sum A_k x^k (degree <=
-    degree_bound), so each step below is checked for every polynomial triple
-    of bounded degree at once.  Requires a field with no square root of -1
+    Steps 1 and 2 rest on one identity: every monomial of
+    :func:`tail_remainder` has x-degree >= 2.  Divisibility by x^2 survives
+    substituting polynomials in x for the tails, so the steps hold for every
+    polynomial triple at once.  Requires a field with no square root of -1
     and characteristic != 2 (otherwise the argument simply does not apply).
     """
     if field.characteristic == 2:
@@ -304,36 +319,15 @@ def valuation_obstruction(field: Field, degree_bound: int = 4) -> ObstructionRec
     if field.sqrt_minus_one() is not None:
         raise XratioError(f"{field.name} has a square root of -1; "
                           "the form is isotropic and there is no obstruction")
-    d = degree_bound
-    names = ["x"]
-    for tag in ("A", "B", "C"):
-        names += [f"{tag}{k}" for k in range(d + 1)]
-    ring = Ring(field, names)
-    x = ring.var("x")
-
-    def template(tag):
-        acc = ring.zero
-        for k in range(d + 1):
-            acc = acc + ring.var(f"{tag}{k}") * x ** k
-        return acc
-
-    A, B, C = template("A"), template("B"), template("C")
-    E = A * A - x * (B * B + C * C)
-    rec = ObstructionRecord(field.name, d)
-
-    a0, b0, c0 = ring.var("A0"), ring.var("B0"), ring.var("C0")
-    step1 = E.coefficient_of("x", 0) == a0 * a0
+    identity = all(e[0] >= 2 for e in tail_remainder(field).terms)
+    method = "identity mod x^2 with opaque tails"
+    rec = ObstructionRecord(field.name)
     rec.steps.append(ObstructionStep(
         "the constant x-coefficient of A^2 - x(B^2+C^2) is A0^2, so a zero "
-        "of the form forces A(0) = 0",
-        f"symbolic identity on degree <= {d} templates", step1))
-
-    E0 = E.substitute({"A0": ring.zero})
-    step2 = E0.coefficient_of("x", 1) == -(b0 * b0 + c0 * c0)
+        "of the form forces A(0) = 0", method, identity))
     rec.steps.append(ObstructionStep(
         "with A(0) = 0 the x^1 coefficient is -(B0^2 + C0^2), so "
-        "B(0)^2 + C(0)^2 = 0 is forced",
-        f"symbolic identity on degree <= {d} templates", step2))
+        "B(0)^2 + C(0)^2 = 0 is forced", method, identity))
 
     rec.steps.append(ObstructionStep(
         "a triple may be taken with (A(0), B(0), C(0)) != (0,0,0) after "
@@ -363,31 +357,25 @@ def valuation_obstruction(field: Field, degree_bound: int = 4) -> ObstructionRec
             "the field has none (equivalently, a sum of two rational squares "
             "is positive unless both vanish)",
             "square-root-of-minus-one test", ok))
-
-    rec.note = ("the two symbolic steps are checked on bounded-degree "
-                "templates; the same two forced steps apply verbatim at any "
-                "degree, but this replay only certifies degrees <= "
-                f"{d} mechanically")
     return rec
 
 
-def decide_isotropy(field: Field, degree_bound: int = 4) -> IsotropyDecision:
+def decide_isotropy(field: Field) -> IsotropyDecision:
     """Exact decision for Y^2 - x*Z^2 - x*W^2 over k(x), char != 2.
 
     Isotropic iff the coefficient field has a square root of -1; the witness
-    (0 : s : 1) is re-verified by evaluation, and the anisotropic branch
-    carries a fully verified ObstructionRecord.
+    (0 : s : 1) from :func:`known_point` is re-verified by evaluation, and the
+    anisotropic branch carries a fully verified ObstructionRecord.
     """
-    if degree_bound < 0:
-        raise XratioError(f"degree bound must be >= 0, got {degree_bound}")
-    form = standard_form(field)
-    s = field.sqrt_minus_one()
-    if s is not None:
-        witness = ProjPoint2(form.ring, (0, s, 1))
+    if field.characteristic == 2:
+        raise CharacteristicError("this family lives in characteristic != 2")
+    known = known_point(field)
+    if known is not None:
+        form, witness = known
         if not form.is_point(witness):
             raise VerificationError("witness construction failed to land on the conic")
         return IsotropyDecision(field.name, True, witness=witness)
-    rec = valuation_obstruction(field, degree_bound)
+    rec = valuation_obstruction(field)
     if not rec.verified:
         raise VerificationError("obstruction replay failed; see record")
     return IsotropyDecision(field.name, False, obstruction=rec)

@@ -49,7 +49,6 @@ class RunConfig:
     seed: int = 0
     fields: tuple = DEFAULT_FIELDS
     degree_bound: int = 2
-    obstruction_degree: int = 4
     samples: int = 100
 
     def __post_init__(self):
@@ -60,10 +59,8 @@ class RunConfig:
             raise XratioError(f"duplicate field names in {','.join(self.fields)}")
         if self.samples < 1:
             raise XratioError(f"samples must be >= 1, got {self.samples}")
-        for name in ("degree_bound", "obstruction_degree"):
-            if getattr(self, name) < 0:
-                raise XratioError(f"{name.replace('_', ' ')} must be >= 0, "
-                                  f"got {getattr(self, name)}")
+        if self.degree_bound < 0:
+            raise XratioError(f"degree bound must be >= 0, got {self.degree_bound}")
 
 
 @dataclass

@@ -16,6 +16,8 @@ refuses to hand out an action that violates it.
 
 from __future__ import annotations
 
+import functools
+
 from .autos import Automorphism, perm_automorphism
 from .exprparse import parse_expression
 from .fields import Field, XratioError
@@ -91,7 +93,9 @@ CONIC_ODD_TEXT = "(1 - a)*u^2 - t^2 + a"
 CONIC_CHAR2_TEXT = "a*u^2 + a*u + t^2 + t"
 
 
+@functools.cache
 def point_ring(field: Field) -> Ring:
+    """k[x1..x4], one shared ring per field."""
     return Ring(field, POINT_VARS)
 
 
@@ -135,14 +139,3 @@ def point_action(field: Field, values: dict) -> Automorphism:
         raise XratioError("permutation action violates the recorded orientation")
     return act
 
-
-def sigma_claims(field: Field):
-    return SIGMA_CHAR2 if field.characteristic == 2 else SIGMA_ODD
-
-
-def sigma2_claims(field: Field):
-    return SIGMA2_CHAR2 if field.characteristic == 2 else SIGMA2_ODD
-
-
-def conic_identity_text(field: Field) -> str:
-    return CONIC_CHAR2_TEXT if field.characteristic == 2 else CONIC_ODD_TEXT

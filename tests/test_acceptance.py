@@ -75,7 +75,7 @@ def test_criterion_2_group_suite():
 def test_criterion_3_isotropy_dichotomy():
     start = time.perf_counter()
     by_id = _verdicts(("ISO-CRIT", "ISO-SEARCH"))
-    outcomes = {name: conic.decide_isotropy(field_by_name(name), 4).isotropic
+    outcomes = {name: conic.decide_isotropy(field_by_name(name)).isotropic
                 for name in ("Q", "Q(i)", "F3", "F5")}
     f3_none = conic.bounded_point_search(criterion := conic.criterion_form(
         prime_field(3)), 2)
@@ -147,7 +147,7 @@ def test_criterion_5_certificates():
 def test_criterion_6_aggregate_verdicts():
     start = time.perf_counter()
     by_id = _verdicts(("MAIN-B-VERDICT", "MAIN-C-VERDICT"))
-    rational = {name: conic.decide_isotropy(field_by_name(name), 4).isotropic
+    rational = {name: conic.decide_isotropy(field_by_name(name)).isotropic
                 for name in ("Q", "Q(i)", "F3", "F5")}
     secs = time.perf_counter() - start
     ok = (by_id["MAIN-B-VERDICT"].verdict == PASS

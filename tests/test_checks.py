@@ -157,7 +157,7 @@ def test_iso_search_that_searched_nothing_is_skipped():
 @pytest.mark.parametrize("kwargs, message", [
     ({"samples": 0}, "samples must be >= 1"),
     ({"degree_bound": -1}, "degree bound must be >= 0"),
-    ({"obstruction_degree": -1}, "obstruction degree must be >= 0"),
+    ({"degree_bound": -2}, "degree bound must be >= 0, got -2"),
     ({"fields": ("Q", "F3", "Q")}, "duplicate field names"),
     ({"fields": ()}, "no fields selected"),
 ])
@@ -186,9 +186,9 @@ def test_run_computes_shared_objects_once_per_run(monkeypatch):
         derived[field.name] += 1
         return real_derived(field)
 
-    def counting_decide(field, degree_bound):
+    def counting_decide(field):
         decided[field.name] += 1
-        return real_decide(field, degree_bound)
+        return real_decide(field)
 
     def counting_param(form, point):
         parametrized[form.ring.field.name] += 1

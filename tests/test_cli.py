@@ -95,7 +95,8 @@ def test_conic_decide_anisotropic(capsys):
     out = capsys.readouterr().out
     assert "anisotropic" in out
     assert out.count("[ok]") == 4
-    assert "note:" in out
+    assert "every degree" in out
+    assert "note:" not in out
 
 
 def test_conic_decide_isotropic(capsys):
@@ -203,8 +204,18 @@ def test_conic_decide_negative_degree_bound_exits_2(capsys):
     for field in ("Q", "F5"):
         assert main(["conic", "decide", "--field", field, "--degree-bound", "-1"]) == 2
         err = capsys.readouterr().err
-        assert "degree bound must be >= 0" in err
+        assert "--degree-bound applies to 'conic search' only" in err
         assert "is not a variable" not in err
+
+
+@pytest.mark.parametrize("action", ["decide", "parametrize"])
+def test_conic_degree_bound_outside_search_exits_2(capsys, action):
+    # the bound only sizes the exhaustive search; elsewhere it would be ignored
+    assert main(["conic", action, "--field", "F5", "--degree-bound", "3"]) == 2
+    captured = capsys.readouterr()
+    assert ("error: --degree-bound applies to 'conic search' only, "
+            f"not to 'conic {action}'") in captured.err
+    assert captured.out == ""
 
 
 def test_conic_search_negative_degree_bound_exits_2(capsys):

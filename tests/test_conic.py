@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -6,7 +7,8 @@ from xratio.conic import (SEARCH_BUDGET, DegenerateConicError, ProjPoint2,
                           SearchBudgetError, TernaryForm, _clear_denominators,
                           _coeff_list, bounded_point_search, char2_form,
                           criterion_form, decide_isotropy, form_from_text,
-                          parametrize, searchable_degree, standard_form)
+                          known_point, parametrize, searchable_degree,
+                          standard_form, tail_remainder)
 from xratio.exprparse import parse_expression
 from xratio.fields import XratioError, field_by_name, prime_field, rationals
 from xratio.poly import Ring
@@ -230,10 +232,6 @@ def test_search_budget_guard():
 def test_negative_degree_bound_is_rejected():
     with pytest.raises(XratioError, match="degree bound must be >= 0"):
         bounded_point_search(criterion_form(prime_field(3)), -1)
-    with pytest.raises(XratioError, match="degree bound must be >= 0"):
-        decide_isotropy(rationals(), -1)
-    with pytest.raises(XratioError, match="degree bound must be >= 0"):
-        decide_isotropy(prime_field(5), -1)
 
 
 def test_search_rejects_infinite_fields():
@@ -247,7 +245,7 @@ def test_search_rejects_infinite_fields():
 ])
 def test_isotropy_decision_matches_sqrt_criterion(name, isotropic):
     field = field_by_name(name)
-    dec = decide_isotropy(field, 4)
+    dec = decide_isotropy(field)
     assert dec.isotropic == isotropic
     if isotropic:
         assert dec.witness is not None
@@ -259,13 +257,88 @@ def test_isotropy_decision_matches_sqrt_criterion(name, isotropic):
         rec = dec.obstruction
         assert rec.verified
         assert len(rec.steps) == 4
-        assert rec.degree_bound == 4
-        assert "bounded-degree" in rec.note or "degree" in rec.note
+        assert "every degree" in rec.render()
+        for step in rec.steps[:2]:
+            assert step.method == "identity mod x^2 with opaque tails"
 
 
 def test_isotropy_decision_needs_odd_characteristic():
     with pytest.raises(CharacteristicError):
-        decide_isotropy(prime_field(2), 4)
+        decide_isotropy(prime_field(2))
+
+
+def _low_part_removed(A, B, C):
+    """E - A0^2 - x(2 A0 A1 - B0^2 - C0^2), E = A^2 - x(B^2 + C^2), built
+    directly from coordinates whose low coefficients are the ring's A0, A1,
+    B0, C0."""
+    ring = A.ring
+    x, a0, a1, b0, c0 = (ring.var(v) for v in ("x", "A0", "A1", "B0", "C0"))
+    E = A * A - x * (B * B + C * C)
+    return E - a0 * a0 - x * (2 * a0 * a1 - b0 * b0 - c0 * c0)
+
+
+def _x_order_at_least_two(p):
+    return all(e[0] >= 2 for e in p.terms)
+
+
+@pytest.mark.parametrize("name", ["Q", "F3", "F7"])
+def test_tail_remainder_covers_random_tails(name):
+    field = field_by_name(name)
+    rest = tail_remainder(field)
+    assert rest.terms and _x_order_at_least_two(rest)
+    ring = rest.ring
+    x, a0, a1, b0, c0 = (ring.var(v) for v in ("x", "A0", "A1", "B0", "C0"))
+    elems = (list(field.elements()) if field.is_finite
+             else [field.from_int(k) for k in range(-4, 5)])
+    rng = random.Random(f"tails-{name}")
+    for _ in range(6):
+        tails = {v: ring.poly({(k,) + (0,) * 7: rng.choice(elems) for k in range(4)})
+                 for v in ("Ar", "Br", "Cr")}
+        plugged = rest.substitute(tails)
+        assert _x_order_at_least_two(plugged)
+        A = a0 + a1 * x + x * x * tails["Ar"]
+        assert plugged == _low_part_removed(A, b0 + x * tails["Br"],
+                                            c0 + x * tails["Cr"])
+
+
+@pytest.mark.parametrize("name", ["Q", "F3", "F7"])
+def test_tail_remainder_covers_degree_four_templates(name):
+    # the coordinate templates A = A0 + A1 x + ... + A4 x^4 (B, C alike) that
+    # the obstruction replay once checked coefficient by coefficient
+    field = field_by_name(name)
+    rest = tail_remainder(field)
+    big = Ring(field, ("x",) + tuple(f"{t}{k}" for t in "ABC" for k in range(5)))
+    x = big.var("x")
+
+    def template(tag, start):
+        return sum((big.var(f"{tag}{k}") * x ** (k - start)
+                    for k in range(start, 5)), big.zero)
+
+    tails = {"Ar": template("A", 2), "Br": template("B", 1), "Cr": template("C", 1)}
+    plugged = rest.substitute(tails, big)
+    assert _x_order_at_least_two(plugged)
+    assert plugged == _low_part_removed(template("A", 0), template("B", 0),
+                                        template("C", 0))
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "F2", "F3", "F5", "F7",
+                                  "F3(i)", "F7(i)", "F101"])
+def test_known_point(name):
+    field = field_by_name(name)
+    known = known_point(field)
+    s = field.sqrt_minus_one()
+    if field.characteristic != 2 and s is None:
+        assert known is None
+        return
+    form, point = known
+    assert form.is_point(point)
+    if field.characteristic == 2:
+        assert form.coeffs.keys() == char2_form(field).coeffs.keys()
+        expected = (rvar(form.ring, "x"), 1, 1)
+    else:
+        assert rf_eq(form.coeff("Z", "Z"), -rvar(form.ring, "x"))
+        expected = (0, s, 1)
+    assert point.same_point(ProjPoint2(form.ring, expected))
 
 
 def test_parametrize_gaussian_worked_example():

@@ -1,11 +1,12 @@
 import pytest
 
+from xratio.conic import base_ring
 from xratio.fields import field_by_name, prime_field, rationals
 from xratio.ratfunc import rf_eq
-from xratio.tables import (CROSS_RATIO_TEXT, POINT_VARS, conic_identity_text,
-                           derived_definitions, derived_values, four_cycle,
-                           in_derived, point_action, point_ring, sigma2_claims,
-                           sigma_claims)
+from xratio.tables import (CONIC_CHAR2_TEXT, CONIC_ODD_TEXT, CROSS_RATIO_TEXT,
+                           POINT_VARS, SIGMA2_CHAR2, SIGMA2_ODD, SIGMA_CHAR2,
+                           SIGMA_ODD, derived_definitions, derived_values,
+                           four_cycle, in_derived, point_action, point_ring)
 
 
 def test_cross_ratio_at_reference_points():
@@ -42,8 +43,6 @@ def test_derived_values_char2_consistency():
 def test_definition_dispatch():
     assert derived_definitions(rationals())[-1][0] == "x"
     assert derived_definitions(prime_field(2))[-1][0] == "inv_z"
-    assert conic_identity_text(rationals()).startswith("(1 - a)")
-    assert conic_identity_text(prime_field(2)).startswith("a*u^2")
 
 
 @pytest.mark.parametrize("name", ["Q", "Q(i)", "F3", "F5"])
@@ -51,7 +50,7 @@ def test_sigma_table_odd(name):
     field = field_by_name(name)
     vals = derived_values(field)
     act = point_action(field, vals)
-    for target, image_text in sigma_claims(field):
+    for target, image_text in SIGMA_ODD:
         assert rf_eq(act.apply(vals[target]), in_derived(image_text, vals, field)), \
             f"{target} -> {image_text} over {name}"
 
@@ -60,7 +59,7 @@ def test_sigma_table_char2():
     f2 = prime_field(2)
     vals = derived_values(f2)
     act = point_action(f2, vals)
-    for target, image_text in sigma_claims(f2):
+    for target, image_text in SIGMA_CHAR2:
         assert rf_eq(act.apply(vals[target]), in_derived(image_text, vals, f2))
 
 
@@ -69,7 +68,8 @@ def test_sigma_squared_table(name):
     field = field_by_name(name)
     vals = derived_values(field)
     act = point_action(field, vals)
-    for target, image_text in sigma2_claims(field):
+    claims = SIGMA2_CHAR2 if field.characteristic == 2 else SIGMA2_ODD
+    for target, image_text in claims:
         twice = act.apply(act.apply(vals[target]))
         assert rf_eq(twice, in_derived(image_text, vals, field)), \
             f"{target} -> {image_text} over {name}"
@@ -78,7 +78,8 @@ def test_sigma_squared_table(name):
 @pytest.mark.parametrize("name", ["Q", "F3", "F5", "Q(i)", "F2"])
 def test_conic_identity_vanishes(name):
     field = field_by_name(name)
-    value = in_derived(conic_identity_text(field), derived_values(field), field)
+    text = CONIC_CHAR2_TEXT if field.characteristic == 2 else CONIC_ODD_TEXT
+    value = in_derived(text, derived_values(field), field)
     assert rf_eq(value, 0)
 
 
@@ -104,3 +105,9 @@ def test_in_derived_cross_ratio_text_matches_table():
 def test_point_ring_variables():
     ring = point_ring(rationals())
     assert ring.variables == POINT_VARS
+
+
+def test_rings_are_shared_per_field():
+    assert point_ring(rationals()) is point_ring(rationals())
+    assert base_ring(prime_field(5)) is base_ring(prime_field(5))
+    assert point_ring(prime_field(3)) is not point_ring(prime_field(5))
