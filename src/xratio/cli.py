@@ -49,7 +49,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_identity(args) -> int:
     field = field_by_name(args.field)
-    values = tables.derived_values(field)
+    values = {}  # the derived names either side uses, each resolved once
     lhs = tables.in_derived(args.lhs, values, field)
     rhs = tables.in_derived(args.rhs, values, field)
     equal = rf_eq(lhs, rhs)
@@ -75,9 +75,10 @@ def _cmd_subgroups(_args) -> int:
 
 
 def _cmd_conic(args) -> int:
-    if args.degree_bound is not None and args.action != "search":
-        raise XratioError("--degree-bound applies to 'conic search' only, "
-                          f"not to 'conic {args.action}'")
+    for option, action in (("degree_bound", "search"), ("point", "parametrize")):
+        if getattr(args, option) is not None and args.action != action:
+            raise XratioError(f"--{option.replace('_', '-')} applies to 'conic {action}' "
+                              f"only, not to 'conic {args.action}'")
     field = field_by_name(args.field)
     if args.action == "decide":
         print(conic.decide_isotropy(field).render())
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--degree-bound", type=int, default=None,
                        help="polynomial degree bound, 'search' only (default 2)")
     p_con.add_argument("--point", default=None,
-                       help="comma-separated Y,Z,W coordinates (expressions in x)")
+                       help="Y,Z,W coordinates (expressions in x), 'parametrize' only")
     p_con.set_defaults(func=_cmd_conic)
 
     p_st = sub.add_parser("stabilizer",

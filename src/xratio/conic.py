@@ -394,9 +394,9 @@ def _coeff_list(p: MultiPoly, upto: int):
 def searchable_degree(field: Field, degree_bound: int) -> int:
     """The largest d <= degree_bound whose (q^(d+1))^3 candidate triples fit
     the search budget, or -1 when none does."""
-    d = degree_bound
-    while d >= 0 and (field.order ** (d + 1)) ** 3 > SEARCH_BUDGET:
-        d -= 1
+    d = -1
+    while d < degree_bound and (field.order ** (d + 2)) ** 3 <= SEARCH_BUDGET:
+        d += 1
     return d
 
 
@@ -425,10 +425,10 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
         raise XratioError("search expects a univariate coefficient ring")
     if degree_bound < 0:
         raise XratioError(f"degree bound must be >= 0, got {degree_bound}")
-    n_polys = field.order ** (degree_bound + 1)
     if searchable_degree(field, degree_bound) < degree_bound:
-        raise SearchBudgetError(
-            f"{n_polys ** 3} candidate triples exceed the budget {SEARCH_BUDGET}")
+        raise SearchBudgetError(f"{field.order}^{3 * (degree_bound + 1)} candidate "
+                                f"triples exceed the budget {SEARCH_BUDGET}")
+    n_polys = field.order ** (degree_bound + 1)
 
     # clear denominators once; scaling by a nonzero element of k(x) keeps zeros
     cleared = dict(zip(form.coeffs, _clear_denominators(list(form.coeffs.values()))))

@@ -60,10 +60,9 @@ def tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text, ring):
-        self.text = text
+    def __init__(self, tokens, ring):
         self.ring = ring
-        self.tokens = tokenize(text)
+        self.tokens = tokens
         self.k = 0
 
     def peek(self):
@@ -152,5 +151,6 @@ class _Parser:
         raise ParseError(f"unexpected token {v!r}", pos)
 
 
-def parse_expression(text: str, ring: Ring) -> RatFunc:
-    return _Parser(text, ring).parse()
+def parse_expression(text, ring: Ring) -> RatFunc:
+    """Parse `text`, or its token list from :func:`tokenize`, in `ring`."""
+    return _Parser(tokenize(text) if isinstance(text, str) else text, ring).parse()

@@ -36,7 +36,7 @@ class RingMismatchError(XratioError):
 class Ring:
     """Polynomial ring context k[v1, ..., vn]."""
 
-    __slots__ = ("field", "variables", "_index")
+    __slots__ = ("field", "variables", "_index", "zero", "one")
 
     def __init__(self, field: Field, variables):
         variables = tuple(variables)
@@ -45,6 +45,9 @@ class Ring:
         self.field = field
         self.variables = variables
         self._index = {v: k for k, v in enumerate(variables)}
+        # shared by every use: a MultiPoly is never mutated
+        self.zero = MultiPoly(self, {})
+        self.one = MultiPoly(self, {(0,) * len(variables): field.raw_one})
 
     def var(self, name: str) -> "MultiPoly":
         k = self._index.get(name)
@@ -59,14 +62,6 @@ class Ring:
 
     def const(self, c) -> "MultiPoly":
         return self.poly({(0,) * len(self.variables): c})
-
-    @property
-    def zero(self):
-        return MultiPoly(self, {})
-
-    @property
-    def one(self):
-        return self.const(1)
 
     def poly(self, terms: dict) -> "MultiPoly":
         """Polynomial from {exponents: int or element of this field}; zeros dropped."""

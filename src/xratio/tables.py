@@ -4,9 +4,9 @@ Everything downstream (conic presentations, fixed-field certificates, the
 replay checklist) is phrased in a handful of named expressions in
 k(x1, x2, x3, x4): three linear combinations w, y, z, the cross ratio a of
 the four points, the ratios u, t, and characteristic-dependent invariants.
-This module records the definitions, the action of the distinguished
-4-cycle on every derived name, and the change-of-variable identities, each
-as parseable text so the replay can re-verify them from scratch.
+This module records the definitions, the 4-cycle's action on every derived
+name and the change-of-variable identities as parseable text, so the replay
+re-verifies them from scratch; an expression resolves only the names it uses.
 
 The permutation convention is sigma(x_k) = x_{sigma(k)}.  That orientation
 is what makes the recorded tables correct (the other convention flips
@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 
 from .autos import Automorphism, perm_automorphism
-from .exprparse import parse_expression
+from .exprparse import parse_expression, tokenize
 from .fields import Field, XratioError
 from .perms import Perm, parse_perm
 from .poly import Ring
@@ -108,23 +108,27 @@ def derived_definitions(field: Field):
 
 
 def derived_values(field: Field) -> dict:
-    """Resolve the definition table into rational functions of x1..x4."""
-    target = point_ring(field)
+    """The whole definition table in k(x1..x4), each definition parsed once."""
     values = {}
-    names = []
-    for name, text in derived_definitions(field):
-        scope = Ring(field, POINT_VARS + tuple(names))
-        rf = parse_expression(text, scope)
-        values[name] = rf.substitute(values, target)
-        names.append(name)
+    for k, (name, text) in enumerate(derived_definitions(field)):
+        values[name] = in_derived(text, values, field, before=k)
     return values
 
 
-def in_derived(text: str, values: dict, field: Field) -> RatFunc:
-    """Parse an expression in the point variables and the derived names of
-    `values` (from :func:`derived_values`); value in k(x1..x4)."""
-    scope = Ring(field, POINT_VARS + tuple(values))
-    return parse_expression(text, scope).substitute(values, point_ring(field))
+def in_derived(text: str, values: dict, field: Field, *, before=None) -> RatFunc:
+    """Parse `text` in x1..x4 and the first `before` derived names (default all)
+    into k(x1..x4).  Only the names the text uses are resolved: each one that
+    `values` lacks is first added to it from its definition, recursively."""
+    tokens = tokenize(text)
+    used = {v for kind, v, _ in tokens if kind == "ident"}
+    scope = []
+    for k, (name, definition) in enumerate(derived_definitions(field)[:before]):
+        if name in used:
+            if name not in values:
+                values[name] = in_derived(definition, values, field, before=k)
+            scope.append(name)
+    rf = parse_expression(tokens, Ring(field, POINT_VARS + tuple(scope)))
+    return rf.substitute({name: values[name] for name in scope}, point_ring(field))
 
 
 def point_action(field: Field, values: dict) -> Automorphism:

@@ -65,6 +65,22 @@ def test_check_identity_not_equal(capsys):
     assert "lhs =" in out and "rhs =" in out
 
 
+def test_check_identity_not_equal_exact_output(capsys):
+    assert main(["check-identity", "--field", "Q", "--lhs", "u", "--rhs", "t"]) == 1
+    assert capsys.readouterr().out == (
+        "NOT EQUAL over Q: u  vs  t\n"
+        "  lhs = (x1 + x2 - x3 - x4)/(x1 - x2 - x3 + x4)\n"
+        "  rhs = (x1 - x2 + x3 - x4)/(x1 - x2 - x3 + x4)\n")
+
+
+@pytest.mark.parametrize("lhs, rhs", [("foo", "t"), ("foo", "u + bar")])
+def test_check_identity_unknown_name_exits_2(capsys, lhs, rhs):
+    assert main(["check-identity", "--field", "Q", "--lhs", lhs, "--rhs", rhs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown variable 'foo' (position 0)\n"
+    assert captured.out == ""
+
+
 def test_check_identity_parse_error(capsys):
     code = main(["check-identity", "--field", "Q",
                  "--lhs", "u +", "--rhs", "t"])
@@ -216,6 +232,30 @@ def test_conic_degree_bound_outside_search_exits_2(capsys, action):
     assert ("error: --degree-bound applies to 'conic search' only, "
             f"not to 'conic {action}'") in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("action", ["decide", "search"])
+def test_conic_point_outside_parametrize_exits_2(capsys, action):
+    # the point only seeds the parametrization; elsewhere it would be ignored
+    assert main(["conic", action, "--field", "Q", "--point", "1,2,3"]) == 2
+    captured = capsys.readouterr()
+    assert ("error: --point applies to 'conic parametrize' only, "
+            f"not to 'conic {action}'") in captured.err
+    assert captured.out == ""
+
+
+def test_conic_search_huge_degree_bound_exits_2_with_budget(capsys):
+    assert main(["conic", "search", "--field", "F2", "--degree-bound", "20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: 2^60003 candidate triples exceed the "
+                            "budget 10000000\n")
+    assert captured.out == ""
+
+
+def test_run_huge_degree_bound_searches_the_budget_degree(capsys):
+    assert main(["run", "--fields", "F2", "--checks", "ISO-SEARCH",
+                 "--degree-bound", "1000000"]) == 0
+    assert "F2: first zero up to degree 6 is" in capsys.readouterr().out
 
 
 def test_conic_search_negative_degree_bound_exits_2(capsys):

@@ -223,10 +223,18 @@ def test_searchable_degree():
         assert (q ** (d + 1)) ** 3 <= SEARCH_BUDGET < (q ** (d + 2)) ** 3
 
 
+def test_searchable_degree_counts_up_from_a_huge_bound():
+    assert searchable_degree(prime_field(2), 10 ** 6) == 6
+    assert searchable_degree(prime_field(101), 10 ** 9) == 0
+
+
 def test_search_budget_guard():
     form = criterion_form(prime_field(101))
     with pytest.raises(SearchBudgetError):
         bounded_point_search(form, 1)
+    # the count is stated as a power, never expanded
+    with pytest.raises(SearchBudgetError, match=r"^2\^3000003 candidate triples"):
+        bounded_point_search(criterion_form(prime_field(2)), 10 ** 6)
 
 
 def test_negative_degree_bound_is_rejected():

@@ -1,12 +1,28 @@
 import pytest
 
+from xratio import tables
 from xratio.conic import base_ring
+from xratio.exprparse import ParseError
 from xratio.fields import field_by_name, prime_field, rationals
 from xratio.ratfunc import rf_eq
 from xratio.tables import (CONIC_CHAR2_TEXT, CONIC_ODD_TEXT, CROSS_RATIO_TEXT,
                            POINT_VARS, SIGMA2_CHAR2, SIGMA2_ODD, SIGMA_CHAR2,
                            SIGMA_ODD, derived_definitions, derived_values,
                            four_cycle, in_derived, point_action, point_ring)
+
+NINE_FIELDS = ("Q", "Q(i)", "F2", "F3", "F5", "F7", "F101", "F3(i)", "F7(i)")
+
+
+def _counting_parses(monkeypatch):
+    """Record the scope variables of every parse that `in_derived` makes."""
+    scopes, real = [], tables.parse_expression
+
+    def counting(tokens, ring):
+        scopes.append(ring.variables)
+        return real(tokens, ring)
+
+    monkeypatch.setattr(tables, "parse_expression", counting)
+    return scopes
 
 
 def test_cross_ratio_at_reference_points():
@@ -111,3 +127,76 @@ def test_rings_are_shared_per_field():
     assert point_ring(rationals()) is point_ring(rationals())
     assert base_ring(prime_field(5)) is base_ring(prime_field(5))
     assert point_ring(prime_field(3)) is not point_ring(prime_field(5))
+
+
+@pytest.mark.parametrize("name", NINE_FIELDS)
+def test_each_name_resolved_alone_matches_the_table(name):
+    field = field_by_name(name)
+    table = derived_values(field)
+    for derived, _ in derived_definitions(field):
+        values = {}
+        got = in_derived(derived, values, field)
+        for value in (got, values[derived]):
+            assert list(value.num.terms.items()) == list(table[derived].num.terms.items())
+            assert list(value.den.terms.items()) == list(table[derived].den.terms.items())
+        for dep, value in values.items():
+            assert rf_eq(value, table[dep])
+
+
+@pytest.mark.parametrize("name, text, added", [
+    ("Q", "w", {"w"}),
+    ("Q", "u", {"w", "y", "u"}),
+    ("Q", "x", {"a", "b", "x"}),
+    ("Q", "t - u^2", {"w", "y", "z", "u", "t"}),
+    ("F2", "t", {"w", "z", "t"}),
+    ("F2", "inv_z + x1", {"a", "w", "y", "u", "inv_z"}),
+])
+def test_in_derived_adds_only_the_names_used_and_their_dependencies(name, text, added):
+    values = {}
+    in_derived(text, values, field_by_name(name))
+    assert set(values) == added
+
+
+def test_point_variable_text_parses_no_definition(monkeypatch):
+    scopes = _counting_parses(monkeypatch)
+    values = {}
+    x1, x2, x3, x4 = point_ring(rationals()).vars()
+    assert rf_eq(in_derived("(x4 - x1)*(x3 - x2)", values, rationals()), (x4 - x1) * (x3 - x2))
+    assert values == {}
+    assert scopes == [POINT_VARS]
+
+
+def test_resolved_names_are_reused(monkeypatch):
+    q = rationals()
+    scopes = _counting_parses(monkeypatch)
+    values = {}
+    in_derived("u", values, q)
+    # the definitions of w, y and u, then the text itself
+    assert scopes == [POINT_VARS, POINT_VARS, POINT_VARS + ("w", "y"), POINT_VARS + ("u",)]
+    del scopes[:]
+    in_derived("t/u", values, q)
+    assert scopes == [POINT_VARS, POINT_VARS + ("y", "z"), POINT_VARS + ("u", "t")]
+
+
+def test_full_table_parses_each_definition_once(monkeypatch):
+    for field in (rationals(), prime_field(2)):
+        scopes = _counting_parses(monkeypatch)
+        derived_values(field)
+        assert len(scopes) == len(derived_definitions(field))
+
+
+def test_definitions_see_only_earlier_names(monkeypatch):
+    q = rationals()
+    monkeypatch.setattr(tables, "DERIVED_ODD", (("w", "y + 1"), ("y", "x1"), ("z", "z^2")))
+    with pytest.raises(ParseError, match="unknown variable 'y' \\(position 0\\)"):
+        in_derived("w", {}, q)
+    with pytest.raises(ParseError, match="unknown variable 'z' \\(position 0\\)"):
+        in_derived("z", {}, q)
+    values = {}
+    in_derived("y", values, q)
+    assert set(values) == {"y"}
+
+
+def test_unknown_name_is_a_parse_error():
+    with pytest.raises(ParseError, match="unknown variable 'inv_x' \\(position 4\\)"):
+        in_derived("a + inv_x", {}, rationals())
