@@ -213,21 +213,15 @@ class ExtAuto:
 
     __call__ = apply
 
-    def compose(self, other: "ExtAuto") -> "ExtAuto":
+    def __mul__(self, other: "ExtAuto") -> "ExtAuto":
+        """(self*other)(x) = self(other(x))."""
         return ExtAuto(self.ext, self.base_auto * other.base_auto,
                        self.apply(other.t_image))
 
     def is_identity(self) -> bool:
         return self.base_auto.is_identity() and (self.t_image == self.ext.gen) is True
 
-    def order(self, bound: int = ORDER_BOUND) -> int:
-        cur, k = self, 1
-        while k <= bound:
-            if cur.is_identity():
-                return k
-            cur = cur.compose(self)
-            k += 1
-        raise OrderBoundError(f"order exceeds bound {bound}")
+    order = Automorphism.order  # needs only __mul__ and is_identity
 
 
 # -- ambient fields ----------------------------------------------------------

@@ -4,9 +4,11 @@ Each check is a pure function of a :class:`_Ctx` (run configuration plus the
 resolved coefficient fields) returning a verdict and human-readable detail
 lines.  The context computes the objects checks share (derived values, the
 4-cycle action, certificate verifications, isotropy decisions, conic
-parametrizations) once per run and per field.  A check that declares a field
-scope (odd, characteristic 2, finite) is SKIPPED by the runner, without
-running, when no selected field is in scope.
+parametrizations) once per run and per field.  Most claims are one claim per
+selected field: such a check is a body for one field, and :func:`_per_field`
+runs it over its declared scope (all, odd, characteristic 2 or finite
+fields), prefixes the lines with the field name and applies the one verdict
+rule, SKIPPED when no field is in scope or none verified anything.
 Checks never abort the run: any exception inside one becomes a FAIL with the
 error message in the details.  Randomized checks draw from
 ``random.Random(f"{seed}-{check_id}")`` so every check is reproducible in
@@ -93,6 +95,29 @@ _SKIP_REASONS = {
 }
 
 
+def _per_field(scope):
+    """Make a body `(ctx, f) -> (ok, lines)` the check run over the fields of
+    the _Ctx list `scope`, prefixing each line with the field name.  `ok` is
+    True, False, or None for "verified nothing": the check FAILs if any field
+    returns False, is SKIPPED if the scope is empty or every field returns
+    None, and PASSes otherwise."""
+    def check(body):
+        def run(ctx):
+            fields = getattr(ctx, scope)
+            if not fields:
+                return SKIPPED, [_SKIP_REASONS[scope]]
+            oks, details = [], []
+            for f in fields:
+                ok, lines = body(ctx, f)
+                oks.append(ok)
+                details += [f"{f.name}: {line}" for line in lines]
+            if False in oks:
+                return FAIL, details
+            return (SKIPPED if all(ok is None for ok in oks) else PASS), details
+        return run
+    return check
+
+
 def _table_errors(ctx, field: Field, act, claims) -> list:
     vals = ctx.values(field)
     bad = []
@@ -103,184 +128,134 @@ def _table_errors(ctx, field: Field, act, claims) -> list:
     return bad
 
 
+def _vanishes(ctx, f, text):
+    zero = tables.in_derived(text, ctx.values(f), f).is_zero()
+    return zero, [f"{text} " + ("vanishes identically in k(x1..x4)" if zero
+                                else "does NOT vanish")]
+
+
 # -- checks, in report order --------------------------------------------------
 
 
-def _run_cr_inv(ctx):
-    ok, details = True, []
-    v4 = klein_group()
-    for f in ctx.fields:
-        ring = tables.point_ring(f)
-        a = ctx.values(f)["a"]
-        bad = []
-        for p in all_perms():
-            if rf_eq(perm_automorphism(ring, p).apply(a), a) != (p in v4):
-                bad.append(str(p))
-        if bad:
-            ok = False
-            details.append(f"{f.name}: wrong invariance at {', '.join(bad)}")
-        else:
-            details.append(f"{f.name}: all 24 permutations behave as predicted")
-    return (PASS if ok else FAIL), details
+@_per_field("fields")
+def _run_cr_inv(ctx, f):
+    ring, a, v4 = tables.point_ring(f), ctx.values(f)["a"], klein_group()
+    bad = [str(p) for p in all_perms()
+           if rf_eq(perm_automorphism(ring, p).apply(a), a) != (p in v4)]
+    return not bad, [f"wrong invariance at {', '.join(bad)}" if bad
+                     else "all 24 permutations behave as predicted"]
 
 
-def _run_sigma_table(ctx):
-    ok, details = True, []
-    for f in ctx.odd_fields:
-        bad = _table_errors(ctx, f, ctx.action(f), tables.SIGMA_ODD)
-        ok &= not bad
-        details.append(f"{f.name}: " + (f"mismatch at {', '.join(bad)}" if bad
-                                        else f"{len(tables.SIGMA_ODD)}/8 entries verified"))
-    return (PASS if ok else FAIL), details
+@_per_field("odd_fields")
+def _run_sigma_table(ctx, f):
+    bad = _table_errors(ctx, f, ctx.action(f), tables.SIGMA_ODD)
+    return not bad, [f"mismatch at {', '.join(bad)}" if bad
+                     else f"{len(tables.SIGMA_ODD)}/8 entries verified"]
 
 
-def _run_sigma2_table(ctx):
-    ok, details = True, []
-    for f in ctx.odd_fields:
-        act = ctx.action(f)
-        bad = _table_errors(ctx, f, act * act, tables.SIGMA2_ODD)
-        ok &= not bad
-        details.append(f"{f.name}: " + (f"mismatch at {', '.join(bad)}" if bad
-                                        else f"{len(tables.SIGMA2_ODD)}/8 entries verified"))
-    return (PASS if ok else FAIL), details
+@_per_field("odd_fields")
+def _run_sigma2_table(ctx, f):
+    act = ctx.action(f)
+    bad = _table_errors(ctx, f, act * act, tables.SIGMA2_ODD)
+    return not bad, [f"mismatch at {', '.join(bad)}" if bad
+                     else f"{len(tables.SIGMA2_ODD)}/8 entries verified"]
 
 
-def _run_basis_ids(ctx):
-    ok, details = True, []
-    for f in ctx.odd_fields:
-        vals = ctx.values(f)
-        bad = []
-        for lhs, rhs in tables.BASIS_IDS_ODD:
-            if not rf_eq(tables.in_derived(lhs, vals, f), tables.in_derived(rhs, vals, f)):
-                bad.append(f"{lhs} = {rhs}")
-        ok &= not bad
-        details.append(f"{f.name}: " + (f"failed: {'; '.join(bad)}" if bad
-                                        else f"{len(tables.BASIS_IDS_ODD)}/7 identities verified"))
-    return (PASS if ok else FAIL), details
+@_per_field("odd_fields")
+def _run_basis_ids(ctx, f):
+    vals = ctx.values(f)
+    bad = [f"{lhs} = {rhs}" for lhs, rhs in tables.BASIS_IDS_ODD
+           if not rf_eq(tables.in_derived(lhs, vals, f), tables.in_derived(rhs, vals, f))]
+    return not bad, [f"failed: {'; '.join(bad)}" if bad
+                     else f"{len(tables.BASIS_IDS_ODD)}/7 identities verified"]
 
 
-def _run_conic_b(ctx):
-    ok, details = True, []
-    for f in ctx.odd_fields:
-        zero = tables.in_derived(tables.CONIC_ODD_TEXT, ctx.values(f), f).is_zero()
-        ok &= zero
-        details.append(f"{f.name}: (1 - a)*u^2 - t^2 + a "
-                       + ("vanishes identically in k(x1..x4)" if zero else "does NOT vanish"))
-    return (PASS if ok else FAIL), details
+@_per_field("odd_fields")
+def _run_conic_b(ctx, f):
+    return _vanishes(ctx, f, tables.CONIC_ODD_TEXT)
 
 
 _LEM_A_CERTS = ("negate_invert_full", "negate_base")
 
 
-def _run_lem_a_inv(ctx):
-    ok, details = True, []
-    for f in ctx.odd_fields:
-        for name in _LEM_A_CERTS:
-            c1 = ctx.verified(name, f).conditions[0]
-            ok &= c1.ok
-            details.append(f"{f.name}: {name} invariance "
-                           + ("verified" if c1.ok else f"FAILED ({c1.detail})"))
-    return (PASS if ok else FAIL), details
+@_per_field("odd_fields")
+def _run_lem_a_inv(ctx, f):
+    firsts = [(name, ctx.verified(name, f).conditions[0]) for name in _LEM_A_CERTS]
+    return all(c1.ok for _, c1 in firsts), [
+        f"{name} invariance " + ("verified" if c1.ok else f"FAILED ({c1.detail})")
+        for name, c1 in firsts]
 
 
-def _run_lem_a_rel(ctx):
-    ok, details = True, []
-    for f in ctx.odd_fields:
-        for name in _LEM_A_CERTS:
-            ver = ctx.verified(name, f)
-            rest = ver.conditions[1:]
-            good = all(c.ok for c in rest)
-            ok &= good
-            if good:
-                details.append(f"{f.name}: {name} relation kills the primitive, "
-                               "generators recovered, action order matches degree "
-                               f"{ver.degree}")
-            else:
-                bad = "; ".join(f"({c.index}) {c.detail or c.description}"
-                                for c in rest if not c.ok)
-                details.append(f"{f.name}: {name} FAILED {bad}")
-        ring2 = Ring(f, ("b", "u"))
-        gx = parse_expression("b^2", ring2)
-        gy = parse_expression("b*(u^2+1)/(2*u)", ring2)
-        gz = parse_expression("(u^2-1)/(2*u)", ring2)
-        conic_rel = rf_eq(gy * gy, gx * gz * gz + gx)
-        ok &= conic_rel
-        details.append(f"{f.name}: y^2 - x*z^2 - x "
-                       + ("= 0 holds among the generators" if conic_rel
-                          else "does NOT vanish on the generators"))
-    return (PASS if ok else FAIL), details
+@_per_field("odd_fields")
+def _run_lem_a_rel(ctx, f):
+    ok, lines = True, []
+    for name in _LEM_A_CERTS:
+        ver = ctx.verified(name, f)
+        bad = "; ".join(f"({c.index}) {c.detail or c.description}"
+                        for c in ver.conditions[1:] if not c.ok)
+        ok &= not bad
+        lines.append(f"{name} FAILED {bad}" if bad else
+                     f"{name} relation kills the primitive, generators recovered, "
+                     f"action order matches degree {ver.degree}")
+    ring2 = Ring(f, ("b", "u"))
+    gx = parse_expression("b^2", ring2)
+    gy = parse_expression("b*(u^2+1)/(2*u)", ring2)
+    gz = parse_expression("(u^2-1)/(2*u)", ring2)
+    conic_rel = rf_eq(gy * gy, gx * gz * gz + gx)
+    lines.append("y^2 - x*z^2 - x " + ("= 0 holds among the generators" if conic_rel
+                                       else "does NOT vanish on the generators"))
+    return ok and conic_rel, lines
 
 
-def _run_iso_crit(ctx):
-    ok, details = True, []
-    for f in ctx.odd_fields:
-        dec = ctx.decision(f)
-        expected = f.sqrt_minus_one() is not None
-        ok &= dec.isotropic == expected
-        if dec.isotropic:
-            details.append(f"{f.name}: isotropic, verified witness {dec.witness}")
-        else:
-            details.append(f"{f.name}: anisotropic; {len(dec.obstruction.steps)}-step "
-                           "obstruction verified at every degree (opaque tails)")
-        if dec.isotropic != expected:
-            details.append(f"{f.name}: DISAGREES with the square-root-of-minus-one criterion")
-    return (PASS if ok else FAIL), details
+@_per_field("odd_fields")
+def _run_iso_crit(ctx, f):
+    dec = ctx.decision(f)
+    agrees = dec.isotropic == (f.sqrt_minus_one() is not None)
+    lines = [f"isotropic, verified witness {dec.witness}" if dec.isotropic else
+             f"anisotropic; {len(dec.obstruction.steps)}-step obstruction "
+             "verified at every degree (opaque tails)"]
+    if not agrees:
+        lines.append("DISAGREES with the square-root-of-minus-one criterion")
+    return agrees, lines
 
 
-def _run_iso_search(ctx):
-    ok, details, searched = True, [], 0
-    for f in ctx.finite_fields:
-        d = conic.searchable_degree(f, ctx.config.degree_bound)
-        if d < 0:
-            reason = ("the degree bound is negative" if ctx.config.degree_bound < 0
-                      else "degree 0 already exceeds the budget")
-            details.append(f"{f.name}: not searched ({reason})")
+@_per_field("finite_fields")
+def _run_iso_search(ctx, f):
+    d = conic.searchable_degree(f, ctx.config.degree_bound)
+    if d < 0:
+        reason = ("the degree bound is negative" if ctx.config.degree_bound < 0
+                  else "degree 0 already exceeds the budget")
+        return None, [f"not searched ({reason})"]
+    form = conic.criterion_form(f)
+    pt = conic.bounded_point_search(form, d)
+    expect_found = conic.known_point(f) is not None
+    if pt is None:
+        return not expect_found, [f"no zero with coordinates of degree <= {d} (exhaustive)"]
+    on = form.is_point(pt)
+    return on and expect_found, [f"first zero up to degree {d} is {pt}"
+                                 + ("" if on else " which is NOT on the conic")]
+
+
+@_per_field("fields")
+def _run_param(ctx, f):
+    inst = conic.known_point(f)
+    if inst is None:
+        return None, ["no known point, nothing to parametrize"]
+    form, base = inst
+    pm = ctx.param(f)
+    values = (list(f.elements()) if f.is_finite
+              else [f.from_int(k) for k in (-3, -1, 0, 1, 2, 5)])
+    good = total = 0
+    for v in values:
+        try:
+            p2 = pm.point_at(v)
+        except conic.DegenerateConicError:
             continue
-        searched += 1
-        form = conic.criterion_form(f)
-        pt = conic.bounded_point_search(form, d)
-        expect_found = conic.known_point(f) is not None
-        if pt is not None:
-            on = form.is_point(pt)
-            ok &= on and expect_found
-            details.append(f"{f.name}: first zero up to degree {d} is {pt}"
-                           + ("" if on else " which is NOT on the conic"))
-        else:
-            ok &= not expect_found
-            details.append(f"{f.name}: no zero with coordinates of degree <= {d} "
-                           "(exhaustive)")
-    if not searched:
-        return SKIPPED, details
-    return (PASS if ok else FAIL), details
-
-
-def _run_param(ctx):
-    ok, details, any_run = True, [], False
-    for f in ctx.fields:
-        inst = conic.known_point(f)
-        if inst is None:
-            details.append(f"{f.name}: no known point, nothing to parametrize")
-            continue
-        any_run = True
-        form, base = inst
-        pm = ctx.param(f)
-        values = (list(f.elements()) if f.is_finite
-                  else [f.from_int(k) for k in (-3, -1, 0, 1, 2, 5)])
-        good = total = 0
-        for v in values:
-            try:
-                p2 = pm.point_at(v)
-            except conic.DegenerateConicError:
-                continue
-            total += 1
-            good += form.is_point(p2)
-        ok &= total > 0 and good == total
-        details.append(f"{f.name}: base {base}, chart {pm.chart}; forward and inverse "
-                       f"identities verified symbolically; {good}/{total} sampled "
-                       "parameters land on the conic")
-    if not any_run:
-        return SKIPPED, details or ["no field with a known conic point selected"]
-    return (PASS if ok else FAIL), details
+        total += 1
+        good += form.is_point(p2)
+    return total > 0 and good == total, [
+        f"base {base}, chart {pm.chart}; forward and inverse identities verified "
+        f"symbolically; {good}/{total} sampled parameters land on the conic"]
 
 
 def _run_certs(ctx):
@@ -310,56 +285,39 @@ def _run_certs(ctx):
     return (PASS if ok else FAIL), details
 
 
-def _run_char2_table(ctx):
-    ok, details = True, []
-    for f in ctx.char2_fields:
-        act = ctx.action(f)
-        bad1 = _table_errors(ctx, f, act, tables.SIGMA_CHAR2)
-        bad2 = _table_errors(ctx, f, act * act, tables.SIGMA2_CHAR2)
-        ok &= not bad1 and not bad2
-        if bad1 or bad2:
-            details.append(f"{f.name}: mismatch at "
-                           f"{', '.join(bad1)} / {', '.join(bad2)}")
-        else:
-            details.append(f"{f.name}: sigma {len(tables.SIGMA_CHAR2)}/9 and "
-                           f"sigma^2 {len(tables.SIGMA2_CHAR2)}/9 entries verified")
-    return (PASS if ok else FAIL), details
+@_per_field("char2_fields")
+def _run_char2_table(ctx, f):
+    act = ctx.action(f)
+    bad1 = _table_errors(ctx, f, act, tables.SIGMA_CHAR2)
+    bad2 = _table_errors(ctx, f, act * act, tables.SIGMA2_CHAR2)
+    if bad1 or bad2:
+        return False, [f"mismatch at {', '.join(bad1)} / {', '.join(bad2)}"]
+    return True, [f"sigma {len(tables.SIGMA_CHAR2)}/9 and "
+                  f"sigma^2 {len(tables.SIGMA2_CHAR2)}/9 entries verified"]
 
 
-def _run_conic_c(ctx):
-    ok, details = True, []
-    for f in ctx.char2_fields:
-        zero = tables.in_derived(tables.CONIC_CHAR2_TEXT, ctx.values(f), f).is_zero()
-        ok &= zero
-        details.append(f"{f.name}: a*u^2 + a*u + t^2 + t "
-                       + ("vanishes identically in k(x1..x4)" if zero else "does NOT vanish"))
-    return (PASS if ok else FAIL), details
+@_per_field("char2_fields")
+def _run_conic_c(ctx, f):
+    return _vanishes(ctx, f, tables.CONIC_CHAR2_TEXT)
 
 
 _LEM_B_CERTS = ("shift_full_char2", "shift_base_char2", "conic_reflection_char2")
 
 
-def _run_lem_b_all(ctx):
-    ok, details = True, []
-    for f in ctx.char2_fields:
-        form, pt = conic.known_point(f)
-        on = form.is_point(pt)
-        ok &= on
-        details.append(f"{f.name}: (x : 1 : 1) "
-                       + ("lies on" if on else "is NOT on") + " the conic")
-        for name in _LEM_B_CERTS:
-            ver = ctx.verified(name, f)
-            ok &= ver.valid
-            details.append(f"{f.name}: {name} "
-                           + ("VALID" if ver.valid else ver.render()))
-        vals, act = ctx.values(f), ctx.action(f)
-        moved = [n for n in ("inv_x", "inv_y", "inv_z")
-                 if not rf_eq(act.apply(vals[n]), vals[n])]
-        ok &= not moved
-        details.append(f"{f.name}: invariants a^2+a, u^2+u, a+u "
-                       + ("all fixed by the 4-cycle" if not moved
-                          else f"moved: {', '.join(moved)}"))
-    return (PASS if ok else FAIL), details
+@_per_field("char2_fields")
+def _run_lem_b_all(ctx, f):
+    form, pt = conic.known_point(f)
+    on = form.is_point(pt)
+    lines = ["(x : 1 : 1) " + ("lies on" if on else "is NOT on") + " the conic"]
+    vers = [ctx.verified(name, f) for name in _LEM_B_CERTS]
+    lines += [f"{name} " + ("VALID" if ver.valid else ver.render())
+              for name, ver in zip(_LEM_B_CERTS, vers)]
+    vals, act = ctx.values(f), ctx.action(f)
+    moved = [n for n in ("inv_x", "inv_y", "inv_z")
+             if not rf_eq(act.apply(vals[n]), vals[n])]
+    lines.append("invariants a^2+a, u^2+u, a+u " + (
+        "all fixed by the 4-cycle" if not moved else f"moved: {', '.join(moved)}"))
+    return on and all(ver.valid for ver in vers) and not moved, lines
 
 
 def _run_split(ctx):
@@ -477,39 +435,38 @@ def _run_indep(ctx):
     return (ASSUMED if ok0 else FAIL), details
 
 
+@_per_field("odd_fields")
+def _main_b_fields(ctx, f):
+    dec = ctx.decision(f)
+    if dec.isotropic:
+        ctx.param(f)  # the witness is conic.known_point's (0 : s : 1)
+        line = (f"RATIONAL over the cross-ratio subfield; conic point "
+                f"{dec.witness} with verified parametrization")
+    else:
+        line = ("NOT rational: the presentation conic is anisotropic "
+                "(verified obstruction, every degree)")
+    return dec.isotropic == (f.sqrt_minus_one() is not None), [line]
+
+
 def _run_main_b(ctx):
-    ok, details = True, []
-    for f in ctx.odd_fields:
-        dec = ctx.decision(f)
-        expected = f.sqrt_minus_one() is not None
-        ok &= dec.isotropic == expected
-        if dec.isotropic:
-            ctx.param(f)  # the witness is conic.known_point's (0 : s : 1)
-            details.append(f"{f.name}: RATIONAL over the cross-ratio subfield; "
-                           f"conic point {dec.witness} with verified parametrization")
-        else:
-            details.append(f"{f.name}: NOT rational: the presentation conic is "
-                           "anisotropic (verified obstruction, every degree)")
-    details.append("criterion: rational exactly when the coefficient field "
-                   "contains a square root of -1")
-    return (PASS if ok else FAIL), details
+    verdict, details = _main_b_fields(ctx)
+    if verdict != SKIPPED:
+        details.append("criterion: rational exactly when the coefficient field "
+                       "contains a square root of -1")
+    return verdict, details
 
 
-def _run_main_c(ctx):
-    ok, details = True, []
-    for f in ctx.char2_fields:
-        form, pt = conic.known_point(f)
-        on = form.is_point(pt)
-        certs_ok = all(ctx.verified(n, f).valid for n in _LEM_B_CERTS)
-        if on:
-            ctx.param(f)
-        ok &= on and certs_ok
-        details.append(f"{f.name}: RATIONAL; explicit conic point (x : 1 : 1), "
-                       "verified parametrization and certificate chain"
-                       if on and certs_ok else
-                       f"{f.name}: chain broken (point on conic: {on}, "
-                       f"certificates valid: {certs_ok})")
-    return (PASS if ok else FAIL), details
+@_per_field("char2_fields")
+def _run_main_c(ctx, f):
+    form, pt = conic.known_point(f)
+    on = form.is_point(pt)
+    certs_ok = all(ctx.verified(n, f).valid for n in _LEM_B_CERTS)
+    if on:
+        ctx.param(f)
+    return on and certs_ok, [
+        "RATIONAL; explicit conic point (x : 1 : 1), verified parametrization "
+        "and certificate chain" if on and certs_ok else
+        f"chain broken (point on conic: {on}, certificates valid: {certs_ok})"]
 
 
 @dataclass(frozen=True)
@@ -517,7 +474,6 @@ class CheckSpec:
     id: str
     anchor: str
     run: object
-    scope: str = None  # a _Ctx field list; SKIPPED without running when empty
 
 
 CHECKS = (
@@ -528,34 +484,34 @@ CHECKS = (
     CheckSpec("SIGMA-TABLE",
               "away from characteristic 2 the distinguished 4-cycle acts on "
               "(w, y, z, a, u, t, b, x) by the recorded table",
-              _run_sigma_table, "odd_fields"),
+              _run_sigma_table),
     CheckSpec("SIGMA2-TABLE",
               "the square of the 4-cycle negates w, y, t and fixes z, a, u, b, x",
-              _run_sigma2_table, "odd_fields"),
+              _run_sigma2_table),
     CheckSpec("BASIS-IDS",
               "point differences are half sums/differences of w, y, z, and the "
               "cross ratio equals (w^2 - z^2)/(w^2 - y^2)",
-              _run_basis_ids, "odd_fields"),
+              _run_basis_ids),
     CheckSpec("CONIC-B",
               "the pair (u, t) satisfies (1 - a)u^2 - t^2 + a = 0 over the "
               "cross-ratio field",
-              _run_conic_b, "odd_fields"),
+              _run_conic_b),
     CheckSpec("LEM-A-INV",
               "x = b^2, y = b(u^2+1)/(2u), z = (u^2-1)/(2u) are invariant under "
               "b -> -b, u -> -1/u",
-              _run_lem_a_inv, "odd_fields"),
+              _run_lem_a_inv),
     CheckSpec("LEM-A-REL",
               "u is quadratic over the invariants via T^2 - 2zT - 1, every "
               "ambient generator is recovered, and the action has order 2",
-              _run_lem_a_rel, "odd_fields"),
+              _run_lem_a_rel),
     CheckSpec("ISO-CRIT",
               "Y^2 - xZ^2 - xW^2 has a k(x)-point precisely when k contains a "
               "square root of -1",
-              _run_iso_crit, "odd_fields"),
+              _run_iso_crit),
     CheckSpec("ISO-SEARCH",
               "exhaustive bounded-degree point search over finite fields agrees "
               "with the isotropy criterion",
-              _run_iso_search, "finite_fields"),
+              _run_iso_search),
     CheckSpec("PARAM",
               "a conic with a point is parametrized by the pencil of lines "
               "through it, with verified forward and inverse maps",
@@ -567,15 +523,15 @@ CHECKS = (
     CheckSpec("CHAR2-TABLE",
               "in characteristic 2 the 4-cycle fixes w, shifts a and u by 1, and "
               "the recorded sigma and sigma^2 tables hold",
-              _run_char2_table, "char2_fields"),
+              _run_char2_table),
     CheckSpec("CONIC-C",
               "in characteristic 2 the pair (u, t) satisfies "
               "t^2 + t = a u^2 + a u over the cross-ratio field",
-              _run_conic_c, "char2_fields"),
+              _run_conic_c),
     CheckSpec("LEM-B-ALL",
               "the characteristic-2 chain holds: the conic point (x : 1 : 1), "
               "the shift certificates, and the invariance of a^2+a, u^2+u, a+u",
-              _run_lem_b_all, "char2_fields"),
+              _run_lem_b_all),
     CheckSpec("SPLIT",
               "all 30 subgroups of the symmetric group on four letters split "
               "over their Klein part except the three cyclic groups of order 4",
@@ -599,11 +555,11 @@ CHECKS = (
               "away from characteristic 2, the 4-cycle invariant field is "
               "rational over the cross-ratio invariants exactly when the "
               "coefficient field contains a square root of -1",
-              _run_main_b, "odd_fields"),
+              _run_main_b),
     CheckSpec("MAIN-C-VERDICT",
               "in characteristic 2 the 4-cycle invariant field is always "
               "rational over the cross-ratio invariants",
-              _run_main_c, "char2_fields"),
+              _run_main_c),
 )
 
 CHECK_IDS = tuple(spec.id for spec in CHECKS)
@@ -631,10 +587,7 @@ def run_checklist(config: RunConfig, only=None) -> Report:
     for spec in selected:
         t0 = time.perf_counter()
         try:
-            if spec.scope and not getattr(ctx, spec.scope):
-                verdict, details = SKIPPED, [_SKIP_REASONS[spec.scope]]
-            else:
-                verdict, details = spec.run(ctx)
+            verdict, details = spec.run(ctx)
         except XratioError as exc:
             verdict, details = FAIL, [f"error: {exc}"]
         except Exception as exc:

@@ -119,8 +119,12 @@ def _cmd_stabilizer(args) -> int:
     for token in _split_csv(args.points):
         if token in ("inf", "oo", "infinity"):
             pts.append(ProjPoint1.infinity(field))
-        else:
-            pts.append(ProjPoint1.affine(field, field.from_int(int(token))))
+            continue
+        try:
+            value = int(token)
+        except ValueError:
+            raise XratioError(f"--points: {token!r} is not an integer or 'inf'") from None
+        pts.append(ProjPoint1.affine(field, field.from_int(value)))
     stab = borel_stabilizer(pts, field)
     print(f"points {{{', '.join(str(p) for p in pts)}}} over {field.name}")
     for m in stab:

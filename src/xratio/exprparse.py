@@ -148,6 +148,8 @@ class _Parser:
             f = self.expr()
             self.expect_op(")")
             return f
+        if kind == "end":
+            raise ParseError("unexpected end of expression", pos)
         raise ParseError(f"unexpected token {v!r}", pos)
 
 

@@ -95,10 +95,6 @@ class Moebius:
         self.field = field
         self.a, self.b, self.c, self.d = (x * inv for x in vals)
 
-    @classmethod
-    def identity(cls, field):
-        return cls(field, 1, 0, 0, 1)
-
     def is_identity(self):
         return (self.a.is_one() and self.b.is_zero()
                 and self.c.is_zero() and self.d.is_one())

@@ -23,7 +23,7 @@ from .exprparse import parse_expression, tokenize
 from .fields import Field, XratioError
 from .perms import Perm, parse_perm
 from .poly import Ring
-from .ratfunc import RatFunc, rf_eq
+from .ratfunc import DegenerateSubstitutionError, RatFunc, rf_eq
 
 POINT_VARS = ("x1", "x2", "x3", "x4")
 
@@ -128,7 +128,11 @@ def in_derived(text: str, values: dict, field: Field, *, before=None) -> RatFunc
                 values[name] = in_derived(definition, values, field, before=k)
             scope.append(name)
     rf = parse_expression(tokens, Ring(field, POINT_VARS + tuple(scope)))
-    return rf.substitute({name: values[name] for name in scope}, point_ring(field))
+    try:
+        return rf.substitute({name: values[name] for name in scope}, point_ring(field))
+    except DegenerateSubstitutionError:
+        raise XratioError(f"{text!r}: a denominator vanishes in k(x1..x4) once "
+                          "the derived names are substituted") from None
 
 
 def point_action(field: Field, values: dict) -> Automorphism:

@@ -212,3 +212,36 @@ def test_run_computes_shared_objects_once_per_run(monkeypatch):
     second = run_checklist(RunConfig())
     assert set(verified.values()) == {2}
     assert second.to_json() == first.to_json()
+
+
+def test_broken_table_entry_fails_once_per_odd_field(monkeypatch, default_report):
+    broken = tuple((name, "y" if name == "w" else image)
+                   for name, image in tables.SIGMA_ODD)
+    monkeypatch.setattr(tables, "SIGMA_ODD", broken)
+    rep = run_checklist(RunConfig())
+    by_id = {c.id: c for c in rep.checks}
+    assert by_id["SIGMA-TABLE"].verdict == FAIL
+    assert by_id["SIGMA-TABLE"].details == [
+        f"{name}: mismatch at w" for name in ("Q", "Q(i)", "F3", "F5")]
+    assert {c.id: c.verdict for c in rep.checks if c.id != "SIGMA-TABLE"} == {
+        c.id: c.verdict for c in default_report.checks if c.id != "SIGMA-TABLE"}
+
+
+def test_one_failing_field_outweighs_fields_that_verified_nothing(monkeypatch):
+    # F5 has a square root of -1; hiding its known point makes the point the
+    # search finds unexpected, while F1009 is too large to search at all
+    real = conic.known_point
+    monkeypatch.setattr(conic, "known_point",
+                        lambda f: None if f.name == "F5" else real(f))
+    res = run_checklist(RunConfig(fields=("F5", "F1009")),
+                        only={"ISO-SEARCH"}).checks[0]
+    assert res.verdict == FAIL
+    assert res.details == [
+        "F5: first zero up to degree 2 is (0 : 2 : 1)",
+        "F1009: not searched (degree 0 already exceeds the budget)"]
+
+
+def test_skipped_main_b_verdict_states_only_the_skip_reason():
+    res = run_checklist(RunConfig(fields=("F2",)), only={"MAIN-B-VERDICT"}).checks[0]
+    assert res.verdict == SKIPPED
+    assert res.details == ["no field of characteristic != 2 selected"]

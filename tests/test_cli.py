@@ -82,10 +82,21 @@ def test_check_identity_unknown_name_exits_2(capsys, lhs, rhs):
 
 
 def test_check_identity_parse_error(capsys):
-    code = main(["check-identity", "--field", "Q",
-                 "--lhs", "u +", "--rhs", "t"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    for lhs, pos in (("u +", 3), ("", 0), ("x1 +", 4)):
+        assert main(["check-identity", "--field", "Q", "--lhs", lhs, "--rhs", "t"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unexpected end of expression (position {pos})\n"
+        assert captured.out == ""
+
+
+def test_check_identity_denominator_vanishing_after_substitution(capsys):
+    # u - w/y parses in the scope ring (u is a variable there) but is 0 in x1..x4
+    assert main(["check-identity", "--field", "Q",
+                 "--lhs", "1/(u - w/y)", "--rhs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: '1/(u - w/y)': a denominator vanishes in "
+                            "k(x1..x4) once the derived names are substituted\n")
+    assert captured.out == ""
 
 
 def test_check_identity_mixed_scope(capsys):
@@ -183,7 +194,8 @@ def test_stabilizer_validation_errors(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["stabilizer", "--field", "F7",
                  "--points", "0,1,2,x"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --points: 'x' is not an integer or 'inf'\n")
 
 
 @pytest.mark.parametrize("samples", ["-1", "0"])

@@ -44,8 +44,10 @@ def test_power_requires_natural_exponent(points):
 
 
 def test_syntax_errors_carry_positions(points):
-    with pytest.raises(ParseError, match=r"position 4"):
-        parse_expression("x1 +", points)
+    for text, pos in (("", 0), ("  ", 2), ("x1 +", 4), ("(x1 *", 5)):
+        with pytest.raises(ParseError, match=rf"^unexpected end of expression "
+                                             rf"\(position {pos}\)$"):
+            parse_expression(text, points)
     with pytest.raises(ParseError, match=r"position \d+"):
         parse_expression("(x1", points)
     with pytest.raises(ParseError, match=r"unexpected character '@' \(position 3\)"):
