@@ -40,8 +40,11 @@ def _cmd_run(args) -> int:
     report = run_checklist(config, only=only)
     doc = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(doc)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(doc)
+        except OSError as exc:
+            raise XratioError(f"--out: cannot write {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(doc)
     return report.exit_code

@@ -1,7 +1,10 @@
 """Ternary quadratic forms over k(x): points, isotropy, parametrization.
 
 A :class:`TernaryForm` is a quadratic form in coordinates (Y, Z, W) with six
-coefficients in a rational function field k(x).  Two families matter here:
+coefficients in the polynomial ring k[x], and a :class:`ProjPoint2` is a
+polynomial triple.  Nothing is lost over k(x): scaling a form by a nonzero
+element keeps its conic, and every k(x)-point scales to a polynomial triple.
+Two families matter here:
 
 * odd/zero characteristic:  Y^2 - x*Z^2 - x*W^2
 * characteristic 2:         Z^2 + Z*W + Y*W + x*W^2
@@ -27,8 +30,9 @@ works on raw coefficient payloads (:mod:`.fields`), reduced once per compared
 value, and builds field elements only for the point it returns.
 
 :func:`parametrize` builds the standard line-pencil parametrization through
-a given point and verifies, symbolically and before returning, that the
-forward map lands on the conic and that the inverse recovers the parameter.
+a given point, homogeneously in k[x, s], and verifies, symbolically and
+before returning, that the forward map lands on the conic and that the
+inverse (the one rational map here) recovers the parameter.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from itertools import product
 
 from .fields import Field, FieldElement, XratioError
 from .poly import MultiPoly, Ring
-from .ratfunc import CharacteristicError, RatFunc, rat, rvar
+from .ratfunc import CharacteristicError, RatFunc, rat
 
 
 class DegenerateConicError(XratioError):
@@ -61,8 +65,7 @@ _PAIRS = (("Y", "Y"), ("Z", "Z"), ("W", "W"), ("Y", "Z"), ("Y", "W"), ("Z", "W")
 
 def _clear_denominators(rfs) -> list:
     """Each numerator times every other denominator: the same projective
-    point (or the same zero set, for form coefficients) with polynomial
-    entries."""
+    point with polynomial entries."""
     dens = [f.den for f in rfs]
     out = []
     for k, f in enumerate(rfs):
@@ -87,15 +90,28 @@ def _strip_monomial_content(polys) -> list:
     return polys
 
 
+def _poly(ring: Ring, c, what: str) -> MultiPoly:
+    """An int, a scalar or a polynomial of `ring`, as a polynomial of `ring`."""
+    if isinstance(c, MultiPoly) and c.ring == ring:
+        return c
+    if isinstance(c, (int, FieldElement)):
+        return ring.const(c)
+    raise XratioError(f"{what} must be a polynomial of {ring!r}, not {c!r}")
+
+
 class ProjPoint2:
-    """Point of P^2 over a fraction field: a nonzero coordinate triple."""
+    """Point of P^2 over k(x): a nonzero triple of polynomials in k[x].
+    Rational input is scaled by its denominators (the same point)."""
 
     __slots__ = ("ring", "coords")
 
     def __init__(self, ring: Ring, coords):
-        coords = tuple(rat(ring, c) for c in coords)
+        coords = tuple(coords)
         if len(coords) != 3:
             raise XratioError("a plane point needs exactly 3 coordinates")
+        if any(isinstance(c, RatFunc) for c in coords):
+            coords = _clear_denominators([rat(ring, c) for c in coords])
+        coords = tuple(_poly(ring, c, "a point coordinate") for c in coords)
         if all(c.is_zero() for c in coords):
             raise XratioError("(0 : 0 : 0) is not a projective point")
         self.ring = ring
@@ -117,36 +133,34 @@ class ProjPoint2:
 
 
 class TernaryForm:
-    """Quadratic form c_YY Y^2 + c_ZZ Z^2 + c_WW W^2 + c_YZ YZ + c_YW YW + c_ZW ZW."""
+    """Quadratic form c_YY Y^2 + c_ZZ Z^2 + c_WW W^2 + c_YZ YZ + c_YW YW + c_ZW ZW.
+
+    Coefficients are ints, scalars or polynomials of `ring` (k[x]).  A
+    rational one is refused; scaling by its denominator keeps the conic."""
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: Ring, coeffs: dict):
         self.ring = ring
-        fixed = {}
-        for pair in _PAIRS:
-            c = coeffs.get(pair, 0)
-            fixed[pair] = rat(ring, c)
-        self.coeffs = fixed
+        self.coeffs = {pair: _poly(ring, coeffs.get(pair, 0), "coefficient " + "".join(pair))
+                       for pair in _PAIRS}
 
-    def coeff(self, a: str, b: str) -> RatFunc:
+    def coeff(self, a: str, b: str) -> MultiPoly:
         key = (a, b) if (a, b) in self.coeffs else (b, a)
         return self.coeffs[key]
 
-    def eval_at(self, Y, Z, W, target_ring: Ring) -> RatFunc:
-        """Plug in coordinates from `target_ring`, a ring containing this
-        form's variables."""
-        vals = {"Y": rat(target_ring, Y), "Z": rat(target_ring, Z), "W": rat(target_ring, W)}
-        acc = rat(target_ring, 0)
+    def eval_at(self, Y, Z, W, target_ring: Ring) -> MultiPoly:
+        """Plug in coordinates: ints, scalars or polynomials of
+        `target_ring`, a ring containing this form's variables."""
+        vals = {"Y": Y, "Z": Z, "W": W}
+        acc = target_ring.zero
         for (a, b), c in self.coeffs.items():
-            if c.is_zero():
-                continue
-            acc = acc + c.embed(target_ring) * vals[a] * vals[b]
+            if c.terms:
+                acc = acc + c.embed(target_ring) * vals[a] * vals[b]
         return acc
 
     def is_point(self, p: ProjPoint2) -> bool:
-        y, z, w = p.coords
-        return self.eval_at(y, z, w, p.ring).is_zero()
+        return self.eval_at(*p.coords, p.ring).is_zero()
 
     def is_smooth(self) -> bool:
         """Absolute irreducibility of the conic, any characteristic.
@@ -164,10 +178,7 @@ class TernaryForm:
                 return False
             rad = a * f * f + b * e * e + c * d * d + d * e * f
             return not rad.is_zero()
-        two = rat(self.ring, 2)
-        det = (two * a * (two * b * two * c - f * f)
-               - d * (d * two * c - f * e)
-               + e * (d * f - two * b * e))
+        det = 2 * a * (4 * b * c - f * f) - d * (2 * d * c - f * e) + e * (d * f - 2 * b * e)
         return not det.is_zero()
 
     def __str__(self):
@@ -176,7 +187,7 @@ class TernaryForm:
             if c.is_zero():
                 continue
             mono = f"{a}^2" if a == b else f"{a}*{b}"
-            if c == rat(self.ring, 1):
+            if c == 1:
                 parts.append(mono)
             else:
                 parts.append(f"({c})*{mono}")
@@ -196,9 +207,8 @@ def standard_form(field: Field) -> TernaryForm:
     if field.characteristic == 2:
         raise CharacteristicError("this family lives in characteristic != 2")
     ring = base_ring(field)
-    x = rvar(ring, "x")
-    one = rat(ring, 1)
-    return TernaryForm(ring, {("Y", "Y"): one, ("Z", "Z"): -x, ("W", "W"): -x})
+    x = ring.var("x")
+    return TernaryForm(ring, {("Y", "Y"): 1, ("Z", "Z"): -x, ("W", "W"): -x})
 
 
 def char2_form(field: Field) -> TernaryForm:
@@ -206,10 +216,8 @@ def char2_form(field: Field) -> TernaryForm:
     if field.characteristic != 2:
         raise CharacteristicError("this family lives in characteristic 2")
     ring = base_ring(field)
-    x = rvar(ring, "x")
-    one = rat(ring, 1)
-    return TernaryForm(ring, {("Z", "Z"): one, ("Z", "W"): one,
-                              ("Y", "W"): one, ("W", "W"): x})
+    return TernaryForm(ring, {("Z", "Z"): 1, ("Z", "W"): 1,
+                              ("Y", "W"): 1, ("W", "W"): ring.var("x")})
 
 
 def criterion_form(field: Field) -> TernaryForm:
@@ -221,7 +229,7 @@ def known_point(field: Field):
     characteristic 2, (0 : s : 1) for a square root s of -1 otherwise."""
     if field.characteristic == 2:
         form = char2_form(field)
-        return form, ProjPoint2(form.ring, (rvar(form.ring, "x"), 1, 1))
+        return form, ProjPoint2(form.ring, (form.ring.var("x"), 1, 1))
     s = field.sqrt_minus_one()
     if s is None:
         return None
@@ -230,27 +238,23 @@ def known_point(field: Field):
 
 
 def form_from_text(field: Field, text: str) -> TernaryForm:
-    """Parse e.g. 'Y^2 - x*Z^2 - x*W^2' (reserved names Y, Z, W, x)."""
+    """Parse e.g. 'Y^2 - x*Z^2 - x*W^2' (reserved names Y, Z, W, x).
+
+    An x-only denominator is dropped: it scales the form, not its conic.
+    """
     from .exprparse import parse_expression
 
-    ring4 = Ring(field, ("x", "Y", "Z", "W"))
-    f = parse_expression(text, ring4)
-    den = f.den
-    if any(den.degree_in(v) for v in ("Y", "Z", "W")):
+    f = parse_expression(text, Ring(field, ("x", "Y", "Z", "W")))
+    if any(f.den.degree_in(v) for v in ("Y", "Z", "W")):
         raise XratioError("form denominator must not involve Y, Z, W")
-    ring1 = base_ring(field)
-    coeffs = {}
-    for exps, c in f.num.terms.items():
-        ex, ey, ez, ew = exps
+    terms = {}  # pair -> {(x exponent,): payload}; distinct terms never collide
+    for (ex, ey, ez, ew), c in f.num.terms.items():
         if ey + ez + ew != 2:
             raise XratioError("form must be homogeneous of degree 2 in Y, Z, W")
         names = "Y" * ey + "Z" * ez + "W" * ew
-        pair = (names[0], names[1])
-        mono = MultiPoly(ring1, {(ex,): c})
-        prev = coeffs.get(pair)
-        coeffs[pair] = mono if prev is None else prev + mono
-    den1 = den.substitute({}, ring1)
-    return TernaryForm(ring1, {p: RatFunc(ring1, c, den1) for p, c in coeffs.items()})
+        terms.setdefault((names[0], names[1]), {})[(ex,)] = c
+    ring = base_ring(field)
+    return TernaryForm(ring, {p: MultiPoly(ring, t) for p, t in terms.items()})
 
 
 # -- isotropy decision ------------------------------------------------------
@@ -430,10 +434,8 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
                                 f"triples exceed the budget {SEARCH_BUDGET}")
     n_polys = field.order ** (degree_bound + 1)
 
-    # clear denominators once; scaling by a nonzero element of k(x) keeps zeros
-    cleared = dict(zip(form.coeffs, _clear_denominators(list(form.coeffs.values()))))
-    maxdeg = max(0, *(p.total_degree() for p in cleared.values()))
-    cl = {pair: [c.v for c in _coeff_list(p, maxdeg)] for pair, p in cleared.items()}
+    maxdeg = max(0, *(p.total_degree() for p in form.coeffs.values()))
+    cl = {pair: [c.v for c in _coeff_list(p, maxdeg)] for pair, p in form.coeffs.items()}
 
     # only key() reduces: reduction mod p commutes with raw sums and products
     add, mul, neg, reduce = field.raw_add, field.raw_mul, field.raw_neg, field.reduce
@@ -506,12 +508,6 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
 # -- parametrization --------------------------------------------------------
 
 
-_CHART_ORDER = ("W", "Z", "Y")
-_COORD_INDEX = {"Y": 0, "Z": 1, "W": 2}
-# (U, V, C) index triples per chart: C is the chart coordinate
-_CHART_ROLES = {"W": (0, 1, 2), "Z": (0, 2, 1), "Y": (1, 2, 0)}
-
-
 class ParametrizationMap:
     """Line-pencil parametrization of a smooth conic through a known point.
 
@@ -554,66 +550,48 @@ class ParametrizationMap:
 
 
 def parametrize(form: TernaryForm, point: ProjPoint2) -> ParametrizationMap:
-    """Parametrize a smooth conic by lines through `point`.
+    """Parametrize a smooth conic q by lines through `point` P.
 
-    Chart selection order W, Z, Y (first with a nonzero coordinate of the
-    base point).  Both defining identities are verified symbolically before
-    returning: the form vanishes on the forward map, and the inverse
-    composed with the forward map is the parameter.
+    The chart coordinate C is the first of W, Z, Y where P is nonzero; U, V
+    are the other two.  Since q(P + tD) = q(P) + t B(P, D) + t^2 q(D) with
+    q(P) = 0 and B(P, D) = q(P + D) - q(P) - q(D) the polar form, the line
+    through P in direction D = (1, s, 0) in (U, V, C) coordinates meets the
+    conic again at q(D) P - B(P, D) D: the forward map, in k[x, s], with its
+    shared monomial content stripped.  The inverse sends the chart point
+    (u, v) = (U/C, V/C) to the slope (pC v - pV)/(pC u - pU).  Both identities
+    are verified symbolically before returning: the form vanishes on the
+    forward map, and the inverse composed with the forward map is s.
     """
     if not form.is_smooth():
         raise DegenerateConicError("the form is not a smooth conic")
     if not form.is_point(point):
         raise XratioError("base point does not lie on the conic")
-    chart = next((c for c in _CHART_ORDER
-                  if not point.coords[_COORD_INDEX[c]].is_zero()), None)
-    iu, iv, ic = _CHART_ROLES[chart]
-    names = ("Y", "Z", "W")
-    base = form.ring
-
-    u0 = point.coords[iu] / point.coords[ic]
-    v0 = point.coords[iv] / point.coords[ic]
-    cUU = form.coeff(names[iu], names[iu])
-    cVV = form.coeff(names[iv], names[iv])
-    cCC = form.coeff(names[ic], names[ic])
-    cUV = form.coeff(names[iu], names[iv])
-    cUC = form.coeff(names[iu], names[ic])
-    cVC = form.coeff(names[iv], names[ic])
+    ic = next(k for k in (2, 1, 0) if not point.coords[k].is_zero())
+    iu, iv = (k for k in range(3) if k != ic)
+    chart, base = "YZW"[ic], form.ring
 
     pring = Ring(base.field, base.variables + ("s",))
-    s = rvar(pring, "s")
-    em = lambda f: f.embed(pring)
-    u0e, v0e = em(u0), em(v0)
-    # second-intersection data for the line (u, v) = (u0 + r, v0 + s r)
-    P = (em(cUU) * 2 * u0e + em(cUV) * v0e + em(cUC)
-         + s * (em(cVV) * 2 * v0e + em(cUV) * u0e + em(cVC)))
-    Q = em(cUU) + em(cUV) * s + em(cVV) * s * s
-    if Q.is_zero():
+    P = [c.embed(pring) for c in point.coords]
+    D = [0, 0, 0]
+    D[iu], D[iv] = 1, pring.var("s")
+    qD = form.eval_at(*D, pring)
+    if qD.is_zero():
         raise DegenerateConicError("pencil quadratic term vanishes identically")
-    if P.is_zero():
+    B = form.eval_at(*(p + d for p, d in zip(P, D)), pring) - qD  # q(P) = 0
+    if B.is_zero():
         raise DegenerateConicError("base point is singular on the conic")
-
-    Fu = u0e * Q - P
-    Fv = v0e * Q - s * P
-    Fc = Q
-    forward = [None, None, None]
-    forward[iu], forward[iv], forward[ic] = _strip_monomial_content(
-        _clear_denominators([Fu, Fv, Fc]))
-
-    on_conic = form.eval_at(rat(pring, forward[0]), rat(pring, forward[1]),
-                            rat(pring, forward[2]), pring)
-    if not on_conic.is_zero():
+    forward = _strip_monomial_content([qD * p - B * d for p, d in zip(P, D)])
+    if not form.eval_at(*forward, pring).is_zero():
         raise VerificationError("forward map does not land on the conic")
 
-    n1 = f"{names[iu]}_over_{chart}"
-    n2 = f"{names[iv]}_over_{chart}"
+    n1, n2 = (f"{'YZW'[k]}_over_{chart}" for k in (iu, iv))
     cring = Ring(base.field, base.variables + (n1, n2))
-    uvar, vvar = rvar(cring, n1), rvar(cring, n2)
-    inverse = (vvar - v0.embed(cring)) / (uvar - u0.embed(cring))
+    pu, pv, pc = (point.coords[k].embed(cring) for k in (iu, iv, ic))
+    inverse = RatFunc(cring, pc * cring.var(n2) - pv, pc * cring.var(n1) - pu)
 
-    fc = rat(pring, forward[ic])
-    subst = {n1: rat(pring, forward[iu]) / fc, n2: rat(pring, forward[iv]) / fc}
-    if not (inverse.substitute(subst, pring) == s):
+    subst = {n1: RatFunc(pring, forward[iu], forward[ic]),
+             n2: RatFunc(pring, forward[iv], forward[ic])}
+    if not (inverse.substitute(subst, pring) == pring.var("s")):
         raise VerificationError("inverse does not recover the parameter")
 
     return ParametrizationMap(form, point, chart, pring, forward,

@@ -347,20 +347,21 @@ def substitute_cleared(polys, images: dict, target: Ring) -> list:
     target ring, d_v None (or one) for a polynomial image.  p(..) = N/D with
     D = prod d_v^deg_v(p), and each term is multiplied by d_v^(deg_v - e_v),
     so no rational arithmetic happens.  Each power n_v^k, d_v^r is built once
-    per call, and each N accumulates its terms into one dict, reduced once per
-    monomial at the end.
+    per call, by repeated squaring, so a huge exponent costs its logarithm;
+    each N accumulates its terms into one dict, reduced once per monomial at
+    the end.
     """
     field = target.field
     add, mul = field.raw_add, field.raw_mul
     one = target.one
-    powers = {}  # (variable, 0 for n_v / 1 for d_v) -> [base, base^2, ...]
+    powers = {}  # (variable, 0 for n_v / 1 for d_v, k) -> that image to the k-th power
     dens = {v: d is not None and not d == one for v, (_, d) in images.items()}
 
     def power(v, which, k):
-        seq = powers.setdefault((v, which), [images[v][which]])
-        while len(seq) < k:
-            seq.append(seq[-1] * seq[0])
-        return seq[k - 1]
+        key = (v, which, k)
+        if key not in powers:
+            powers[key] = images[v][which] ** k
+        return powers[key]
 
     out = []
     for p in polys:

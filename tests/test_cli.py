@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from xratio import cli
+from xratio import cli, poly
 from xratio.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -324,3 +324,27 @@ def test_run_json_matches_golden_report(tmp_path, golden, argv):
     out = tmp_path / "report.json"
     main(["run", "--format", "json", "--out", str(out)] + argv)
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("target", ["missing/report.txt", "."])
+def test_run_out_to_an_unwritable_path_exits_2(capsys, tmp_path, target):
+    path = str(tmp_path / target)
+    assert main(["run", "--checks", "SPLIT", "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out: cannot write {path!r}: ")
+
+
+def test_check_identity_big_exponent_squares_its_powers(capsys, monkeypatch):
+    calls = 0
+    real = poly.MultiPoly.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return real(self, other)
+
+    monkeypatch.setattr(poly.MultiPoly, "__mul__", counting)
+    assert main(["check-identity", "--field", "Q",
+                 "--lhs", "x1^100000", "--rhs", "x1^100000"]) == 0
+    assert "EQUAL over Q" in capsys.readouterr().out
+    assert calls < 1000

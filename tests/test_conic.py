@@ -4,24 +4,24 @@ from itertools import product
 import pytest
 
 from xratio.conic import (SEARCH_BUDGET, DegenerateConicError, ProjPoint2,
-                          SearchBudgetError, TernaryForm, _clear_denominators,
-                          _coeff_list, bounded_point_search, char2_form,
+                          SearchBudgetError, TernaryForm, _coeff_list,
+                          bounded_point_search, char2_form,
                           criterion_form, decide_isotropy, form_from_text,
                           known_point, parametrize, searchable_degree,
                           standard_form, tail_remainder)
 from xratio.exprparse import parse_expression
 from xratio.fields import XratioError, field_by_name, prime_field, rationals
-from xratio.poly import Ring
-from xratio.ratfunc import CharacteristicError, rat, rf_eq, rvar
+from xratio.poly import MultiPoly, Ring
+from xratio.ratfunc import CharacteristicError, RatFunc, rf_eq, rvar
 
 
 def test_standard_form_structure():
     form = standard_form(rationals())
-    x = rvar(form.ring, "x")
-    assert rf_eq(form.coeff("Y", "Y"), 1)
-    assert rf_eq(form.coeff("Z", "Z"), -x)
-    assert rf_eq(form.coeff("W", "W"), -x)
-    assert rf_eq(form.coeff("Y", "Z"), 0)
+    x = form.ring.var("x")
+    assert form.coeff("Y", "Y") == 1
+    assert form.coeff("Z", "Z") == -x
+    assert form.coeff("W", "W") == -x
+    assert form.coeff("Y", "Z") == 0
     assert form.is_smooth()
     with pytest.raises(CharacteristicError):
         standard_form(prime_field(2))
@@ -43,12 +43,10 @@ def test_criterion_form_dispatch():
 
 def test_degenerate_forms_are_not_smooth():
     ring = Ring(rationals(), ("x",))
-    x = rat(ring, ring.var("x"))
-    rank2 = TernaryForm(ring, {("Y", "Y"): rat(ring, 1), ("Z", "Z"): -x})
+    rank2 = TernaryForm(ring, {("Y", "Y"): 1, ("Z", "Z"): -ring.var("x")})
     assert not rank2.is_smooth()
     ring2 = Ring(prime_field(2), ("x",))
-    x2 = rat(ring2, ring2.var("x"))
-    no_cross = TernaryForm(ring2, {("Z", "Z"): rat(ring2, 1), ("W", "W"): x2})
+    no_cross = TernaryForm(ring2, {("Z", "Z"): 1, ("W", "W"): ring2.var("x")})
     assert not no_cross.is_smooth()
 
 
@@ -104,9 +102,8 @@ def test_bounded_search_frozen_results(name, degree, expected):
 def _reference_search(form, degree_bound):
     """The plain triple loop over (W, Z, Y): the search's defining order."""
     field = form.ring.field
-    cleared = dict(zip(form.coeffs, _clear_denominators(list(form.coeffs.values()))))
-    maxdeg = max(0, *(p.total_degree() for p in cleared.values()))
-    cl = {pair: _coeff_list(p, maxdeg) for pair, p in cleared.items()}
+    maxdeg = max(0, *(p.total_degree() for p in form.coeffs.values()))
+    cl = {pair: _coeff_list(p, maxdeg) for pair, p in form.coeffs.items()}
 
     zero = field.zero
     elems = list(field.elements())
@@ -342,9 +339,9 @@ def test_known_point(name):
     assert form.is_point(point)
     if field.characteristic == 2:
         assert form.coeffs.keys() == char2_form(field).coeffs.keys()
-        expected = (rvar(form.ring, "x"), 1, 1)
+        expected = (form.ring.var("x"), 1, 1)
     else:
-        assert rf_eq(form.coeff("Z", "Z"), -rvar(form.ring, "x"))
+        assert form.coeff("Z", "Z") == -form.ring.var("x")
         expected = (0, s, 1)
     assert point.same_point(ProjPoint2(form.ring, expected))
 
@@ -392,8 +389,7 @@ def test_parametrize_rejects_bad_inputs():
     with pytest.raises(XratioError, match="does not lie"):
         parametrize(form, off)
     ring = form.ring
-    rank2 = TernaryForm(ring, {("Y", "Y"): rat(ring, 1),
-                               ("Z", "Z"): rat(ring, -1)})
+    rank2 = TernaryForm(ring, {("Y", "Y"): 1, ("Z", "Z"): -1})
     with pytest.raises(DegenerateConicError):
         parametrize(rank2, ProjPoint2(ring, (1, 1, 0)))
 
@@ -407,7 +403,48 @@ def test_parametrize_inverse_recovers_parameter():
     q = f5
     for k in (1, 2, 3, 4):
         pt = pm.point_at(q.from_int(k))
-        y, z, w = pt.coords
         x_val = q.from_int(3)
-        chart = {n1: (y / w).eval({"x": x_val}), n2: (z / w).eval({"x": x_val})}
+        y, z, w = (c.eval({"x": x_val}) for c in pt.coords)
+        chart = {n1: y / w, n2: z / w}
         assert pm.inverse.eval({**chart, "x": x_val}) == q.from_int(k)
+
+
+def test_form_coefficients_must_be_polynomials():
+    ring = standard_form(rationals()).ring
+    x = rvar(ring, "x")
+    with pytest.raises(XratioError, match="coefficient ZZ"):
+        TernaryForm(ring, {("Y", "Y"): 1, ("Z", "Z"): -x})
+
+
+def test_form_from_text_drops_an_x_only_denominator():
+    form = form_from_text(rationals(), "Y^2/x + Y*W - Z^2")
+    x = form.ring.var("x")
+    assert form.coeff("Y", "Y") == 1
+    assert form.coeff("Y", "W") == x and form.coeff("Z", "Z") == -x
+
+
+def test_rational_point_scales_to_polynomial_coordinates():
+    qi = field_by_name("Q(i)")
+    form = standard_form(qi)
+    coords = [parse_expression(t, form.ring) for t in ("0", "i/x", "1/x")]
+    assert all(isinstance(c, RatFunc) for c in coords)
+    point = ProjPoint2(form.ring, coords)
+    assert all(isinstance(c, MultiPoly) for c in point.coords)
+    plain = ProjPoint2(form.ring, (0, qi.sqrt_minus_one(), 1))
+    assert point.same_point(plain)
+    scaled, direct = parametrize(form, point), parametrize(form, plain)
+    assert [str(p) for p in scaled.forward] == [str(p) for p in direct.forward]
+    assert str(scaled.inverse) == str(direct.inverse)
+
+
+def test_parametrize_from_a_rescaled_point():
+    f5 = prime_field(5)
+    form = standard_form(f5)
+    scaled = parametrize(form, ProjPoint2(form.ring, (0, 4, 2)))
+    direct = parametrize(form, ProjPoint2(form.ring, (0, 2, 1)))
+    c = scaled.forward[2].leading()[1] / direct.forward[2].leading()[1]
+    assert not c.is_zero()
+    assert list(scaled.forward) == [p * c for p in direct.forward]
+    assert str(scaled.inverse) == str(direct.inverse)
+    for v in f5.elements():
+        assert form.is_point(scaled.point_at(v))
