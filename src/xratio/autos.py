@@ -2,10 +2,13 @@
 
 An :class:`Automorphism` stores one RatFunc image per ring variable and acts
 on rational functions by substitution, which is automatically a field
-homomorphism fixing k.  Nothing at construction time guarantees the map is
-invertible; :meth:`Automorphism.order` verifies finite order semantically
-(composing until the identity, bounded), and a non-invertible image map
-fails that verification instead of being rejected up front.
+homomorphism fixing k.  A renaming, whose images are distinct bare variables
+(every permutation action), is detected once at construction and applied by
+permuting exponent tuples instead: the same map, with no products.  Nothing
+at construction time guarantees the map is invertible;
+:meth:`Automorphism.order` verifies finite order semantically (composing
+until the identity, bounded), and a non-invertible image map fails that
+verification instead of being rejected up front.
 
 Composition is (s*t)(f) = s(t(f)), so the images of s*t are s applied to
 the images of t.  With the permutation convention p: v_k -> v_{p(k)} the map
@@ -29,7 +32,7 @@ class OrderBoundError(XratioError):
 class Automorphism:
     """Substitution endomorphism of the fraction field of `ring`."""
 
-    __slots__ = ("ring", "images")
+    __slots__ = ("ring", "images", "_src")
 
     def __init__(self, ring: Ring, images: dict):
         missing = [v for v in ring.variables if v not in images]
@@ -37,9 +40,14 @@ class Automorphism:
             raise XratioError(f"no image given for variables {missing}")
         self.ring = ring
         self.images = {v: rat(ring, images[v]) for v in ring.variables}
+        self._src = _renaming_sources(ring, self.images)
 
     def apply(self, f) -> RatFunc:
-        return rat(self.ring, f).substitute(self.images)
+        f = rat(self.ring, f)
+        if self._src is None:
+            return f.substitute(self.images)
+        # a renaming is a bijection of monomials: no denominator can vanish
+        return RatFunc(self.ring, f.num.permute(self._src), f.den.permute(self._src))
 
     __call__ = apply
 
@@ -79,6 +87,22 @@ class Automorphism:
         return f"Automorphism({body})"
 
 
+def _renaming_sources(ring: Ring, images: dict):
+    """The source slot of each target slot when every image is a distinct bare
+    variable (coefficient one, denominator one), else None."""
+    src = [None] * len(ring.variables)
+    for i, v in enumerate(ring.variables):
+        g = images[v]
+        if len(g.num.terms) != 1 or not g.den == ring.one:
+            return None
+        (e, c), = g.num.terms.items()
+        j = e.index(1) if sum(e) == 1 else None
+        if c != ring.field.raw_one or j is None or src[j] is not None:
+            return None
+        src[j] = i
+    return tuple(src)
+
+
 def identity_automorphism(ring: Ring) -> Automorphism:
     return Automorphism(ring, {v: rvar(ring, v) for v in ring.variables})
 
@@ -90,10 +114,8 @@ def perm_automorphism(ring: Ring, p: Perm, point_vars=None) -> Automorphism:
     is the p(k)-th listed variable.
     """
     point_vars = list(point_vars if point_vars is not None else ring.variables)
-    images = {v: rvar(ring, v) for v in ring.variables}
-    for k, v in enumerate(point_vars, start=1):
-        images[v] = rvar(ring, point_vars[p(k) - 1])
-    return Automorphism(ring, images)
+    moved = {v: point_vars[p(k) - 1] for k, v in enumerate(point_vars, start=1)}
+    return Automorphism(ring, {v: rvar(ring, moved.get(v, v)) for v in ring.variables})
 
 
 def moebius_automorphism(ring: Ring, a, b, c, d, on=None) -> Automorphism:

@@ -136,13 +136,24 @@ class TernaryForm:
     """Quadratic form c_YY Y^2 + c_ZZ Z^2 + c_WW W^2 + c_YZ YZ + c_YW YW + c_ZW ZW.
 
     Coefficients are ints, scalars or polynomials of `ring` (k[x]).  A
-    rational one is refused; scaling by its denominator keeps the conic."""
+    rational one is refused; scaling by its denominator keeps the conic.  A
+    cross term may be keyed in either order, ("Z", "Y") for ("Y", "Z"); an
+    unknown key or a pair given in both orders is refused."""
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: Ring, coeffs: dict):
+        given = {}
+        for key, c in coeffs.items():
+            pair = key[::-1] if isinstance(key, tuple) and key not in _PAIRS else key
+            if pair not in _PAIRS:
+                raise XratioError(f"unknown coefficient key {key!r}: "
+                                  "expected a pair of 'Y', 'Z', 'W'")
+            if pair in given:
+                raise XratioError(f"coefficient key {key!r} is also given as {pair!r}")
+            given[pair] = c
         self.ring = ring
-        self.coeffs = {pair: _poly(ring, coeffs.get(pair, 0), "coefficient " + "".join(pair))
+        self.coeffs = {pair: _poly(ring, given.get(pair, 0), "coefficient " + "".join(pair))
                        for pair in _PAIRS}
 
     def coeff(self, a: str, b: str) -> MultiPoly:

@@ -13,9 +13,11 @@ edges: ``Ring.const``/``Ring.poly`` take ints or elements of the ring's own
 field (another field raises :class:`FieldMismatchError`), and ``eval``,
 ``constant_value``, ``leading`` and ``coefficients`` return elements.
 :func:`substitute_cleared` is the one substitution loop, shared with
-:mod:`.ratfunc`.  The canonical term order (serialization, leading term) is
-graded lexicographic: higher total degree first, then lexicographic on the
-exponent tuple in ring variable order.
+:mod:`.ratfunc`; a renaming of the variables needs no products and is
+:meth:`MultiPoly.permute`, which only reorders exponent tuples.  The
+canonical term order (serialization, leading term) is graded lexicographic:
+higher total degree first, then lexicographic on the exponent tuple in ring
+variable order.
 
 A :class:`MultiPoly` is never mutated, so an operation may return an operand
 itself (a product by one, an embedding into the polynomial's own ring).
@@ -24,7 +26,7 @@ Operands must share a ring; mixing rings raises :class:`RingMismatchError`.
 
 from __future__ import annotations
 
-from operator import add as _iadd, sub as _isub
+from operator import add as _iadd, itemgetter, sub as _isub
 
 from .fields import Field, FieldElement, FieldMismatchError, XratioError
 
@@ -303,6 +305,15 @@ class MultiPoly:
             if k:
                 out[e[:idx] + (k - 1,) + e[idx + 1:]] = field.raw_mul(c, field.from_int(k).v)
         return MultiPoly(self.ring, _canonical(field, out))
+
+    def permute(self, src) -> "MultiPoly":
+        """Rename the variables: slot j of each exponent tuple is taken from
+        slot src[j].  `src` is a permutation of the slots, so distinct terms
+        stay distinct and every coefficient is kept as it is."""
+        if all(i == j for j, i in enumerate(src)):
+            return self
+        pick = itemgetter(*src)  # at least two slots here, so pick returns tuples
+        return MultiPoly(self.ring, {pick(e): c for e, c in self.terms.items()})
 
     def embed(self, target_ring: Ring) -> "MultiPoly":
         """Rename-free embedding into a ring containing these variables."""

@@ -7,11 +7,13 @@ semantic, by cross-multiplication in the fraction field:
     n1/d1 == n2/d2   iff   n1*d2 == n2*d1   (exact polynomial identity)
 
 That identity is sound because polynomial rings over a field are integral
-domains.  Substitution clears denominators term by term (one
-:func:`.poly.substitute_cleared` call covers numerator and denominator),
-flags substitutions that make a denominator vanish identically, and
-evaluation at a point with a vanishing denominator is a pole error (the pair
-is unreduced, so a vanishing denominator is never silently "cancelled").
+domains.  Over one denominator it reduces to n1 == n2, since d is nonzero,
+so equal denominators are compared by their numerators alone.  Substitution
+clears denominators term by term (one :func:`.poly.substitute_cleared` call
+covers numerator and denominator), flags substitutions that make a
+denominator vanish identically, and evaluation at a point with a vanishing
+denominator is a pole error (the pair is unreduced, so a vanishing
+denominator is never silently "cancelled").
 
 Display applies an optional cosmetic normalization (strip common monomial
 content, make the denominator's leading coefficient 1); arithmetic never
@@ -123,6 +125,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.den == o.den:  # exact: a denominator is never zero
+            return self.num == o.num
         return self.num * o.den == o.num * self.den
 
     __hash__ = None

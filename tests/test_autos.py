@@ -1,11 +1,17 @@
+import random
+
 import pytest
 
 from xratio.autos import (Automorphism, OrderBoundError, identity_automorphism,
                           moebius_automorphism, perm_automorphism)
-from xratio.fields import XratioError, rationals
+from xratio.exprparse import parse_expression
+from xratio.fields import XratioError, field_by_name, rationals
 from xratio.perms import all_perms, parse_perm
 from xratio.poly import Ring
-from xratio.ratfunc import rf_eq, rvar, rvars
+from xratio.ratfunc import (DegenerateSubstitutionError, RatFunc, rf_eq, rvar,
+                            rvars)
+
+NINE_FIELDS = ("Q", "Q(i)", "F2", "F3", "F5", "F7", "F3(i)", "F7(i)", "F101")
 
 
 @pytest.fixture
@@ -85,3 +91,72 @@ def test_moebius_composition_reverses_matrix_order():
 def test_apply_accepts_polynomials(ring):
     s = perm_automorphism(ring, parse_perm("(1 2)"))
     assert rf_eq(s.apply(ring.var("x1")), rvar(ring, "x2"))
+
+
+@pytest.fixture
+def substitutions(monkeypatch):
+    """The rational functions RatFunc.substitute is called on, in order."""
+    calls = []
+    original = RatFunc.substitute
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatFunc, "substitute", counted)
+    return calls
+
+
+def _random_ratfunc(ring, rng):
+    def poly():
+        return ring.poly({tuple(rng.randrange(4) for _ in ring.variables):
+                          rng.randrange(-5, 6) for _ in range(rng.randrange(1, 5))})
+    den = poly()
+    while den.is_zero():
+        den = poly()
+    return RatFunc(ring, poly(), den)
+
+
+@pytest.mark.parametrize("name", NINE_FIELDS)
+def test_permutations_rename_like_the_substitution(name, substitutions):
+    ring = Ring(field_by_name(name), ("x1", "x2", "x3", "x4"))
+    rng = random.Random(f"renaming-{name}")
+    fs = [_random_ratfunc(ring, rng) for _ in range(5)]
+    for p in all_perms():
+        s = perm_automorphism(ring, p)
+        for f in fs:
+            expected = f.substitute(s.images)
+            substitutions.clear()
+            got = s.apply(f)
+            assert not substitutions
+            assert got.num == expected.num and got.den == expected.den
+
+
+def test_renaming_orientation_on_the_four_cycle(ring, substitutions):
+    s = perm_automorphism(ring, parse_perm("(1 2 3 4)"))
+    x1, x2, x3, x4 = ring.vars()
+    assert s.apply(x1).num == x2
+    got = s.apply(RatFunc(ring, 5 * x1 ** 3 * x2 * x4 ** 2 + x3, x2 * x3 ** 2))
+    assert got.num == 5 * x2 ** 3 * x3 * x1 ** 2 + x4
+    assert got.den == x3 * x4 ** 2
+    assert not substitutions
+
+
+@pytest.mark.parametrize("image", ["2*x1", "x1 + x2", "x2/x3", "x2"])
+def test_other_images_stay_on_the_substitution_path(ring, substitutions, image):
+    images = {v: rvar(ring, v) for v in ring.variables}
+    images["x1"] = parse_expression(image, ring)
+    s = Automorphism(ring, images)   # "x2": x1 -> x2, x2 -> x2 is not injective
+    x1, x2, x3, x4 = rvars(ring)
+    f = (x1 * x1 + x3) / (x2 + x4)
+    got = s.apply(f)
+    assert len(substitutions) == 1
+    assert rf_eq(got, f.substitute(images))
+
+
+def test_a_collapsing_image_map_still_finds_a_vanishing_denominator(ring):
+    x1, x2, _, _ = rvars(ring)
+    collapse = Automorphism(ring, {"x1": x2, "x2": x2, "x3": rvar(ring, "x3"),
+                                   "x4": rvar(ring, "x4")})
+    with pytest.raises(DegenerateSubstitutionError):
+        collapse.apply(1 / (x1 - x2))

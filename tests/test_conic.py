@@ -1,14 +1,15 @@
 import random
+import re
 from itertools import product
 
 import pytest
 
 from xratio.conic import (SEARCH_BUDGET, DegenerateConicError, ProjPoint2,
-                          SearchBudgetError, TernaryForm, _coeff_list,
-                          bounded_point_search, char2_form,
-                          criterion_form, decide_isotropy, form_from_text,
-                          known_point, parametrize, searchable_degree,
-                          standard_form, tail_remainder)
+                          SearchBudgetError, TernaryForm, base_ring,
+                          bounded_point_search, char2_form, criterion_form,
+                          decide_isotropy, form_from_text, known_point,
+                          parametrize, searchable_degree, standard_form,
+                          tail_remainder)
 from xratio.exprparse import parse_expression
 from xratio.fields import XratioError, field_by_name, prime_field, rationals
 from xratio.poly import MultiPoly, Ring
@@ -100,71 +101,76 @@ def test_bounded_search_frozen_results(name, degree, expected):
 
 
 def _reference_search(form, degree_bound):
-    """The plain triple loop over (W, Z, Y): the search's defining order."""
-    field = form.ring.field
-    maxdeg = max(0, *(p.total_degree() for p in form.coeffs.values()))
-    cl = {pair: _coeff_list(p, maxdeg) for pair, p in form.coeffs.items()}
+    """The plain triple loop over (W, Z, Y): the search's defining order.
 
-    zero = field.zero
-    elems = list(field.elements())
-    polys = [tuple(reversed(t)) for t in product(elems, repeat=degree_bound + 1)]
+    An oracle independent of the code it checks: it reads only the payloads
+    `.v` of the form's coefficients and does its own arithmetic, on ints mod
+    p, or over F_p(i) on its own (re, im) pairs with i^2 = -1.  It never calls
+    the field arithmetic of the package.  Each part of the form at a candidate
+    is a flat int list (re, im interleaved over F_p(i)) padded to one length,
+    so the candidate is a zero when every sum of entries is 0 mod p.
+    """
+    field = form.ring.field
+    p, pairs = field.characteristic, field.name.endswith("(i)")
+    if pairs:
+        scalars = [(a, b) for a in range(p) for b in range(p)]  # the search order
+        zero = (0, 0)
+
+        def add(a, b):
+            return (a[0] + b[0]) % p, (a[1] + b[1]) % p
+
+        def mul(a, b):
+            return (a[0] * b[0] - a[1] * b[1]) % p, (a[0] * b[1] + a[1] * b[0]) % p
+    else:
+        scalars, zero = range(p), 0
+
+        def add(a, b):
+            return (a + b) % p
+
+        def mul(a, b):
+            return a * b % p
+
+    maxdeg = max(0, *(c.total_degree() for c in form.coeffs.values()))
+    size = 2 * degree_bound + maxdeg + 1  # coefficients of any part of the form
 
     def lmul(a, b):
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
             for j, bj in enumerate(b):
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
+                out[i + j] = add(out[i + j], mul(ai, bj))
         return out
 
-    def ladd(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, bj in enumerate(b):
-            out[j] = out[j] + bj
-        return out
+    def flat(a):
+        a = a + [zero] * (size - len(a))
+        return [x for c in a for x in c] if pairs else a
 
-    def is_zero_list(a):
-        return all(x.is_zero() for x in a)
+    cl = {}
+    for pair, poly in form.coeffs.items():
+        cl[pair] = [zero] * (maxdeg + 1)
+        for (k,), c in poly.coefficients():
+            cl[pair][k] = c.v
+    polys = [list(reversed(t)) for t in product(scalars, repeat=degree_bound + 1)]
+    tY, tZ, tW = ([flat(lmul(cl[c, c], lmul(q, q))) for q in polys] for c in "YZW")
+    rows = {}
 
-    sq = [lmul(p, p) for p in polys]
-    tY = [lmul(cl[("Y", "Y")], s) for s in sq]
-    tZ = [lmul(cl[("Z", "Z")], s) for s in sq]
-    tW = [lmul(cl[("W", "W")], s) for s in sq]
-    cYZ, cYW, cZW = cl[("Y", "Z")], cl[("Y", "W")], cl[("Z", "W")]
-    use_cross = not (is_zero_list(cYZ) and is_zero_list(cYW) and is_zero_list(cZW))
-    memo = {}
+    def cross_row(pair, j):
+        """c_pair * Y * (polynomial j) for every Y, built on first use."""
+        if (pair, j) not in rows:
+            rows[pair, j] = [flat(lmul(cl[pair], lmul(q, polys[j]))) for q in polys]
+        return rows[pair, j]
 
-    def cross(i, j):
-        key = (i, j) if i <= j else (j, i)
-        v = memo.get(key)
-        if v is None:
-            v = lmul(polys[i], polys[j])
-            memo[key] = v
-        return v
-
-    rng_ = range(len(polys))
-    for iw in rng_:
-        pw = tW[iw]
-        for iz in rng_:
-            pzw = ladd(pw, tZ[iz])
-            if use_cross:
-                pzw = ladd(pzw, lmul(cZW, cross(iz, iw)))
-            for iy in rng_:
-                if iy == 0 and iz == 0 and iw == 0:
-                    continue
-                val = ladd(pzw, tY[iy])
-                if use_cross:
-                    val = ladd(val, lmul(cYZ, cross(iy, iz)))
-                    val = ladd(val, lmul(cYW, cross(iy, iw)))
-                if is_zero_list(val):
-                    coords = []
-                    for idx in (iy, iz, iw):
-                        terms = {(k,): c for k, c in enumerate(polys[idx])}
-                        coords.append(form.ring.poly(terms))
+    for iw, w in enumerate(polys):
+        yw = cross_row(("Y", "W"), iw)
+        for iz, z in enumerate(polys):
+            yz = cross_row(("Y", "Z"), iz)
+            zw = flat(lmul(cl["Z", "W"], lmul(z, w)))
+            rest = [a + b + c for a, b, c in zip(tW[iw], tZ[iz], zw)]
+            for iy in range(len(polys)):
+                if (iy or iz or iw) and all((r + a + b + c) % p == 0 for r, a, b, c
+                                            in zip(rest, tY[iy], yz[iy], yw[iy])):
+                    coords = [MultiPoly(form.ring, {(k,): c for k, c in enumerate(polys[i])
+                                                    if c != zero})
+                              for i in (iy, iz, iw)]
                     return ProjPoint2(form.ring, coords)
     return None
 
@@ -414,6 +420,25 @@ def test_form_coefficients_must_be_polynomials():
     x = rvar(ring, "x")
     with pytest.raises(XratioError, match="coefficient ZZ"):
         TernaryForm(ring, {("Y", "Y"): 1, ("Z", "Z"): -x})
+
+
+def test_form_accepts_a_cross_term_in_either_order():
+    ring = base_ring(prime_field(5))
+    form = TernaryForm(ring, {("Y", "Y"): 1, ("Z", "Y"): 1, ("W", "W"): -1})
+    assert form.coeff("Y", "Z") == 1
+    assert str(form) == "Y^2 + (4)*W^2 + Y*Z"
+    assert form.is_smooth()
+
+
+@pytest.mark.parametrize("key", [("Y", "X"), ("Y",), "YZ", ("Y", "Z", "W")])
+def test_form_rejects_an_unknown_key(key):
+    with pytest.raises(XratioError, match="unknown coefficient key " + re.escape(repr(key))):
+        TernaryForm(base_ring(prime_field(5)), {("Y", "Y"): 1, key: 1})
+
+
+def test_form_rejects_a_pair_given_in_both_orders():
+    with pytest.raises(XratioError, match=r"key \('W', 'Z'\) is also given as \('Z', 'W'\)"):
+        TernaryForm(base_ring(prime_field(5)), {("Z", "W"): 1, ("W", "Z"): 2})
 
 
 def test_form_from_text_drops_an_x_only_denominator():

@@ -129,6 +129,14 @@ def test_embed(qring):
     assert f == big.var("x") + 1
 
 
+def test_permute_renames_exponent_slots(qring):
+    x, y, z = qring.vars()
+    f = 3 * x ** 2 * y + z - 1
+    # slot j of the image takes slot src[j]: x -> y, y -> z, z -> x
+    assert f.permute((2, 0, 1)) == 3 * y ** 2 * z + x - 1
+    assert f.permute((0, 1, 2)) is f
+
+
 def test_ring_mismatch_rejected(qring):
     other = Ring(rationals(), ("x",))
     with pytest.raises(RingMismatchError):

@@ -29,6 +29,16 @@ def test_equality_is_semantic_not_structural(ring):
     assert not rf_eq(f, RatFunc(ring, y, x))
 
 
+def test_equal_denominators_compare_numerators(ring):
+    x, y = ring.vars()
+    d = x * x + y
+    assert not rf_eq(RatFunc(ring, x, d), RatFunc(ring, y, d))
+    assert rf_eq(RatFunc(ring, x * y + 1, d), RatFunc(ring, 1 + y * x, d))
+    # different denominators still meet by cross-multiplication
+    assert rf_eq(RatFunc(ring, -x, -d), RatFunc(ring, x, d))
+    assert not rf_eq(RatFunc(ring, -x, -d), RatFunc(ring, y, d))
+
+
 def test_arithmetic(ring):
     x, y = rvars(ring)
     half = rat(ring, 1) / 2
