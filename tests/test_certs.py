@@ -1,16 +1,12 @@
 import dataclasses
-import random
 
 import pytest
 
 from xratio.certs import (COUNTEREXAMPLE_CERT_NAMES, VALID_CERT_NAMES,
-                          CertFormatError, QuadExt, parse_certificate,
+                          CertFormatError, parse_certificate,
                           shipped_certificate, shipped_certificates,
                           verify_certificate)
-from xratio.exprparse import parse_expression
 from xratio.fields import XratioError, field_by_name, prime_field, rationals
-from xratio.poly import Ring
-from xratio.ratfunc import RatFunc, rat
 
 ODD_NAMES = ("Q", "Q(i)", "F3", "F5", "F7", "F101", "F3(i)", "F7(i)")
 CHAR2_CERTS = ("shift_full_char2", "shift_base_char2", "conic_reflection_char2")
@@ -118,138 +114,52 @@ def test_parse_certificate_rejects_malformed_input():
         parse_certificate(good.replace("[relation]\nT^2 - v\n", ""))
 
 
-def test_extension_ambient_certificate():
-    cert = shipped_certificate("conic_reflection")
-    assert cert.extension is not None
-    for fname in ("Q", "F5", "F101"):
-        ver = verify_certificate(cert, field_by_name(fname))
-        assert ver.valid, ver.render()
-
-
 def test_rational_expression_whose_denominator_collapses_is_rejected():
     text = TINY.replace("u = theta\n", "u = theta/(v - theta^2)\n")
     with pytest.raises(CertFormatError):
         verify_certificate(parse_certificate(text), rationals())
 
 
-def test_extension_element_with_zero_denominator_is_rejected():
-    cert = shipped_certificate("conic_reflection")
+
+
+def test_repeated_header_key_is_rejected():
+    text = TINY.replace("characteristic: 0\n", "characteristic: 0\ncharacteristic: 2\n")
+    with pytest.raises(CertFormatError,
+                       match="line 3: repeated header key 'characteristic'"):
+        parse_certificate(text)
+
+
+def test_repeated_auto_target_is_rejected():
+    # keeping either line alone would give a different verdict
+    text = TINY.replace("u -> -u\n", "u -> u\nu -> -u\n")
+    with pytest.raises(CertFormatError, match=r"line 6: repeated \[auto\] target 'u'"):
+        parse_certificate(text)
+
+
+def test_extension_header_is_refused():
+    text = TINY.replace("variables: u\n", "variables: u\nextension: T^2 - u\n")
+    with pytest.raises(CertFormatError, match="unknown header key 'extension'"):
+        parse_certificate(text)
+
+
+def _replaced(entries, name, text):
+    return [(n, text if n == name else t) for n, t in entries]
+
+
+@pytest.mark.parametrize("cert_name, field_name, section, name, text, failed", [
+    ("conic_reflection", "Q", "auto_images", "s", "-s", {1}),
+    ("conic_reflection", "F5", "expressions", "s", "(t + 1)/(u - 1)", {3}),
+    ("conic_reflection", "F7(i)", "generators", "u",
+     "((s - 1)^2 - a)/(s^2 - 1 + a) + s", {1, 2, 3}),
+    ("conic_reflection_char2", "F2", "auto_images", "s", "s + 1", {1}),
+    ("conic_reflection", "Q", "auto_images", "s", "s", {4}),
+    ("conic_reflection_char2", "F2", "auto_images", "s", "s", {4}),
+])
+def test_each_condition_bites_on_the_conic_reflections(cert_name, field_name,
+                                                       section, name, text, failed):
+    cert = shipped_certificate(cert_name)
     bad = dataclasses.replace(
-        cert, generators=cert.generators + [("w", "1/(t^2 - ((1 - a)*u^2 + a))")])
-    with pytest.raises(CertFormatError):
-        verify_certificate(bad, rationals())
-
-
-# -- the one-denominator ExtElem against two-component reference arithmetic --
-
-
-class _RefElem:
-    """a + b*t with RatFunc components over t^2 + e*t + f, the arithmetic
-    ExtElem used before it kept one shared polynomial denominator."""
-
-    def __init__(self, e, f, a, b):
-        self.e, self.f, self.a, self.b = e, f, a, b
-
-    def _new(self, a, b):
-        return _RefElem(self.e, self.f, a, b)
-
-    def __add__(self, o):
-        return self._new(self.a + o.a, self.b + o.b)
-
-    def __neg__(self):
-        return self._new(-self.a, -self.b)
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o):
-        bb = self.b * o.b
-        return self._new(self.a * o.a - bb * self.f,
-                         self.a * o.b + o.a * self.b - bb * self.e)
-
-    def inv(self):
-        a, b = self.a, self.b
-        n = a * a - a * b * self.e + b * b * self.f
-        return self._new((a - b * self.e) / n, -b / n)
-
-    def __truediv__(self, o):
-        return self * o.inv()
-
-    def __pow__(self, n):
-        ring = self.a.ring
-        out = self._new(rat(ring, 1), rat(ring, 0))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, o):
-        return (self.a == o.a) is True and (self.b == o.b) is True
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
-
-
-def _random_ratfunc(ring, rng):
-    def poly():
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            e = (rng.randint(0, 2), rng.randint(0, 2))
-            c = ring.field.from_int(rng.randint(-3, 3))
-            if ring.field.name == "Q(i)":
-                c = c + ring.field.sqrt_minus_one() * rng.randint(-2, 2)
-            terms[e] = c
-        return ring.poly(terms)
-    num, den = poly(), poly()
-    return RatFunc(ring, num, den if not den.is_zero() else ring.one)
-
-
-def _ext_for(case):
-    name, field_name = case
-    field = field_by_name(field_name)
-    ring = Ring(field, ("a", "u"))
-    if name == "denominators":
-        # t^2 + t/u + a/(u + 1): E2 = u*(u + 1) != 1, irreducible by a-degree parity
-        e, f = (parse_expression(x, ring) for x in ("1/u", "a/(u + 1)"))
-        return QuadExt(ring, e, f)
-    cert = shipped_certificate(name)
-    assert cert.applies_to(field)
-    big = Ring(field, ("a", "u", "T"))
-    rel = parse_expression(cert.extension, big).num
-    e, f = (RatFunc(ring, rel.coefficient_of("T", k).substitute({}, ring))
-            for k in (1, 0))
-    return QuadExt(ring, e, f)
-
-
-@pytest.mark.parametrize("case", [
-    ("conic_reflection", "Q"), ("conic_reflection", "Q(i)"),
-    ("conic_reflection", "F5"), ("conic_reflection_char2", "F2"),
-    ("denominators", "Q"), ("denominators", "F2"),
-], ids="-".join)
-def test_ext_elem_matches_reference_arithmetic(case):
-    ext = _ext_for(case)
-    ring = ext.ring
-    rng = random.Random(f"ext-{case}")
-
-    def pair():
-        a, b = _random_ratfunc(ring, rng), _random_ratfunc(ring, rng)
-        return ext.elem(a) + ext.elem(b) * ext.gen, _RefElem(ext.e, ext.f, a, b)
-
-    def same(x, ref):
-        return (x.a == ref.a) is True and (x.b == ref.b) is True
-
-    for _ in range(12):
-        (x, rx), (y, ry) = pair(), pair()
-        n = rng.randint(0, 2)
-        assert same(x + y, rx + ry)
-        assert same(x - y, rx - ry)
-        assert same(-x, -rx)
-        assert same(x * y, rx * ry)
-        assert same(x ** n, rx ** n)
-        assert (x == y) == (rx == ry)
-        assert x == x + (y - y)
-        assert (x * y == y * x) is True
-        if not ry.is_zero():
-            assert same(x / y, rx / ry)
-            assert (x / y) * y == x
-        if not rx.is_zero():
-            assert x * x.inv() == 1
+        cert, **{section: _replaced(getattr(cert, section), name, text)})
+    ver = verify_certificate(bad, field_by_name(field_name))
+    assert not ver.valid
+    assert failed <= {c.index for c in ver.conditions if not c.ok}, ver.render()

@@ -118,6 +118,16 @@ def test_in_derived_cross_ratio_text_matches_table():
     assert rf_eq(in_derived(CROSS_RATIO_TEXT, vals, q), vals["a"])
 
 
+def test_in_derived_keeps_one_common_denominator():
+    # The text is parsed over k(x1..x4, u) and substituted once, so the sum
+    # is cleared over the sixth power of u's linear denominator (total degree
+    # 6, 84 terms).  Adding the powers of u's value by fraction arithmetic
+    # instead multiplies unreduced denominators up to total degree 21 (2,024
+    # terms) and makes this check-identity query an order of magnitude slower.
+    rf = in_derived("u + u^2 + u^3 + u^4 + u^5 + u^6", {}, rationals())
+    assert rf.den.total_degree() <= 6
+
+
 def test_point_ring_variables():
     ring = point_ring(rationals())
     assert ring.variables == POINT_VARS
