@@ -19,8 +19,7 @@ from .perms import (IDENTITY, Perm, all_perms, cyclic_order4_subgroups,
                     has_fixed_point, klein_group, klein_part, parse_perm,
                     splits, subgroup_conjugacy_classes, subgroups)
 from .autos import Automorphism, OrderBoundError, perm_automorphism
-from .projline import (Moebius, ProjPoint1, borel_elements, borel_stabilizer,
-                       pgl2_elements, pgl2_stabilizer)
+from .projline import AffineMap, ProjPoint1, borel_elements, borel_stabilizer
 from .conic import (DegenerateConicError, IsotropyDecision, ObstructionRecord,
                     ParametrizationMap, ProjPoint2, SearchBudgetError,
                     TernaryForm, VerificationError, bounded_point_search,

@@ -12,9 +12,7 @@ verification instead of being rejected up front.
 
 Composition is (s*t)(f) = s(t(f)), so the images of s*t are s applied to
 the images of t.  With the permutation convention p: v_k -> v_{p(k)} the map
-perm_automorphism is a group homomorphism for this composition; with the
-fractional-linear (Moebius) substitution v -> (a*v+b)/(c*v+d) composition
-reverses matrix order: moebius(M1) * moebius(M2) == moebius(M2 @ M1).
+perm_automorphism is a group homomorphism for this composition.
 """
 
 from __future__ import annotations
@@ -103,10 +101,6 @@ def _renaming_sources(ring: Ring, images: dict):
     return tuple(src)
 
 
-def identity_automorphism(ring: Ring) -> Automorphism:
-    return Automorphism(ring, {v: rvar(ring, v) for v in ring.variables})
-
-
 def perm_automorphism(ring: Ring, p: Perm, point_vars=None) -> Automorphism:
     """v_k -> v_{p(k)} on the listed point variables (default: all ring vars).
 
@@ -116,20 +110,3 @@ def perm_automorphism(ring: Ring, p: Perm, point_vars=None) -> Automorphism:
     point_vars = list(point_vars if point_vars is not None else ring.variables)
     moved = {v: point_vars[p(k) - 1] for k, v in enumerate(point_vars, start=1)}
     return Automorphism(ring, {v: rvar(ring, moved.get(v, v)) for v in ring.variables})
-
-
-def moebius_automorphism(ring: Ring, a, b, c, d, on=None) -> Automorphism:
-    """v -> (a*v + b)/(c*v + d) on the listed variables, rest fixed.
-
-    Coefficients may be ints, field elements, or RatFuncs of the same ring
-    (symbolic entries included).  Requires a*d - b*c semantically nonzero.
-    """
-    a, b, c, d = (rat(ring, x) for x in (a, b, c, d))
-    if (a * d - b * c).is_zero():
-        raise XratioError("moebius map needs a nonzero determinant")
-    on = list(on if on is not None else ring.variables)
-    images = {v: rvar(ring, v) for v in ring.variables}
-    for name in on:
-        x = rvar(ring, name)
-        images[name] = (a * x + b) / (c * x + d)
-    return Automorphism(ring, images)

@@ -228,7 +228,13 @@ def verify_certificate(cert: Certificate, field: Field) -> CertVerification:
             raise CertFormatError(f"duplicate generator name {n!r}")
         gen_values[n] = parse_expression(txt, ring)
 
-    bad = [n for n, v in gen_values.items() if not sigma.fixes(v)]
+    bad = []
+    for n, v in gen_values.items():
+        try:
+            if not sigma.fixes(v):
+                bad.append(n)
+        except DegenerateSubstitutionError:
+            bad.append(f"{n} (its image has a zero denominator)")
     push(1, not bad, "" if not bad else f"moved by the action: {', '.join(sorted(bad))}")
 
     prim_name, prim_txt = cert.primitive
@@ -273,6 +279,9 @@ def verify_certificate(cert: Certificate, field: Field) -> CertVerification:
         detail4 = "" if ok4 else f"action order {got_order}, relation degree {m}"
     except OrderBoundError as exc:
         ok4, detail4 = False, str(exc)
+    except DegenerateSubstitutionError:
+        ok4, detail4 = False, ("a power of the action sends a denominator to zero "
+                               "(map is not invertible)")
     push(4, ok4, detail4)
 
     return CertVerification(cert.name, field.name, m, results)

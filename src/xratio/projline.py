@@ -1,17 +1,13 @@
-"""The projective line over an exact field, and brute-force stabilizers.
+"""The projective line over an exact field, and stabilizers in the affine group.
 
 Points are canonical: affine (s : 1) carrying the field element s, or the
-single infinite point (1 : 0).  A Moebius element is an invertible 2x2
-matrix stored in a canonical scaling (first nonzero entry of (a,b,c,d)
-scaled to 1), so structural equality and hashing agree with equality in the
-projective linear group.
+single infinite point (1 : 0).
 
-The upper-triangular subgroup B (c = 0) is exactly the stabilizer of the
-infinite point; its q*(q-1) elements act on affine points as s -> a*s + b.
-Stabilizers of unordered 4-sets in B are exhaustive via two-point
-candidates (see ``borel_stabilizer``); 5-sets are stabilized by brute force
-over the whole projective linear group, q^3 - q elements.  Both keep a size
-guard of q <= 257.
+The upper-triangular subgroup B of the projective linear group is exactly
+the stabilizer of the infinite point; its q*(q-1) elements are the affine
+maps s -> alpha*s + beta with alpha != 0.  Stabilizers of unordered 4-sets
+in B are exhaustive via two-point candidates (see ``borel_stabilizer``),
+with a size guard of q <= 257.
 """
 
 from __future__ import annotations
@@ -19,6 +15,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .fields import Field, XratioError
+from .poly import _wrap_scalar
 
 BRUTE_FORCE_MAX_Q = 257
 
@@ -50,15 +47,6 @@ class ProjPoint1:
     def infinity(cls, field):
         return cls(field, None, infinite=True)
 
-    @classmethod
-    def from_homogeneous(cls, field, s, t):
-        """(s : t), not both zero; canonicalized."""
-        if t.is_zero():
-            if s.is_zero():
-                raise XratioError("(0 : 0) is not a projective point")
-            return cls.infinity(field)
-        return cls.affine(field, s / t)
-
     def __eq__(self, other):
         return (isinstance(other, ProjPoint1) and other.field == self.field
                 and other.infinite == self.infinite and other.value == self.value)
@@ -79,66 +67,44 @@ def p1_points(field: Field):
     return pts
 
 
-class Moebius:
-    """Invertible 2x2 matrix up to scalars, acting as s -> (a*s+b)/(c*s+d)."""
+class AffineMap:
+    """An element s -> alpha*s + beta (alpha != 0) of B; it fixes infinity."""
 
-    __slots__ = ("field", "a", "b", "c", "d")
+    __slots__ = ("field", "alpha", "beta")
 
-    def __init__(self, field: Field, a, b, c, d):
-        vals = [field.from_int(x) if isinstance(x, int) else x for x in (a, b, c, d)]
-        a, b, c, d = vals
-        det = a * d - b * c
-        if det.is_zero():
-            raise XratioError("singular matrix is not a Moebius element")
-        lead = next(x for x in vals if not x.is_zero())
-        inv = field.one / lead
+    def __init__(self, field: Field, alpha, beta):
+        alpha, beta = (field.from_int(x) if isinstance(x, int) else x for x in (alpha, beta))
+        if alpha.is_zero():
+            raise XratioError("alpha = 0 is not an affine map")
         self.field = field
-        self.a, self.b, self.c, self.d = (x * inv for x in vals)
+        self.alpha, self.beta = alpha, beta
 
     def is_identity(self):
-        return (self.a.is_one() and self.b.is_zero()
-                and self.c.is_zero() and self.d.is_one())
+        return self.alpha.is_one() and self.beta.is_zero()
 
     def apply(self, p: ProjPoint1) -> ProjPoint1:
-        a, b, c, d = self.a, self.b, self.c, self.d
         if p.infinite:
-            if c.is_zero():
-                return p
-            return ProjPoint1.affine(self.field, a / c)
-        num = a * p.value + b
-        den = c * p.value + d
-        if den.is_zero():
-            return ProjPoint1.infinity(self.field)
-        return ProjPoint1.affine(self.field, num / den)
+            return p
+        return ProjPoint1.affine(self.field, self.alpha * p.value + self.beta)
 
-    __call__ = apply
-
-    def __mul__(self, o: "Moebius") -> "Moebius":
-        return Moebius(self.field,
-                       self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
-                       self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
-
-    def inverse(self) -> "Moebius":
-        return Moebius(self.field, self.d, -self.b, -self.c, self.a)
+    def __mul__(self, o: "AffineMap") -> "AffineMap":
+        """(self*o)(s) = self(o(s))."""
+        return AffineMap(self.field, self.alpha * o.alpha, self.alpha * o.beta + self.beta)
 
     def __eq__(self, other):
-        return (isinstance(other, Moebius) and other.field == self.field
-                and (self.a, self.b, self.c, self.d)
-                == (other.a, other.b, other.c, other.d))
+        return (isinstance(other, AffineMap) and other.field == self.field
+                and (self.alpha, self.beta) == (other.alpha, other.beta))
 
     def __hash__(self):
-        return hash((self.field.name, self.a.v, self.b.v, self.c.v, self.d.v))
+        return hash((self.field.name, self.alpha.v, self.beta.v))
 
     def __str__(self):
-        if self.c.is_zero():
-            alpha = self.a / self.d
-            beta = self.b / self.d
-            if beta.is_zero():
-                return f"s -> {alpha}*s" if not alpha.is_one() else "s -> s"
-            if alpha.is_one():
-                return f"s -> s + {beta}"
-            return f"s -> {alpha}*s + {beta}"
-        return f"s -> ({self.a}*s + {self.b})/({self.c}*s + {self.d})"
+        alpha = _wrap_scalar(str(self.alpha))
+        if self.beta.is_zero():
+            return f"s -> {alpha}*s" if not self.alpha.is_one() else "s -> s"
+        if self.alpha.is_one():
+            return f"s -> s + {self.beta}"
+        return f"s -> {alpha}*s + {self.beta}"
 
     __repr__ = __str__
 
@@ -158,34 +124,16 @@ def borel_elements(field: Field):
         if alpha.is_zero():
             continue
         for beta in field.elements():
-            yield Moebius(field, alpha, beta, field.zero, field.one)
+            yield AffineMap(field, alpha, beta)
 
 
-def pgl2_elements(field: Field):
-    """All q^3 - q projective matrix classes, one canonical rep each."""
-    _require_small_finite(field)
-    one = field.one
-    for b in field.elements():
-        for c in field.elements():
-            bc = b * c
-            for d in field.elements():
-                if d != bc:
-                    yield Moebius(field, one, b, c, d)
-    zero = field.zero
-    for c in field.elements():
-        if c.is_zero():
-            continue
-        for d in field.elements():
-            yield Moebius(field, zero, one, c, d)
-
-
-def _check_tuple(points, field, size):
+def _check_tuple(points, field):
     pts = list(points)
-    if len(pts) != size:
-        raise XratioError(f"expected an unordered {size}-set, got {len(pts)} points")
+    if len(pts) != 4:
+        raise XratioError(f"expected an unordered 4-set, got {len(pts)} points")
     if any(p.field != field for p in pts):
         raise XratioError("points must belong to the given field")
-    if len(set(pts)) != size:
+    if len(set(pts)) != 4:
         raise XratioError("points must be pairwise distinct")
     return frozenset(pts)
 
@@ -203,7 +151,7 @@ def borel_stabilizer(points, field: Field):
     of B, listed in the order of a scan over (alpha, beta) in
     ``field.elements()`` order, which is increasing payload order.
     """
-    pts = _check_tuple(points, field, 4)
+    pts = _check_tuple(points, field)
     _require_small_finite(field)
     # payload order, so the work done does not vary with set iteration order
     vals = sorted((p.value for p in pts if not p.infinite), key=lambda v: v.v)
@@ -214,15 +162,5 @@ def borel_stabilizer(points, field: Field):
         alpha = (t1 - t0) / (s1 - s0)
         beta = t0 - alpha * s0
         if all(alpha * v + beta in targets for v in vals):
-            found[alpha.v, beta.v] = Moebius(field, alpha, beta, field.zero, field.one)
+            found[alpha.v, beta.v] = AffineMap(field, alpha, beta)
     return [found[key] for key in sorted(found)]
-
-
-def pgl2_stabilizer(points, field: Field):
-    """All projective matrix classes mapping the unordered 5-set to itself."""
-    pts = _check_tuple(points, field, 5)
-    out = []
-    for m in pgl2_elements(field):
-        if all(m.apply(p) in pts for p in pts):
-            out.append(m)
-    return out

@@ -120,6 +120,39 @@ def test_rational_expression_whose_denominator_collapses_is_rejected():
         verify_certificate(parse_certificate(text), rationals())
 
 
+def test_generator_whose_denominator_collapses_under_the_action_is_not_fixed():
+    text = (TINY.replace("u -> -u", "u -> 0").replace("v = u^2", "v = 1/u")
+            .replace("T^2 - v", "T - 1/v"))
+    ver = verify_certificate(parse_certificate(text), rationals())
+    assert [c.ok for c in ver.conditions] == [False, True, True, False]
+    assert ver.conditions[0].detail == (
+        "moved by the action: v (its image has a zero denominator)")
+    assert "INVALID" in ver.render()
+
+
+def test_degenerate_power_of_the_action_fails_the_order_condition():
+    text = (
+        "characteristic: 0\n"
+        "variables: a b\n"
+        "[auto]\n"
+        "a -> 1\n"
+        "b -> 1/(a - 1)\n"
+        "[generators]\n"
+        "c = a + 7\n"
+        "[primitive]\n"
+        "theta = b\n"
+        "[relation]\n"
+        "T - 1\n"
+        "[expressions]\n"
+        "a = c - 7\n"
+        "b = theta\n"
+    )
+    ver = verify_certificate(parse_certificate(text), rationals())
+    assert not ver.valid
+    order = ver.conditions[3]
+    assert not order.ok
+    assert order.detail == ("a power of the action sends a denominator to zero "
+                            "(map is not invertible)")
 
 
 def test_repeated_header_key_is_rejected():

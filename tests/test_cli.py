@@ -189,6 +189,16 @@ def test_stabilizer_trivial(capsys):
     assert "stabilizer order 1" in out
 
 
+def test_stabilizer_over_a_gaussian_field(capsys):
+    code = main(["stabilizer", "--field", "F7(i)", "--points", "0,1,2,3"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "points {0, 1, 2, 3} over F7(i)\n"
+        "  s -> s\n"
+        "  s -> 6*s + 3\n"
+        "stabilizer order 2\n")
+
+
 def test_stabilizer_validation_errors(capsys):
     assert main(["stabilizer", "--field", "F7", "--points", "0,1,2"]) == 2
     assert "error:" in capsys.readouterr().err
