@@ -2,9 +2,10 @@
 
 Each check is a pure function of a :class:`_Ctx` (run configuration plus the
 resolved coefficient fields) returning a verdict and human-readable detail
-lines.  The context computes the objects checks share (derived values, the
+lines.  The context computes the objects checks share (the orientation-checked
 4-cycle action, certificate verifications, isotropy decisions, conic
-parametrizations) once per run and per field.  Most claims are one claim per
+parametrizations) once per run and per field; the derived values themselves
+are resolved once per process by :mod:`tables`.  Most claims are one claim per
 selected field: such a check is a body for one field, and :func:`_per_field`
 runs it over its declared scope (all, odd, characteristic 2 or finite
 fields), prefixes the lines with the field name and applies the one verdict
@@ -55,12 +56,8 @@ class _Ctx:
             self.memo[key] = make()
         return self.memo[key]
 
-    def values(self, f: Field) -> dict:
-        return self._once(("values", f.name), lambda: tables.derived_values(f))
-
     def action(self, f: Field):
-        return self._once(("action", f.name),
-                          lambda: tables.point_action(f, self.values(f)))
+        return self._once(("action", f.name), lambda: tables.point_action(f))
 
     def verified(self, name: str, f: Field):
         return self._once(("cert", name, f.name), lambda: certs.verify_certificate(
@@ -118,18 +115,18 @@ def _per_field(scope):
     return check
 
 
-def _table_errors(ctx, field: Field, act, claims) -> list:
-    vals = ctx.values(field)
+def _table_errors(field: Field, act, claims) -> list:
+    vals = tables.derived_values(field)
     bad = []
     for name, text in claims:
-        expected = tables.in_derived(text, vals, field)
+        expected = tables.in_derived(text, field)
         if not rf_eq(act.apply(vals[name]), expected):
             bad.append(name)
     return bad
 
 
-def _vanishes(ctx, f, text):
-    zero = tables.in_derived(text, ctx.values(f), f).is_zero()
+def _vanishes(f, text):
+    zero = tables.in_derived(text, f).is_zero()
     return zero, [f"{text} " + ("vanishes identically in k(x1..x4)" if zero
                                 else "does NOT vanish")]
 
@@ -139,7 +136,7 @@ def _vanishes(ctx, f, text):
 
 @_per_field("fields")
 def _run_cr_inv(ctx, f):
-    ring, a, v4 = tables.point_ring(f), ctx.values(f)["a"], klein_group()
+    ring, a, v4 = tables.point_ring(f), tables.derived_values(f)["a"], klein_group()
     bad = [str(p) for p in all_perms()
            if rf_eq(perm_automorphism(ring, p).apply(a), a) != (p in v4)]
     return not bad, [f"wrong invariance at {', '.join(bad)}" if bad
@@ -148,7 +145,7 @@ def _run_cr_inv(ctx, f):
 
 @_per_field("odd_fields")
 def _run_sigma_table(ctx, f):
-    bad = _table_errors(ctx, f, ctx.action(f), tables.SIGMA_ODD)
+    bad = _table_errors(f, ctx.action(f), tables.SIGMA_ODD)
     return not bad, [f"mismatch at {', '.join(bad)}" if bad
                      else f"{len(tables.SIGMA_ODD)}/8 entries verified"]
 
@@ -156,23 +153,22 @@ def _run_sigma_table(ctx, f):
 @_per_field("odd_fields")
 def _run_sigma2_table(ctx, f):
     act = ctx.action(f)
-    bad = _table_errors(ctx, f, act * act, tables.SIGMA2_ODD)
+    bad = _table_errors(f, act * act, tables.SIGMA2_ODD)
     return not bad, [f"mismatch at {', '.join(bad)}" if bad
                      else f"{len(tables.SIGMA2_ODD)}/8 entries verified"]
 
 
 @_per_field("odd_fields")
 def _run_basis_ids(ctx, f):
-    vals = ctx.values(f)
     bad = [f"{lhs} = {rhs}" for lhs, rhs in tables.BASIS_IDS_ODD
-           if not rf_eq(tables.in_derived(lhs, vals, f), tables.in_derived(rhs, vals, f))]
+           if not rf_eq(tables.in_derived(lhs, f), tables.in_derived(rhs, f))]
     return not bad, [f"failed: {'; '.join(bad)}" if bad
                      else f"{len(tables.BASIS_IDS_ODD)}/7 identities verified"]
 
 
 @_per_field("odd_fields")
 def _run_conic_b(ctx, f):
-    return _vanishes(ctx, f, tables.CONIC_ODD_TEXT)
+    return _vanishes(f, tables.CONIC_ODD_TEXT)
 
 
 _LEM_A_CERTS = ("negate_invert_full", "negate_base")
@@ -223,9 +219,7 @@ def _run_iso_crit(ctx, f):
 def _run_iso_search(ctx, f):
     d = conic.searchable_degree(f, ctx.config.degree_bound)
     if d < 0:
-        reason = ("the degree bound is negative" if ctx.config.degree_bound < 0
-                  else "degree 0 already exceeds the budget")
-        return None, [f"not searched ({reason})"]
+        return None, ["not searched (degree 0 already exceeds the budget)"]
     form = conic.criterion_form(f)
     pt = conic.bounded_point_search(form, d)
     expect_found = conic.known_point(f) is not None
@@ -288,8 +282,8 @@ def _run_certs(ctx):
 @_per_field("char2_fields")
 def _run_char2_table(ctx, f):
     act = ctx.action(f)
-    bad1 = _table_errors(ctx, f, act, tables.SIGMA_CHAR2)
-    bad2 = _table_errors(ctx, f, act * act, tables.SIGMA2_CHAR2)
+    bad1 = _table_errors(f, act, tables.SIGMA_CHAR2)
+    bad2 = _table_errors(f, act * act, tables.SIGMA2_CHAR2)
     if bad1 or bad2:
         return False, [f"mismatch at {', '.join(bad1)} / {', '.join(bad2)}"]
     return True, [f"sigma {len(tables.SIGMA_CHAR2)}/9 and "
@@ -298,7 +292,7 @@ def _run_char2_table(ctx, f):
 
 @_per_field("char2_fields")
 def _run_conic_c(ctx, f):
-    return _vanishes(ctx, f, tables.CONIC_CHAR2_TEXT)
+    return _vanishes(f, tables.CONIC_CHAR2_TEXT)
 
 
 _LEM_B_CERTS = ("shift_full_char2", "shift_base_char2", "conic_reflection_char2")
@@ -312,7 +306,7 @@ def _run_lem_b_all(ctx, f):
     vers = [ctx.verified(name, f) for name in _LEM_B_CERTS]
     lines += [f"{name} " + ("VALID" if ver.valid else ver.render())
               for name, ver in zip(_LEM_B_CERTS, vers)]
-    vals, act = ctx.values(f), ctx.action(f)
+    vals, act = tables.derived_values(f), ctx.action(f)
     moved = [n for n in ("inv_x", "inv_y", "inv_z")
              if not rf_eq(act.apply(vals[n]), vals[n])]
     lines.append("invariants a^2+a, u^2+u, a+u " + (
@@ -398,7 +392,7 @@ def _run_genfree(ctx):
 
 def _run_indep(ctx):
     q = rationals()
-    vq = ctx.values(q)
+    vq = tables.derived_values(q)
     rank = jacobian_rank([vq["a"], vq["u"]], tables.POINT_VARS)
     ok0 = rank == 2
     details = [f"Jacobian of (a, u) in (x1..x4) has rank {rank} over Q "
@@ -409,7 +403,7 @@ def _run_indep(ctx):
     f2 = prime_field(2)
     rng = ctx.rng("INDEP")
     sring = Ring(f2, ("s",))
-    vals2 = ctx.values(f2)
+    vals2 = tables.derived_values(f2)
     target_draws, pairs, attempts = 25, [], 0
     while len(pairs) < target_draws and attempts < 500:
         attempts += 1

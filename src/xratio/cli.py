@@ -52,9 +52,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_identity(args) -> int:
     field = field_by_name(args.field)
-    values = {}  # the derived names either side uses, each resolved once
-    lhs = tables.in_derived(args.lhs, values, field)
-    rhs = tables.in_derived(args.rhs, values, field)
+    lhs = tables.in_derived(args.lhs, field)
+    rhs = tables.in_derived(args.rhs, field)
     equal = rf_eq(lhs, rhs)
     word = "EQUAL" if equal else "NOT EQUAL"
     print(f"{word} over {field.name}: {args.lhs}  vs  {args.rhs}")
@@ -192,8 +191,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options joined to their next token (`--lhs -x1` becomes `--lhs=-x1`), so a
+# value may start with "-", which argparse would read as an option; no value
+# starts with "--", so such a next token is an option and the value is missing
+_VALUE_OPTIONS = ("--lhs", "--rhs", "--point", "--points")
+
+
+def _join_values(argv) -> list:
+    out = []
+    for token in argv:
+        if out and out[-1] in _VALUE_OPTIONS and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except XratioError as exc:

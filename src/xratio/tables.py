@@ -8,6 +8,12 @@ This module records the definitions, the 4-cycle's action on every derived
 name and the change-of-variable identities as parseable text, so the replay
 re-verifies them from scratch; an expression resolves only the names it uses.
 
+Kept for the whole process: each derived name's value, keyed by the field and
+the definition table as it stands, and the fields, the rings, the parsed
+shipped certificates, `perms.subgroups` and the CLI parser.  No verdict or
+claim comparison is cached: every run parses and re-verifies the table
+claims, the certificates and the conics.
+
 The permutation convention is sigma(x_k) = x_{sigma(k)}.  That orientation
 is what makes the recorded tables correct (the other convention flips
 sigma and sigma^-1); :func:`point_action` re-derives one table entry and
@@ -108,37 +114,44 @@ def derived_definitions(field: Field):
 
 
 def derived_values(field: Field) -> dict:
-    """The whole definition table in k(x1..x4), each definition parsed once."""
-    values = {}
-    for k, (name, text) in enumerate(derived_definitions(field)):
-        values[name] = in_derived(text, values, field, before=k)
-    return values
+    """The whole definition table in k(x1..x4)."""
+    table = derived_definitions(field)
+    return {name: _resolved(field, table, name) for name, _ in table}
 
 
-def in_derived(text: str, values: dict, field: Field, *, before=None) -> RatFunc:
-    """Parse `text` in x1..x4 and the first `before` derived names (default all)
-    into k(x1..x4).  Only the names the text uses are resolved: each one that
-    `values` lacks is first added to it from its definition, recursively."""
+def in_derived(text: str, field: Field) -> RatFunc:
+    """Parse `text` in x1..x4 and the derived names into k(x1..x4).  Only the
+    names the text uses are resolved, each one at most once per process (see
+    :func:`_resolved`)."""
+    return _in_table(text, field, derived_definitions(field), None)
+
+
+@functools.cache
+def _resolved(field: Field, table: tuple, name: str) -> RatFunc:
+    """The value of derived name `name` of definition table `table`.  The key
+    holds the table as it stands, so a replaced table is resolved afresh."""
+    k = [n for n, _ in table].index(name)
+    return _in_table(table[k][1], field, table, k)
+
+
+def _in_table(text, field, table, before):
     tokens = tokenize(text)
     used = {v for kind, v, _ in tokens if kind == "ident"}
-    scope = []
-    for k, (name, definition) in enumerate(derived_definitions(field)[:before]):
-        if name in used:
-            if name not in values:
-                values[name] = in_derived(definition, values, field, before=k)
-            scope.append(name)
-    rf = parse_expression(tokens, Ring(field, POINT_VARS + tuple(scope)))
+    scope = tuple(name for name, _ in table[:before] if name in used)
+    rf = parse_expression(tokens, Ring(field, POINT_VARS + scope))
     try:
-        return rf.substitute({name: values[name] for name in scope}, point_ring(field))
+        return rf.substitute({name: _resolved(field, table, name) for name in scope},
+                             point_ring(field))
     except DegenerateSubstitutionError:
         raise XratioError(f"{text!r}: a denominator vanishes in k(x1..x4) once "
                           "the derived names are substituted") from None
 
 
-def point_action(field: Field, values: dict) -> Automorphism:
+def point_action(field: Field) -> Automorphism:
     """The 4-cycle acting by sigma(x_k) = x_{sigma(k)}, orientation-checked
-    against `values` (from :func:`derived_values`)."""
+    against the derived values."""
     act = perm_automorphism(point_ring(field), four_cycle())
+    values = derived_values(field)
     if field.characteristic == 2:
         ok = rf_eq(act.apply(values["y"]), values["w"] + values["y"])
     else:
@@ -146,4 +159,3 @@ def point_action(field: Field, values: dict) -> Automorphism:
     if not ok:
         raise XratioError("permutation action violates the recorded orientation")
     return act
-

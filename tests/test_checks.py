@@ -147,11 +147,6 @@ def test_iso_search_that_searched_nothing_is_skipped():
     assert res.details == ["F1009: not searched (degree 0 already exceeds the budget)"]
     mixed = run_checklist(RunConfig(fields=("F3", "F1009")), only={"ISO-SEARCH"})
     assert mixed.checks[0].verdict == PASS
-    cfg = RunConfig(fields=("F3",))
-    cfg.degree_bound = -1  # bypasses the RunConfig validation
-    res = run_checklist(cfg, only={"ISO-SEARCH"}).checks[0]
-    assert res.verdict == SKIPPED
-    assert res.details == ["F3: not searched (the degree bound is negative)"]
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -173,18 +168,13 @@ def test_seed_changes_genfree_sampling_details():
 
 
 def test_run_computes_shared_objects_once_per_run(monkeypatch):
-    verified, derived = Counter(), Counter()
-    decided, parametrized = Counter(), Counter()
-    real_verify, real_derived = certs.verify_certificate, tables.derived_values
+    verified, decided, parametrized = Counter(), Counter(), Counter()
+    real_verify = certs.verify_certificate
     real_decide, real_param = conic.decide_isotropy, conic.parametrize
 
     def counting_verify(cert, field):
         verified[(cert.name, field.name)] += 1
         return real_verify(cert, field)
-
-    def counting_derived(field):
-        derived[field.name] += 1
-        return real_derived(field)
 
     def counting_decide(field):
         decided[field.name] += 1
@@ -195,23 +185,34 @@ def test_run_computes_shared_objects_once_per_run(monkeypatch):
         return real_param(form, point)
 
     monkeypatch.setattr(certs, "verify_certificate", counting_verify)
-    monkeypatch.setattr(tables, "derived_values", counting_derived)
     monkeypatch.setattr(conic, "decide_isotropy", counting_decide)
     monkeypatch.setattr(conic, "parametrize", counting_param)
+    tables._resolved.cache_clear()
     first = run_checklist(RunConfig())
     assert len(verified) == 19
     assert set(verified.values()) == {1}
-    assert set(derived) == set(DEFAULT_FIELDS)
-    assert max(derived.values()) <= 2
+    # each derived name of each field's table is resolved once per process
+    resolved = tables._resolved.cache_info()
+    assert resolved.misses == 4 * 8 + 9
     # ISO-CRIT and MAIN-B-VERDICT share one decision per odd field; PARAM,
     # MAIN-B-VERDICT and MAIN-C-VERDICT share one parametrization per field
     # with a known conic point (a square root of -1, or characteristic 2)
     assert decided == {"Q": 1, "Q(i)": 1, "F3": 1, "F5": 1}
     assert parametrized == {"Q(i)": 1, "F2": 1, "F5": 1}
-    # a second run shares nothing with the first
+    # a second run shares only the derived values with the first
     second = run_checklist(RunConfig())
     assert set(verified.values()) == {2}
+    assert tables._resolved.cache_info().misses == resolved.misses
     assert second.to_json() == first.to_json()
+
+
+def test_a_table_patched_after_a_warm_run_still_fails(monkeypatch):
+    run_checklist(RunConfig(fields=("Q",)))
+    broken = tuple((name, "y" if name == "w" else image)
+                   for name, image in tables.SIGMA_ODD)
+    monkeypatch.setattr(tables, "SIGMA_ODD", broken)
+    res = run_checklist(RunConfig(fields=("Q",)), only={"SIGMA-TABLE"}).checks[0]
+    assert (res.verdict, res.details) == (FAIL, ["Q: mismatch at w"])
 
 
 def test_broken_table_entry_fails_once_per_odd_field(monkeypatch, default_report):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -208,6 +210,48 @@ def test_stabilizer_validation_errors(capsys):
         "error: --points: 'x' is not an integer or 'inf'\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lhs", "-x1", "--rhs", "-(x1 + x2) + x2"],
+    ["--lhs=-x1", "--rhs", "-x1"],
+    ["--rhs", "-x1", "--lhs", "-x1"],
+])
+def test_check_identity_values_may_start_with_a_minus(capsys, argv):
+    assert main(["check-identity", "--field", "Q"] + argv) == 0
+    assert capsys.readouterr().out.startswith("EQUAL over Q: -x1  vs  -")
+
+
+def test_stabilizer_points_may_start_with_a_minus(capsys):
+    assert main(["stabilizer", "--field", "F7", "--points", "-1,0,1,2"]) == 0
+    assert capsys.readouterr().out == (
+        "points {6, 0, 1, 2} over F7\n"
+        "  s -> s\n"
+        "  s -> 6*s + 1\n"
+        "stabilizer order 2\n")
+
+
+def test_conic_point_may_start_with_a_minus(capsys):
+    assert main(["conic", "parametrize", "--field", "F2", "--point", "-x,1,1"]) == 0
+    assert "base point (x : 1 : 1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["check-identity", "--lhs", "x1", "--rhs"], "--rhs"),
+    (["check-identity", "--rhs", "x1", "--lhs"], "--lhs"),
+    (["stabilizer", "--field", "F7", "--points"], "--points"),
+    (["conic", "parametrize", "--field", "F2", "--point"], "--point"),
+    # a value missing in the middle: the next option is not taken as the value
+    (["check-identity", "--lhs", "--rhs", "x1"], "--lhs"),
+    (["check-identity", "--lhs", "--rhs=x1"], "--lhs"),
+    (["stabilizer", "--points", "--field", "F7"], "--points"),
+    (["conic", "parametrize", "--point", "--field", "F2"], "--point"),
+])
+def test_a_missing_option_value_exits_2(capsys, argv, option):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument {option}: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["-1", "0"])
 def test_run_samples_below_one_exits_2(capsys, samples):
     assert main(["run", "--checks", "GENFREE", "--samples", samples]) == 2
@@ -358,3 +402,18 @@ def test_check_identity_big_exponent_squares_its_powers(capsys, monkeypatch):
                  "--lhs", "x1^100000", "--rhs", "x1^100000"]) == 0
     assert "EQUAL over Q" in capsys.readouterr().out
     assert calls < 1000
+
+
+def test_check_identity_output_matches_golden():
+    # exit code, stdout and stderr of ~120 fixed queries, recorded before the
+    # process-wide derived-value cache; tests/data/make_check_identity_golden.py
+    # holds the query list and rewrites the file
+    records = json.loads((DATA / "check_identity_golden.json").read_text(encoding="utf-8"))
+    assert len(records) == 120
+    for rec in records:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            code = main(["check-identity", "--field", rec["field"],
+                         "--lhs", rec["lhs"], "--rhs", rec["rhs"]])
+        assert (code, out.getvalue(), err.getvalue()) == (
+            rec["exit"], rec["stdout"], rec["stderr"]), rec

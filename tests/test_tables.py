@@ -13,16 +13,27 @@ from xratio.tables import (CONIC_CHAR2_TEXT, CONIC_ODD_TEXT, CROSS_RATIO_TEXT,
 NINE_FIELDS = ("Q", "Q(i)", "F2", "F3", "F5", "F7", "F101", "F3(i)", "F7(i)")
 
 
-def _counting_parses(monkeypatch):
-    """Record the scope variables of every parse that `in_derived` makes."""
-    scopes, real = [], tables.parse_expression
+@pytest.fixture
+def parses(monkeypatch):
+    """Empty the derived-value cache, then record each parse that `in_derived`
+    makes: its text without spaces and the derived names in its scope."""
+    tables._resolved.cache_clear()
+    seen, real = [], tables.parse_expression
 
     def counting(tokens, ring):
-        scopes.append(ring.variables)
+        seen.append(("".join(str(v) for kind, v, _ in tokens if kind != "end"),
+                     ring.variables[len(POINT_VARS):]))
         return real(tokens, ring)
 
     monkeypatch.setattr(tables, "parse_expression", counting)
-    return scopes
+    return seen
+
+
+def _definition_names(field, parsed):
+    """The derived names whose definitions are among the parsed texts."""
+    texts = {text for text, _ in parsed}
+    return {name for name, text in derived_definitions(field)
+            if text.replace(" ", "") in texts}
 
 
 def test_cross_ratio_at_reference_points():
@@ -65,29 +76,29 @@ def test_definition_dispatch():
 def test_sigma_table_odd(name):
     field = field_by_name(name)
     vals = derived_values(field)
-    act = point_action(field, vals)
+    act = point_action(field)
     for target, image_text in SIGMA_ODD:
-        assert rf_eq(act.apply(vals[target]), in_derived(image_text, vals, field)), \
+        assert rf_eq(act.apply(vals[target]), in_derived(image_text, field)), \
             f"{target} -> {image_text} over {name}"
 
 
 def test_sigma_table_char2():
     f2 = prime_field(2)
     vals = derived_values(f2)
-    act = point_action(f2, vals)
+    act = point_action(f2)
     for target, image_text in SIGMA_CHAR2:
-        assert rf_eq(act.apply(vals[target]), in_derived(image_text, vals, f2))
+        assert rf_eq(act.apply(vals[target]), in_derived(image_text, f2))
 
 
 @pytest.mark.parametrize("name", ["Q", "F2", "F5"])
 def test_sigma_squared_table(name):
     field = field_by_name(name)
     vals = derived_values(field)
-    act = point_action(field, vals)
+    act = point_action(field)
     claims = SIGMA2_CHAR2 if field.characteristic == 2 else SIGMA2_ODD
     for target, image_text in claims:
         twice = act.apply(act.apply(vals[target]))
-        assert rf_eq(twice, in_derived(image_text, vals, field)), \
+        assert rf_eq(twice, in_derived(image_text, field)), \
             f"{target} -> {image_text} over {name}"
 
 
@@ -95,7 +106,7 @@ def test_sigma_squared_table(name):
 def test_conic_identity_vanishes(name):
     field = field_by_name(name)
     text = CONIC_CHAR2_TEXT if field.characteristic == 2 else CONIC_ODD_TEXT
-    value = in_derived(text, derived_values(field), field)
+    value = in_derived(text, field)
     assert rf_eq(value, 0)
 
 
@@ -107,15 +118,14 @@ def test_four_cycle_order():
 
 def test_in_derived_accepts_point_variables():
     q = rationals()
-    mixed = in_derived("a*(x3 - x1)*(x4 - x2) - (x4 - x1)*(x3 - x2)",
-                       derived_values(q), q)
+    mixed = in_derived("a*(x3 - x1)*(x4 - x2) - (x4 - x1)*(x3 - x2)", q)
     assert rf_eq(mixed, 0)
 
 
 def test_in_derived_cross_ratio_text_matches_table():
     q = rationals()
     vals = derived_values(q)
-    assert rf_eq(in_derived(CROSS_RATIO_TEXT, vals, q), vals["a"])
+    assert rf_eq(in_derived(CROSS_RATIO_TEXT, q), vals["a"])
 
 
 def test_in_derived_keeps_one_common_denominator():
@@ -124,7 +134,7 @@ def test_in_derived_keeps_one_common_denominator():
     # 6, 84 terms).  Adding the powers of u's value by fraction arithmetic
     # instead multiplies unreduced denominators up to total degree 21 (2,024
     # terms) and makes this check-identity query an order of magnitude slower.
-    rf = in_derived("u + u^2 + u^3 + u^4 + u^5 + u^6", {}, rationals())
+    rf = in_derived("u + u^2 + u^3 + u^4 + u^5 + u^6", rationals())
     assert rf.den.total_degree() <= 6
 
 
@@ -142,15 +152,13 @@ def test_rings_are_shared_per_field():
 @pytest.mark.parametrize("name", NINE_FIELDS)
 def test_each_name_resolved_alone_matches_the_table(name):
     field = field_by_name(name)
+    tables._resolved.cache_clear()
     table = derived_values(field)
     for derived, _ in derived_definitions(field):
-        values = {}
-        got = in_derived(derived, values, field)
-        for value in (got, values[derived]):
-            assert list(value.num.terms.items()) == list(table[derived].num.terms.items())
-            assert list(value.den.terms.items()) == list(table[derived].den.terms.items())
-        for dep, value in values.items():
-            assert rf_eq(value, table[dep])
+        tables._resolved.cache_clear()
+        got = in_derived(derived, field)
+        assert list(got.num.terms.items()) == list(table[derived].num.terms.items())
+        assert list(got.den.terms.items()) == list(table[derived].den.terms.items())
 
 
 @pytest.mark.parametrize("name, text, added", [
@@ -161,52 +169,67 @@ def test_each_name_resolved_alone_matches_the_table(name):
     ("F2", "t", {"w", "z", "t"}),
     ("F2", "inv_z + x1", {"a", "w", "y", "u", "inv_z"}),
 ])
-def test_in_derived_adds_only_the_names_used_and_their_dependencies(name, text, added):
-    values = {}
-    in_derived(text, values, field_by_name(name))
-    assert set(values) == added
+def test_in_derived_adds_only_the_names_used_and_their_dependencies(parses, name, text, added):
+    field = field_by_name(name)
+    in_derived(text, field)
+    assert parses[0][0] == text.replace(" ", "")
+    assert len(parses) == 1 + len(added)
+    assert _definition_names(field, parses[1:]) == added
 
 
-def test_point_variable_text_parses_no_definition(monkeypatch):
-    scopes = _counting_parses(monkeypatch)
-    values = {}
+def test_point_variable_text_parses_no_definition(parses):
     x1, x2, x3, x4 = point_ring(rationals()).vars()
-    assert rf_eq(in_derived("(x4 - x1)*(x3 - x2)", values, rationals()), (x4 - x1) * (x3 - x2))
-    assert values == {}
-    assert scopes == [POINT_VARS]
+    assert rf_eq(in_derived("(x4 - x1)*(x3 - x2)", rationals()), (x4 - x1) * (x3 - x2))
+    assert parses == [("(x4-x1)*(x3-x2)", ())]
+    assert tables._resolved.cache_info().currsize == 0
 
 
-def test_resolved_names_are_reused(monkeypatch):
+def test_resolved_names_are_reused(parses):
     q = rationals()
-    scopes = _counting_parses(monkeypatch)
-    values = {}
-    in_derived("u", values, q)
-    # the definitions of w, y and u, then the text itself
-    assert scopes == [POINT_VARS, POINT_VARS, POINT_VARS + ("w", "y"), POINT_VARS + ("u",)]
-    del scopes[:]
-    in_derived("t/u", values, q)
-    assert scopes == [POINT_VARS, POINT_VARS + ("y", "z"), POINT_VARS + ("u", "t")]
+    in_derived("u", q)
+    # the text itself, then the definitions of u, w and y
+    assert parses == [("u", ("u",)), ("w/y", ("w", "y")),
+                      ("-x1-x2+x3+x4", ()), ("-x1+x2+x3-x4", ())]
+    del parses[:]
+    in_derived("t/u", q)
+    assert parses == [("t/u", ("u", "t")), ("z/y", ("y", "z")), ("-x1+x2-x3+x4", ())]
 
 
-def test_full_table_parses_each_definition_once(monkeypatch):
-    for field in (rationals(), prime_field(2)):
-        scopes = _counting_parses(monkeypatch)
+def test_full_table_parses_each_definition_once(parses):
+    for field in (rationals(), prime_field(3), prime_field(2)):
+        del parses[:]
         derived_values(field)
-        assert len(scopes) == len(derived_definitions(field))
+        assert len(parses) == len(derived_definitions(field))
+        assert _definition_names(field, parses) == {n for n, _ in derived_definitions(field)}
+        del parses[:]
+        derived_values(field)
+        in_derived("u + t", field)
+        assert parses == [("u+t", ("u", "t"))]
 
 
-def test_definitions_see_only_earlier_names(monkeypatch):
+def test_definitions_see_only_earlier_names(monkeypatch, parses):
     q = rationals()
     monkeypatch.setattr(tables, "DERIVED_ODD", (("w", "y + 1"), ("y", "x1"), ("z", "z^2")))
     with pytest.raises(ParseError, match="unknown variable 'y' \\(position 0\\)"):
-        in_derived("w", {}, q)
+        in_derived("w", q)
     with pytest.raises(ParseError, match="unknown variable 'z' \\(position 0\\)"):
-        in_derived("z", {}, q)
-    values = {}
-    in_derived("y", values, q)
-    assert set(values) == {"y"}
+        in_derived("z", q)
+    del parses[:]
+    in_derived("y", q)
+    assert parses == [("y", ("y",)), ("x1", ())]
+
+
+def test_a_replaced_definition_is_not_served_from_the_cache(monkeypatch):
+    q = rationals()
+    before = in_derived("u", q)
+    patched = tuple((name, "y/w" if name == "u" else text) for name, text in tables.DERIVED_ODD)
+    monkeypatch.setattr(tables, "DERIVED_ODD", patched)
+    assert rf_eq(in_derived("u", q), in_derived("y/w", q))
+    assert rf_eq(in_derived("u", q) * before, 1)
+    monkeypatch.undo()
+    assert rf_eq(in_derived("u", q), before)
 
 
 def test_unknown_name_is_a_parse_error():
     with pytest.raises(ParseError, match="unknown variable 'inv_x' \\(position 4\\)"):
-        in_derived("a + inv_x", {}, rationals())
+        in_derived("a + inv_x", rationals())
