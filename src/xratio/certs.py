@@ -24,6 +24,7 @@ purpose to demonstrate that condition (1) actually bites.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
@@ -204,29 +205,23 @@ def _substitute(rf: RatFunc, values: dict, ring: Ring) -> RatFunc:
 
 
 def verify_certificate(cert: Certificate, field: Field) -> CertVerification:
-    """Run the four conditions of `cert` over the given coefficient field."""
+    """Run the four conditions of `cert` over the given coefficient field.
+
+    A shipped certificate's texts are parsed once per process, keyed by the
+    field and its contents as they stand (any other is parsed on every call);
+    all four conditions are computed on every call."""
     if not cert.applies_to(field):
         raise XratioError(
             f"certificate {cert.name} does not apply over {field.name} "
             f"(characteristic constraint {cert.characteristic})")
-    ring = Ring(field, cert.variables)
+    parse = _parse if _cache.get(cert.name) == cert else _parse.__wrapped__
+    ring, sigma, gen_values, (prim_name, theta), rel_coeffs, exprs = parse(
+        field, cert.variables, tuple(cert.auto_images), tuple(cert.generators),
+        cert.primitive, cert.relation, tuple(cert.expressions))
     results = []
 
     def push(idx, ok, detail=""):
         results.append(ConditionResult(idx, CONDITIONS[idx - 1], ok, detail))
-
-    images = {n: parse_expression(txt, ring) for n, txt in cert.auto_images}
-    for n in images:
-        if n not in ring.variables:
-            raise CertFormatError(f"[auto] names unknown generator {n!r}")
-    sigma = Automorphism(
-        ring, {v: images.get(v, rvar(ring, v)) for v in ring.variables})
-
-    gen_values = {}
-    for n, txt in cert.generators:
-        if n in gen_values:
-            raise CertFormatError(f"duplicate generator name {n!r}")
-        gen_values[n] = parse_expression(txt, ring)
 
     bad = []
     for n, v in gen_values.items():
@@ -237,13 +232,6 @@ def verify_certificate(cert: Certificate, field: Field) -> CertVerification:
             bad.append(f"{n} (its image has a zero denominator)")
     push(1, not bad, "" if not bad else f"moved by the action: {', '.join(sorted(bad))}")
 
-    prim_name, prim_txt = cert.primitive
-    if prim_name in gen_values:
-        raise CertFormatError("primitive name clashes with a generator name")
-    theta = parse_expression(prim_txt, ring)
-
-    coeff_ring = Ring(field, tuple(gen_values))
-    rel_coeffs = _monic_in_T(cert.relation, coeff_ring)
     m = len(rel_coeffs) - 1
     acc = None
     for c in reversed(rel_coeffs):
@@ -252,17 +240,12 @@ def verify_certificate(cert: Certificate, field: Field) -> CertVerification:
     push(2, acc.is_zero(),
          "" if acc.is_zero() else f"relation evaluates to {acc}")
 
-    expr_ring = Ring(field, tuple(gen_values) + (prim_name,))
-    expr_values = dict(gen_values)
-    expr_values[prim_name] = theta
+    expr_values = {**gen_values, prim_name: theta}
     covered = set()
     bad3 = []
-    for n, txt in cert.expressions:
-        if n not in ring.variables:
-            raise CertFormatError(f"[expressions] names unknown generator {n!r}")
+    for n, expr in exprs:
         covered.add(n)
-        got = _substitute(parse_expression(txt, expr_ring), expr_values, ring)
-        if got != rvar(ring, n):
+        if _substitute(expr, expr_values, ring) != rvar(ring, n):
             bad3.append(n)
     missing = [n for n in ring.variables if n not in covered]
     ok3 = not bad3 and not missing
@@ -285,6 +268,35 @@ def verify_certificate(cert: Certificate, field: Field) -> CertVerification:
     push(4, ok4, detail4)
 
     return CertVerification(cert.name, field.name, m, results)
+
+
+@functools.cache
+def _parse(field, variables, auto_images, generators, primitive, relation,
+           expressions) -> tuple:
+    """Every text of a certificate parsed over `field`, with its action;
+    raises CertFormatError when the certificate is malformed."""
+    ring = Ring(field, variables)
+    images = {n: parse_expression(txt, ring) for n, txt in auto_images}
+    for n in images:
+        if n not in ring.variables:
+            raise CertFormatError(f"[auto] names unknown generator {n!r}")
+    sigma = Automorphism(ring, {v: images.get(v, rvar(ring, v)) for v in variables})
+    gen_values = {}
+    for n, txt in generators:
+        if n in gen_values:
+            raise CertFormatError(f"duplicate generator name {n!r}")
+        gen_values[n] = parse_expression(txt, ring)
+    prim_name, prim_txt = primitive
+    if prim_name in gen_values:
+        raise CertFormatError("primitive name clashes with a generator name")
+    theta = parse_expression(prim_txt, ring)
+    rel_coeffs = _monic_in_T(relation, Ring(field, tuple(gen_values)))
+    for n, _ in expressions:
+        if n not in ring.variables:
+            raise CertFormatError(f"[expressions] names unknown generator {n!r}")
+    expr_ring = Ring(field, tuple(gen_values) + (prim_name,))
+    exprs = tuple((n, parse_expression(txt, expr_ring)) for n, txt in expressions)
+    return ring, sigma, gen_values, (prim_name, theta), rel_coeffs, exprs
 
 
 # -- shipped certificates ----------------------------------------------------

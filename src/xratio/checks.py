@@ -4,8 +4,9 @@ Each check is a pure function of a :class:`_Ctx` (run configuration plus the
 resolved coefficient fields) returning a verdict and human-readable detail
 lines.  The context computes the objects checks share (the orientation-checked
 4-cycle action, certificate verifications, isotropy decisions, conic
-parametrizations) once per run and per field; the derived values themselves
-are resolved once per process by :mod:`tables`.  Most claims are one claim per
+parametrizations) once per run and per field; the derived values and the
+constant claim and certificate texts are parsed once per process by
+:mod:`tables` and :mod:`certs`.  Most claims are one claim per
 selected field: such a check is a body for one field, and :func:`_per_field`
 runs it over its declared scope (all, odd, characteristic 2 or finite
 fields), prefixes the lines with the field name and applies the one verdict
@@ -116,13 +117,9 @@ def _per_field(scope):
 
 
 def _table_errors(field: Field, act, claims) -> list:
-    vals = tables.derived_values(field)
-    bad = []
-    for name, text in claims:
-        expected = tables.in_derived(text, field)
-        if not rf_eq(act.apply(vals[name]), expected):
-            bad.append(name)
-    return bad
+    pairs = zip(claims, tables.claim_values(claims, field))
+    return [name for (name, _), (value, image) in pairs
+            if not rf_eq(act.apply(value), image)]
 
 
 def _vanishes(f, text):
@@ -160,10 +157,11 @@ def _run_sigma2_table(ctx, f):
 
 @_per_field("odd_fields")
 def _run_basis_ids(ctx, f):
-    bad = [f"{lhs} = {rhs}" for lhs, rhs in tables.BASIS_IDS_ODD
-           if not rf_eq(tables.in_derived(lhs, f), tables.in_derived(rhs, f))]
+    ids = tables.BASIS_IDS_ODD
+    bad = [f"{lhs} = {rhs}" for (lhs, rhs), (lv, rv) in zip(ids, tables.claim_values(ids, f))
+           if not rf_eq(lv, rv)]
     return not bad, [f"failed: {'; '.join(bad)}" if bad
-                     else f"{len(tables.BASIS_IDS_ODD)}/7 identities verified"]
+                     else f"{len(ids)}/7 identities verified"]
 
 
 @_per_field("odd_fields")

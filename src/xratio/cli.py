@@ -138,13 +138,15 @@ def _cmd_stabilizer(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `replay` parser, built on first use and shared by later calls
-    (each parse still starts from a fresh namespace of defaults)."""
+    (each parse still starts from a fresh namespace of defaults).  No option
+    may be abbreviated, as `_join_values` matches option names exactly."""
     parser = argparse.ArgumentParser(
-        prog="replay",
+        prog="replay", allow_abbrev=False,
         description="re-verify the cross-ratio rationality computations")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_run = sub.add_parser("run", help="execute the claim checklist")
+    p_run = add_parser("run", help="execute the claim checklist")
     p_run.add_argument("--checks", default=None,
                        help="comma-separated check ids (default: all); "
                             "known ids: " + ",".join(CHECK_IDS))
@@ -160,20 +162,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="write the report to a file")
     p_run.set_defaults(func=_cmd_run)
 
-    p_id = sub.add_parser("check-identity",
-                          help="compare two expressions in x1..x4 and the "
-                               "derived quantities")
+    p_id = add_parser("check-identity",
+                      help="compare two expressions in x1..x4 and the "
+                           "derived quantities")
     p_id.add_argument("--field", default="Q")
     p_id.add_argument("--lhs", required=True)
     p_id.add_argument("--rhs", required=True)
     p_id.set_defaults(func=_cmd_check_identity)
 
-    p_sub = sub.add_parser("subgroups", help="subgroup census with split and "
-                                             "fixed-point columns")
+    p_sub = add_parser("subgroups", help="subgroup census with split and "
+                                         "fixed-point columns")
     p_sub.set_defaults(func=_cmd_subgroups)
 
-    p_con = sub.add_parser("conic", help="decide, search, or parametrize the "
-                                         "presentation conics")
+    p_con = add_parser("conic", help="decide, search, or parametrize the "
+                                     "presentation conics")
     p_con.add_argument("action", choices=("decide", "search", "parametrize"))
     p_con.add_argument("--field", default="Q")
     p_con.add_argument("--degree-bound", type=int, default=None,
@@ -182,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Y,Z,W coordinates (expressions in x), 'parametrize' only")
     p_con.set_defaults(func=_cmd_conic)
 
-    p_st = sub.add_parser("stabilizer",
-                          help="upper-triangular stabilizer of a point list")
+    p_st = add_parser("stabilizer",
+                      help="upper-triangular stabilizer of a point list")
     p_st.add_argument("--field", required=True)
     p_st.add_argument("--points", required=True,
                       help="comma-separated values, integers or 'inf'")
@@ -211,10 +213,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except XratioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (XratioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

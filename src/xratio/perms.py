@@ -213,28 +213,9 @@ def splits(s):
     return False, None
 
 
-def orbits(s):
-    """Orbits of S on {1..4}, each sorted, ordered by least element."""
-    left = set(_POINTS)
-    out = []
-    while left:
-        start = min(left)
-        orb = {start}
-        frontier = [start]
-        while frontier:
-            k = frontier.pop()
-            for g in s:
-                m = g(k)
-                if m not in orb:
-                    orb.add(m)
-                    frontier.append(m)
-        out.append(tuple(sorted(orb)))
-        left -= orb
-    return out
-
-
 def has_fixed_point(s) -> bool:
-    return any(len(o) == 1 for o in orbits(s))
+    """Does some letter stay fixed under every element of S?"""
+    return any(all(g(k) == k for g in s) for k in _POINTS)
 
 
 def is_cyclic(s) -> bool:

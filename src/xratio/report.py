@@ -34,7 +34,6 @@ ASSUMED = "ASSUMED-BY-PAPER"
 SKIPPED = "SKIPPED"
 
 VERDICTS = (PASS, FAIL, EVIDENCE, ASSUMED, SKIPPED)
-EVIDENCE_CLASS = (EVIDENCE, ASSUMED)
 
 DEFAULT_FIELDS = ("Q", "Q(i)", "F2", "F3", "F5")
 
@@ -80,10 +79,7 @@ class Report:
         return 1 if any(c.verdict == FAIL for c in self.checks) else 0
 
     def counts(self) -> dict:
-        out = {v: 0 for v in VERDICTS}
-        for c in self.checks:
-            out[c.verdict] += 1
-        return out
+        return {v: sum(c.verdict == v for c in self.checks) for v in VERDICTS}
 
     def to_json(self) -> str:
         payload = {

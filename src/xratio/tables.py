@@ -8,11 +8,13 @@ This module records the definitions, the 4-cycle's action on every derived
 name and the change-of-variable identities as parseable text, so the replay
 re-verifies them from scratch; an expression resolves only the names it uses.
 
-Kept for the whole process: each derived name's value, keyed by the field and
-the definition table as it stands, and the fields, the rings, the parsed
-shipped certificates, `perms.subgroups` and the CLI parser.  No verdict or
-claim comparison is cached: every run parses and re-verifies the table
-claims, the certificates and the conics.
+Kept for the whole process, keyed by the field and the definition table as it
+stands: each derived name's value and, keyed also by the claim table as it
+stands, both sides of each entry of the claim tables SIGMA, SIGMA2 and
+BASIS-IDS (:func:`claim_values`).  Every run still applies the 4-cycle to
+each entry and compares, compares both sides of each basis identity,
+re-checks the 4-cycle's orientation and parses the conic texts again (for
+them the parse is the check); a query text is parsed on every call.
 
 The permutation convention is sigma(x_k) = x_{sigma(k)}.  That orientation
 is what makes the recorded tables correct (the other convention flips
@@ -124,6 +126,18 @@ def in_derived(text: str, field: Field) -> RatFunc:
     names the text uses are resolved, each one at most once per process (see
     :func:`_resolved`)."""
     return _in_table(text, field, derived_definitions(field), None)
+
+
+def claim_values(claims: tuple, field: Field) -> tuple:
+    """The values in k(x1..x4) of both sides of each entry of `claims`, one of
+    this module's constant claim tables, parsed once per process."""
+    return _claim_values(field, derived_definitions(field), claims)
+
+
+@functools.cache
+def _claim_values(field, table, claims):
+    return tuple(tuple(_in_table(text, field, table, None) for text in entry)
+                 for entry in claims)
 
 
 @functools.cache

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from xratio import certs
 from xratio.certs import (COUNTEREXAMPLE_CERT_NAMES, VALID_CERT_NAMES,
                           CertFormatError, parse_certificate,
                           shipped_certificate, shipped_certificates,
@@ -173,6 +174,23 @@ def test_extension_header_is_refused():
     text = TINY.replace("variables: u\n", "variables: u\nextension: T^2 - u\n")
     with pytest.raises(CertFormatError, match="unknown header key 'extension'"):
         parse_certificate(text)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("u -> -u\n", "w -> -u\n", "[auto] names unknown generator 'w'"),
+    ("v = u^2\n", "v = u^2\nv = u^4\n", "duplicate generator name 'v'"),
+    ("theta = u\n", "v = u\n", "primitive name clashes with a generator name"),
+    ("u = theta\n", "w = theta\n", "[expressions] names unknown generator 'w'"),
+])
+def test_a_malformed_certificate_is_refused_on_every_call(monkeypatch, old, new, message):
+    # shipped as it stands, so its texts go through the process-wide cache
+    shipped_certificates()
+    cert = parse_certificate(TINY.replace(old, new))
+    monkeypatch.setitem(certs._cache, cert.name, cert)
+    for _ in range(2):
+        with pytest.raises(CertFormatError) as info:
+            verify_certificate(cert, rationals())
+        assert str(info.value) == message
 
 
 def _replaced(entries, name, text):

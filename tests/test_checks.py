@@ -1,12 +1,14 @@
+import dataclasses
 import json
 from collections import Counter
 
 import jsonschema
 import pytest
 
-from xratio import certs, conic, tables
+from xratio import certs, checks, conic, exprparse, tables
+from xratio.autos import Automorphism
 from xratio.checks import CHECK_IDS, CHECKS, resolve_fields, run_checklist
-from xratio.fields import XratioError
+from xratio.fields import XratioError, field_by_name
 from xratio.report import (ASSUMED, DEFAULT_FIELDS, EVIDENCE, FAIL, PASS,
                            REPORT_SCHEMA, SKIPPED, CheckResult, Report,
                            RunConfig)
@@ -212,6 +214,110 @@ def test_a_table_patched_after_a_warm_run_still_fails(monkeypatch):
                    for name, image in tables.SIGMA_ODD)
     monkeypatch.setattr(tables, "SIGMA_ODD", broken)
     res = run_checklist(RunConfig(fields=("Q",)), only={"SIGMA-TABLE"}).checks[0]
+    assert (res.verdict, res.details) == (FAIL, ["Q: mismatch at w"])
+
+
+def _recorded_parses(monkeypatch):
+    """Record the text, without spaces, of each parse `tables` and `certs` make."""
+    seen, real = [], exprparse.parse_expression
+
+    def recording(text, ring):
+        seen.append("".join(text.split()) if isinstance(text, str) else
+                    "".join(str(v) for kind, v, _ in text if kind != "end"))
+        return real(text, ring)
+
+    monkeypatch.setattr(tables, "parse_expression", recording)
+    monkeypatch.setattr(certs, "parse_expression", recording)
+    return seen
+
+
+def _recorded_work(monkeypatch):
+    """Count, per run, the comparisons the checks make, the orientation checks
+    and, per certificate/field instance, the work of each condition."""
+    work, current, vers = Counter(), [], {}
+    real_verify = certs.verify_certificate
+    real_fixes, real_order = Automorphism.fixes, Automorphism.order
+    real_subst, real_eq, real_tables_eq = certs._substitute, checks.rf_eq, tables.rf_eq
+
+    def verify(cert, field):
+        current.append((cert.name, field.name))
+        vers[current[-1]] = real_verify(cert, field)
+        return vers[current[-1]]
+
+    def counted(key, real):
+        def run(*args):
+            work[key() if callable(key) else key] += 1
+            return real(*args)
+        return run
+
+    monkeypatch.setattr(certs, "verify_certificate", verify)
+    monkeypatch.setattr(Automorphism, "fixes", counted(lambda: (current[-1], 1), real_fixes))
+    monkeypatch.setattr(certs, "_substitute", counted(lambda: (current[-1], "2+3"), real_subst))
+    monkeypatch.setattr(Automorphism, "order", counted(lambda: (current[-1], 4), real_order))
+    monkeypatch.setattr(checks, "rf_eq", counted("compared", real_eq))
+    monkeypatch.setattr(tables, "rf_eq", counted("oriented", real_tables_eq))
+    return work, vers
+
+
+def test_a_second_run_parses_no_constant_text_but_runs_every_check(monkeypatch):
+    tables._claim_values.cache_clear()
+    certs._parse.cache_clear()
+    parsed = _recorded_parses(monkeypatch)
+    work, vers = _recorded_work(monkeypatch)
+    first = run_checklist(RunConfig())
+    cold_parsed, cold_work = list(parsed), Counter(work)
+    del parsed[:]
+    work.clear()
+    second = run_checklist(RunConfig())
+    # the claim and certificate texts were parsed by the first run only; the
+    # conic texts are parsed by every run, as for them the parse is the check
+    conics = ["".join(tables.CONIC_ODD_TEXT.split())] * 4 + [
+        "".join(tables.CONIC_CHAR2_TEXT.split())]
+    assert sorted(parsed) == sorted(conics)
+    assert len(cold_parsed) > 10 * len(parsed)
+    assert work == cold_work
+    assert work["oriented"] == len(DEFAULT_FIELDS)
+    assert len(vers) == 19
+    for (name, field_name), ver in vers.items():
+        cert = certs.shipped_certificate(name)
+        assert ver.valid == (name not in certs.COUNTEREXAMPLE_CERT_NAMES)
+        assert work[((name, field_name), 1)] == len(cert.generators)
+        assert work[((name, field_name), "2+3")] == ver.degree + 1 + len(cert.expressions)
+        assert work[((name, field_name), 4)] == 1
+    assert second.to_json() == first.to_json()
+
+
+def test_a_warm_run_compares_every_claim(monkeypatch):
+    claim_checks = {"SIGMA-TABLE", "SIGMA2-TABLE", "BASIS-IDS", "CHAR2-TABLE"}
+    run_checklist(RunConfig(), only=claim_checks)
+    parsed = _recorded_parses(monkeypatch)
+    work, _ = _recorded_work(monkeypatch)
+    rep = run_checklist(RunConfig(), only=claim_checks)
+    assert parsed == []
+    # SIGMA, SIGMA2 (8 entries each) and BASIS-IDS (7) over the four odd
+    # fields, sigma and sigma^2 (9 entries each) over F2
+    assert work["compared"] == 4 * (8 + 8 + 7) + 9 + 9
+    assert {c.verdict for c in rep.checks} == {PASS}
+
+
+def test_a_replaced_certificate_or_table_after_a_warm_run_is_parsed_afresh(monkeypatch):
+    run_checklist(RunConfig(fields=("Q",)))
+    q = field_by_name("Q")
+    cert = certs.shipped_certificate("negate_invert_full")
+    parsed = _recorded_parses(monkeypatch)
+    assert certs.verify_certificate(cert, q).valid
+    assert parsed == []
+    bad = dataclasses.replace(cert, auto_images=[("b", "b"), ("u", "-1/u")])
+    ver = certs.verify_certificate(bad, q)
+    assert parsed[:2] == ["b", "-1/u"]
+    assert [c.ok for c in ver.conditions] == [False, True, True, True]
+    assert "INVALID" in ver.render()
+    del parsed[:]
+    broken = tuple((name, "y" if name == "w" else image)
+                   for name, image in tables.SIGMA_ODD)
+    monkeypatch.setattr(tables, "SIGMA_ODD", broken)
+    res = run_checklist(RunConfig(fields=("Q",)), only={"SIGMA-TABLE"}).checks[0]
+    assert "y" in parsed
     assert (res.verdict, res.details) == (FAIL, ["Q: mismatch at w"])
 
 

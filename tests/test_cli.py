@@ -252,6 +252,21 @@ def test_a_missing_option_value_exits_2(capsys, argv, option):
     assert f"argument {option}: expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # `--lh` is not read as `--lhs`, whether or not its value starts with "-"
+    (["check-identity", "--lh", "x1", "--rhs", "x1"],
+     "the following arguments are required: --lhs"),
+    (["check-identity", "--lh", "-x1", "--rhs", "x1"],
+     "the following arguments are required: --lhs"),
+    (["run", "--check", "SPLIT"], "unrecognized arguments: --check SPLIT"),
+])
+def test_an_abbreviated_option_is_refused(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["-1", "0"])
 def test_run_samples_below_one_exits_2(capsys, samples):
     assert main(["run", "--checks", "GENFREE", "--samples", samples]) == 2

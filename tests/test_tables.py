@@ -207,6 +207,15 @@ def test_full_table_parses_each_definition_once(parses):
         assert parses == [("u+t", ("u", "t"))]
 
 
+def test_a_query_text_is_parsed_on_every_call(parses):
+    q = rationals()
+    in_derived("u + t", q)
+    del parses[:]
+    in_derived("u + t", q)
+    in_derived("u + t", q)
+    assert parses == [("u+t", ("u", "t"))] * 2
+
+
 def test_definitions_see_only_earlier_names(monkeypatch, parses):
     q = rationals()
     monkeypatch.setattr(tables, "DERIVED_ODD", (("w", "y + 1"), ("y", "x1"), ("z", "z^2")))
