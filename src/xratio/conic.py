@@ -40,9 +40,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from operator import add as _iadd
 
 from .fields import Field, FieldElement, XratioError
-from .poly import MultiPoly, Ring
+from .poly import MultiPoly, Ring, RingMismatchError, _canonical
 from .ratfunc import CharacteristicError, RatFunc, rat
 
 
@@ -96,7 +97,8 @@ def _poly(ring: Ring, c, what: str) -> MultiPoly:
         return c
     if isinstance(c, (int, FieldElement)):
         return ring.const(c)
-    raise XratioError(f"{what} must be a polynomial of {ring!r}, not {c!r}")
+    error = RingMismatchError if isinstance(c, MultiPoly) else XratioError
+    raise error(f"{what} must be a polynomial of {ring!r}, not {c!r}")
 
 
 class ProjPoint2:
@@ -162,13 +164,24 @@ class TernaryForm:
 
     def eval_at(self, Y, Z, W, target_ring: Ring) -> MultiPoly:
         """Plug in coordinates: ints, scalars or polynomials of
-        `target_ring`, a ring containing this form's variables."""
-        vals = {"Y": Y, "Z": Z, "W": W}
-        acc = target_ring.zero
+        `target_ring`, a ring containing this form's variables (a polynomial
+        of another ring raises RingMismatchError).  Every raw triple product
+        c*A*B is summed into one dict, reduced once per monomial at the end."""
+        field = target_ring.field
+        add, mul = field.raw_add, field.raw_mul
+        vals = {n: _poly(target_ring, v, "a coordinate").terms
+                for n, v in zip("YZW", (Y, Z, W))}
+        acc = {}
         for (a, b), c in self.coeffs.items():
-            if c.terms:
-                acc = acc + c.embed(target_ring) * vals[a] * vals[b]
-        return acc
+            if not c.terms:
+                continue
+            for e1, c1 in c.embed(target_ring).terms.items():
+                for e2, c2 in vals[a].items():
+                    e12, c12 = tuple(map(_iadd, e1, e2)), mul(c1, c2)
+                    for e3, c3 in vals[b].items():
+                        e, t = tuple(map(_iadd, e12, e3)), mul(c12, c3)
+                        acc[e] = add(acc[e], t) if e in acc else t
+        return MultiPoly(target_ring, _canonical(field, acc))
 
     def is_point(self, p: ProjPoint2) -> bool:
         return self.eval_at(*p.coords, p.ring).is_zero()
@@ -399,13 +412,6 @@ def decide_isotropy(field: Field) -> IsotropyDecision:
 # -- exhaustive bounded search ---------------------------------------------
 
 
-def _coeff_list(p: MultiPoly, upto: int):
-    out = [p.ring.field.zero] * (upto + 1)
-    for e, c in p.coefficients():
-        out[e[0]] = c
-    return out
-
-
 def searchable_degree(field: Field, degree_bound: int) -> int:
     """The largest d <= degree_bound whose (q^(d+1))^3 candidate triples fit
     the search budget, or -1 when none does."""
@@ -431,7 +437,11 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
     meets all its candidates and the search stays exhaustive; Y = 0 answers
     when the (W, Z) part vanishes on its own and (W, Z) != (0, 0).  All lists
     hold raw payloads, and each coordinate's square and linear parts are
-    built once, outside the (W, Z) loop.
+    built once, outside the (W, Z) loop.  A zero cross coefficient adds
+    nothing, so its list is not built (a zero c_ZW skips the Z W product),
+    and with c_YZ = c_YW = 0 the one table (L = 0) is built before the loop.
+    Every (W, Z) pair is still visited against a table of every Y, so the
+    search stays exhaustive and returns the same least triple.
     """
     field = form.ring.field
     if not field.is_finite:
@@ -445,12 +455,12 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
                                 f"triples exceed the budget {SEARCH_BUDGET}")
     n_polys = field.order ** (degree_bound + 1)
 
-    maxdeg = max(0, *(p.total_degree() for p in form.coeffs.values()))
-    cl = {pair: [c.v for c in _coeff_list(p, maxdeg)] for pair, p in form.coeffs.items()}
-
     # only key() reduces: reduction mod p commutes with raw sums and products
     add, mul, neg, reduce = field.raw_add, field.raw_mul, field.raw_neg, field.reduce
     zero = field.raw_zero
+    maxdeg = max(0, *(p.total_degree() for p in form.coeffs.values()))
+    cl = {pair: [p.terms.get((k,), zero) for k in range(maxdeg + 1)]
+          for pair, p in form.coeffs.items()}
     elems = [e.v for e in field.elements()]
     polys = [tuple(reversed(t)) for t in product(elems, repeat=degree_bound + 1)]
 
@@ -482,7 +492,8 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
     sq = [lmul(p, p) for p in polys]
     # c_YY Y^2, c_ZZ Z^2, c_WW W^2 as keys; linear parts c_YZ Z, c_YW W, c_ZW Z
     tY, tZ, tW = ([key(lmul(cl[(c, c)], s)) for s in sq] for c in "YZW")
-    lYZ, lYW, lZW = ([lmul(cl[pair], p) for p in polys] for pair in _PAIRS[3:])
+    lYZ, lYW, lZW = (None if form.coeffs[pair].is_zero() else
+                     [lmul(cl[pair], p) for p in polys] for pair in _PAIRS[3:])
     tables = {}
 
     def y_table(lin):
@@ -499,14 +510,19 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
             tables[k] = table
         return table
 
+    one_table = y_table(()) if lYZ is None and lYW is None else None
     rng_ = range(len(polys))
     for iw in rng_:
         for iz in rng_:
-            rest = key(ladd(ladd(tW[iw], tZ[iz]), lmul(lZW[iz], polys[iw])))
+            rest = ladd(tW[iw], tZ[iz])
+            rest = key(rest if lZW is None else ladd(rest, lmul(lZW[iz], polys[iw])))
             if not rest and (iz or iw):
                 iy = 0
+            elif one_table is not None:
+                iy = one_table.get(rest)
             else:
-                iy = y_table(ladd(lYZ[iz], lYW[iw])).get(rest)
+                iy = y_table(lYW[iw] if lYZ is None else lYZ[iz] if lYW is None
+                             else ladd(lYZ[iz], lYW[iw])).get(rest)
             if iy is not None:
                 coords = []
                 for idx in (iy, iz, iw):
@@ -544,11 +560,23 @@ class ParametrizationMap:
         self.inverse = inverse
 
     def point_at(self, value) -> ProjPoint2:
-        """Specialize the parameter to a field element."""
-        if isinstance(value, int):
-            value = self.param_ring.field.from_int(value)
+        """Specialize s (the last slot of `param_ring`) to a field element:
+        each term's payload times value^k, its s slot dropped, in one pass
+        over each forward polynomial.  A scalar of another field raises
+        FieldMismatchError; a zero image raises DegenerateConicError."""
         base = self.form.ring
-        coords = [p.substitute({"s": base.const(value)}, base) for p in self.forward]
+        value = base.const(value).constant_value()  # an int, or a scalar of this field
+        field, add, mul = base.field, base.field.raw_add, base.field.raw_mul
+        powers = [field.raw_one]
+        for _ in range(max((e[-1] for p in self.forward for e in p.terms), default=0)):
+            powers.append(field.reduce(mul(powers[-1], value.v)))
+        coords = []
+        for p in self.forward:
+            acc = {}
+            for e, c in p.terms.items():
+                e, t = e[:-1], mul(c, powers[e[-1]])
+                acc[e] = add(acc[e], t) if e in acc else t
+            coords.append(MultiPoly(base, _canonical(field, acc)))
         if all(c.is_zero() for c in coords):
             raise DegenerateConicError(f"parameter {value} hits the degenerate fiber")
         return ProjPoint2(base, coords)

@@ -432,3 +432,18 @@ def test_check_identity_output_matches_golden():
                          "--lhs", rec["lhs"], "--rhs", rec["rhs"]])
         assert (code, out.getvalue(), err.getvalue()) == (
             rec["exit"], rec["stdout"], rec["stderr"]), rec
+
+
+def test_conic_output_matches_golden():
+    # exit code, stdout and stderr of `conic decide`, `conic parametrize` and
+    # `conic search` over the nine fields, recorded before the conic kernels
+    # moved to raw payloads; tests/data/make_conic_golden.py holds the
+    # argument lists and rewrites the file
+    records = json.loads((DATA / "conic_golden.json").read_text(encoding="utf-8"))
+    assert len(records) == 47
+    for rec in records:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            code = main(rec["argv"])
+        assert (code, out.getvalue(), err.getvalue()) == (
+            rec["exit"], rec["stdout"], rec["stderr"]), rec

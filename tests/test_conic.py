@@ -4,15 +4,16 @@ from itertools import product
 
 import pytest
 
-from xratio.conic import (SEARCH_BUDGET, DegenerateConicError, ProjPoint2,
-                          SearchBudgetError, TernaryForm, base_ring,
+from xratio.conic import (SEARCH_BUDGET, DegenerateConicError, ParametrizationMap,
+                          ProjPoint2, SearchBudgetError, TernaryForm, base_ring,
                           bounded_point_search, char2_form, criterion_form,
                           decide_isotropy, form_from_text, known_point,
                           parametrize, searchable_degree, standard_form,
                           tail_remainder)
 from xratio.exprparse import parse_expression
-from xratio.fields import XratioError, field_by_name, prime_field, rationals
-from xratio.poly import MultiPoly, Ring
+from xratio.fields import (FieldMismatchError, XratioError, field_by_name,
+                           prime_field, rationals)
+from xratio.poly import MultiPoly, Ring, RingMismatchError
 from xratio.ratfunc import CharacteristicError, RatFunc, rf_eq, rvar
 
 
@@ -175,7 +176,12 @@ def _reference_search(form, degree_bound):
     return None
 
 
-# None stands for criterion_form; the rest carry Y*Z, Y*W or Z*W cross terms
+# None stands for criterion_form; the rest carry Y*Z, Y*W or Z*W cross terms.
+# Between them they meet every branch of the search loop: no Y*Z and no Y*W
+# term (one Y table), with and without a Z*W term; Y*Z alone, Y*W alone and
+# both; a Z*W term or none.  The last three have no zero with W = 0, and
+# their first zeros (where there are any) have Y != 0, so the Y table and the
+# cross terms decide those cases.
 SEARCH_FORMS = (
     None,
     "Y^2 + Y*Z - x*Z^2 - x*W^2",
@@ -183,6 +189,9 @@ SEARCH_FORMS = (
     "Y*Z + x*Y*W + x*Z^2 + (x + 1)*W^2",
     "Y^2/x + Y*W - Z^2 + Z*W",
     "Z^2 - x*W^2",
+    "Y^2 + Z*W - x*Z^2 - x*W^2",
+    "Y^2 + x*Y*W - x*Z^2 + W^2",
+    "Y^2 + Y*Z + x*Y*W - x*Z^2 + W^2",
 )
 
 
@@ -473,3 +482,69 @@ def test_parametrize_from_a_rescaled_point():
     assert str(scaled.inverse) == str(direct.inverse)
     for v in f5.elements():
         assert form.is_point(scaled.point_at(v))
+
+
+def _param_values(field):
+    """The parameter values PARAM samples."""
+    return (list(field.elements()) if field.is_finite
+            else [field.from_int(k) for k in (-3, -1, 0, 1, 2, 5)])
+
+
+@pytest.mark.parametrize("name", ["Q(i)", "F2", "F5", "F3(i)", "F7(i)", "F101"])
+def test_point_at_matches_substituting_the_parameter(name):
+    field = field_by_name(name)
+    form, point = known_point(field)
+    pm = parametrize(form, point)
+    base = form.ring
+    for v in _param_values(field):
+        expected = [p.substitute({"s": base.const(v)}, base) for p in pm.forward]
+        assert list(pm.point_at(v).coords) == expected
+    with pytest.raises(FieldMismatchError, match="is not a scalar of " + re.escape(name)):
+        pm.point_at(field_by_name("F7" if name == "F5" else "F5").from_int(1))
+
+
+def test_point_at_refuses_the_degenerate_fiber():
+    # the forward map of a smooth conic is never zero at a field value, so
+    # the test map shares the factor s - 1 in every coordinate
+    field = prime_field(5)
+    pm = parametrize(*known_point(field))
+    s = pm.param_ring.var("s")
+    shared = ParametrizationMap(pm.form, pm.base_point, pm.chart, pm.param_ring,
+                                [p * (s - 1) for p in pm.forward], pm.chart_ring,
+                                pm.affine_names, pm.inverse)
+    base = pm.form.ring
+    assert all(p.substitute({"s": base.const(1)}, base).is_zero()
+               for p in shared.forward)
+    with pytest.raises(DegenerateConicError, match="parameter 1 hits the degenerate fiber"):
+        shared.point_at(1)
+    assert shared.point_at(2).same_point(pm.point_at(2))
+
+
+def _coordinates(field, ring):
+    """Mixed coordinates in `ring`: an int, a scalar and two polynomials."""
+    x = ring.var("x")
+    two = field.from_int(2)
+    out = [3, two, x * x + two * x + 1, ring.zero]
+    if "s" in ring.variables:
+        s = ring.var("s")
+        out += [s * x - 1, two * s * s + x]
+    return out
+
+
+@pytest.mark.parametrize("name", ["F3", "F5", "Q(i)", "F2"])
+@pytest.mark.parametrize("text", SEARCH_FORMS)
+def test_eval_at_matches_summing_the_products(name, text):
+    field = field_by_name(name)
+    form = criterion_form(field) if text is None else form_from_text(field, text)
+    for ring in (form.ring, Ring(field, ("x", "s"))):
+        coords = _coordinates(field, ring)
+        for Y, Z, W in product(coords, repeat=3):
+            vals = {"Y": Y, "Z": Z, "W": W}
+            expected = sum((c.embed(ring) * vals[a] * vals[b]
+                            for (a, b), c in form.coeffs.items()), ring.zero)
+            got = form.eval_at(Y, Z, W, ring)
+            assert got.ring == ring and got == expected
+    other = Ring(field, ("x", "t")).var("x")
+    for coords in ((other, 0, 1), (0, other, 1), (1, 0, other)):
+        with pytest.raises(RingMismatchError):
+            form.eval_at(*coords, form.ring)
