@@ -179,6 +179,7 @@ class CertVerification:
     field_name: str
     degree: int
     conditions: list
+    generators: dict  # name -> its parsed value in the ambient field
 
     @property
     def valid(self) -> bool:
@@ -267,7 +268,7 @@ def verify_certificate(cert: Certificate, field: Field) -> CertVerification:
                                "(map is not invertible)")
     push(4, ok4, detail4)
 
-    return CertVerification(cert.name, field.name, m, results)
+    return CertVerification(cert.name, field.name, m, results, gen_values)
 
 
 @functools.cache

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field as dc_field
 
 from . import certs, conic, tables
 from .autos import perm_automorphism
-from .exprparse import parse_expression
 from .fields import Field, XratioError, field_by_name, prime_field, rationals
 from .perms import (all_perms, cyclic_order4_subgroups, has_fixed_point,
                     klein_group, klein_part, splits, subgroup_conjugacy_classes,
@@ -191,11 +190,12 @@ def _run_lem_a_rel(ctx, f):
         lines.append(f"{name} FAILED {bad}" if bad else
                      f"{name} relation kills the primitive, generators recovered, "
                      f"action order matches degree {ver.degree}")
-    ring2 = Ring(f, ("b", "u"))
-    gx = parse_expression("b^2", ring2)
-    gy = parse_expression("b*(u^2+1)/(2*u)", ring2)
-    gz = parse_expression("(u^2-1)/(2*u)", ring2)
-    conic_rel = rf_eq(gy * gy, gx * gz * gz + gx)
+    # the criterion form at (y : z : 1), with x set to the generator x
+    form = conic.criterion_form(f)
+    g = ctx.verified("negate_invert_full", f).generators
+    x, at = g["x"], {"Y": g["y"], "Z": g["z"], "W": 1}
+    conic_rel = sum(x ** e * k * at[a] * at[b] for (a, b), c in form.coeffs.items()
+                    for (e,), k in c.coefficients()).is_zero()
     lines.append("y^2 - x*z^2 - x " + ("= 0 holds among the generators" if conic_rel
                                        else "does NOT vanish on the generators"))
     return ok and conic_rel, lines

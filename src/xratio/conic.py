@@ -323,13 +323,13 @@ class IsotropyDecision:
 
 
 def tail_remainder(field: Field) -> MultiPoly:
-    """E - A0^2 - x(2 A0 A1 - B0^2 - C0^2) for E = A^2 - x(B^2 + C^2) with
-    A = A0 + A1 x + x^2 Ar, B = B0 + x Br, C = C0 + x Cr; the opaque tails
-    Ar, Br, Cr stand for any polynomials in x."""
+    """E - A0^2 - x(2 A0 A1 - B0^2 - C0^2) for E the standard form at (A : B : C)
+    with A = A0 + A1 x + x^2 Ar, B = B0 + x Br, C = C0 + x Cr; the opaque
+    tails Ar, Br, Cr stand for any polynomials in x."""
     ring = Ring(field, ("x", "A0", "A1", "Ar", "B0", "Br", "C0", "Cr"))
     x, a0, a1, ar, b0, br, c0, cr = ring.vars()
     A, B, C = a0 + a1 * x + x * x * ar, b0 + x * br, c0 + x * cr
-    E = A * A - x * (B * B + C * C)
+    E = standard_form(field).eval_at(A, B, C, ring)
     return E - a0 * a0 - x * (2 * a0 * a1 - b0 * b0 - c0 * c0)
 
 

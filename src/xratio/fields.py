@@ -1,25 +1,26 @@
 """Exact coefficient fields.
 
-Four kinds of field, all with exact arithmetic and one canonical form per
-element:
+Two scalar kinds of field and one construction over them, all with exact
+arithmetic and one canonical form per element:
 
 * ``Q``       rationals: an ``int`` when integral, else a ``Fraction``
-* ``Q(i)``    gaussian rationals, pairs (re, im) of such rationals
 * ``Fp``      prime fields, residues 0..p-1
-* ``Fp(i)``   Fp[X]/(X^2+1) for p = 3 (mod 4), residue pairs (re, im)
+* ``k(i)``    k[X]/(X^2+1) over k = Q or Fp (:class:`GaussianField`), pairs
+  (re, im) of k's payloads; X^2+1 is irreducible, so the pairs form a field,
+  exactly when k has no square root of -1 (Q, and Fp for p = 3 mod 4)
 
 Each field exposes one set of payload ops on those raw values: ``raw_add``,
 ``raw_mul`` and ``raw_neg`` may leave a result unreduced, ``reduce`` maps it
-to the canonical form (one ``% p`` for F_p; over Q and Q(i) a ``Fraction``
-with denominator 1 becomes its ``int`` numerator, so integral coefficients,
-nearly all of them, never pay a ``Fraction`` gcd), and ``raw_zero``/``raw_one``
-are the canonical zero and one.  A payload is never a ``float``: ``inv``
-divides through ``Fraction``.  Polynomials store these payloads directly.
+to the canonical form (one ``% p`` per component over F_p; over Q a
+``Fraction`` with denominator 1 becomes its ``int`` numerator, so integral
+coefficients, nearly all of them, never pay a ``Fraction`` gcd), and
+``raw_zero``/``raw_one`` are the canonical zero and one.  A payload is never
+a ``float``: ``inv`` divides through ``Fraction``, and over k(i) through k's
+inverse of the norm.  ``shows_negative`` says which payloads a polynomial
+prints with a minus sign.  Polynomials store these payloads directly.
 :class:`FieldElement` wraps one payload for the API edges and supports
 ``+ - * / **`` and structural equality by delegating to the payload ops.
 Mixing elements of two different fields raises :class:`FieldMismatchError`.
-``Fp(i)`` demands p = 3 (mod 4) so that X^2+1 is irreducible and the pair
-arithmetic really is a field.
 """
 
 from __future__ import annotations
@@ -196,6 +197,10 @@ class Field:
         """A canonical square root of -1, or None when there is none."""
         return None
 
+    def shows_negative(self, v) -> bool:
+        """Whether a polynomial prints payload `v` as the negation of -v."""
+        return False
+
     def __eq__(self, other):
         return other is self or (isinstance(other, Field) and other.name == self.name)
 
@@ -205,6 +210,9 @@ class Field:
     def __repr__(self):
         return f"Field({self.name})"
 
+    def render(self, v):
+        return str(v)
+
 
 def _rational(x):
     """Canonical Q payload: the ``int`` numerator of an integral ``Fraction``."""
@@ -213,7 +221,6 @@ def _rational(x):
 
 class RationalField(Field):
     name = "Q"
-    characteristic = 0
     reduce = staticmethod(_rational)
 
     def _int_payload(self, n):
@@ -224,49 +231,8 @@ class RationalField(Field):
             raise ZeroDivisionError("division by zero in Q")
         return FieldElement(self, _rational(Fraction(1) / a.v))
 
-    def render(self, v):
-        return str(v)
-
-
-class GaussianRationalField(Field):
-    """Q(i): pairs (re, im) of canonical Q payloads with i^2 = -1."""
-
-    name = "Q(i)"
-    characteristic = 0
-    raw_add = staticmethod(_pair_add)
-    raw_mul = staticmethod(_pair_mul)
-    raw_neg = staticmethod(_pair_neg)
-
-    @staticmethod
-    def reduce(raw):
-        return (_rational(raw[0]), _rational(raw[1]))
-
-    def _int_payload(self, n):
-        return (n, 0)
-
-    def inv(self, a):
-        p, q = a.v
-        n = Fraction(p * p + q * q)
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return FieldElement(self, self.reduce((p / n, -q / n)))
-
-    def sqrt_minus_one(self):
-        return FieldElement(self, (0, 1))
-
-    def render(self, v):
-        p, q = v
-        if q == 0:
-            return str(p)
-        if q == 1:
-            im = "i"
-        elif q == -1:
-            im = "-i"
-        else:
-            im = f"{q}*i"
-        if p == 0:
-            return im
-        return f"{p} + {im}" if not im.startswith("-") else f"{p} - {im[1:]}"
+    def shows_negative(self, v):
+        return v < 0
 
 
 class PrimeField(Field):
@@ -311,59 +277,66 @@ class PrimeField(Field):
         for k in range(self.p):
             yield FieldElement(self, k)
 
-    def render(self, v):
-        return str(v)
 
-
-class PrimeQuadraticField(Field):
-    """Fp(i) = Fp[X]/(X^2+1), residue pairs; requires p = 3 (mod 4)."""
+class GaussianField(Field):
+    """k(i) = k[X]/(X^2+1) over a scalar field k (Q or F_p): pairs (re, im)
+    of k's payloads.  X^2+1 is irreducible over k exactly when k has no
+    square root of -1, so that is the one construction rule."""
 
     raw_add = staticmethod(_pair_add)
     raw_mul = staticmethod(_pair_mul)
     raw_neg = staticmethod(_pair_neg)
 
-    def __init__(self, p):
-        if not is_prime(p):
-            raise FieldConstructionError(f"{p} is not prime")
-        if p % 4 != 3:
+    def __init__(self, base: Field):
+        self.base = base
+        self.name = f"{base.name}(i)"
+        if base.sqrt_minus_one() is not None:
             raise FieldConstructionError(
-                f"F{p}(i) is not a field: X^2+1 is reducible mod {p} (need p = 3 mod 4)")
-        self.p = p
-        self.name = f"F{p}(i)"
-        self.characteristic = p
-        self.order = p * p
+                f"{self.name} is not a field: X^2+1 is reducible mod "
+                f"{base.characteristic} (need p = 3 mod 4)")
+        self.characteristic = p = base.characteristic
+        if base.is_finite:
+            self.order = base.order ** 2
+            # the modulus bound once: no call per component
+            self.reduce = lambda raw: (raw[0] % p, raw[1] % p)
+        else:
+            r = base.reduce
+            self.reduce = lambda raw: (r(raw[0]), r(raw[1]))
         super().__init__()
 
     def _int_payload(self, n):
-        return (n % self.p, 0)
-
-    def reduce(self, raw):
-        return (raw[0] % self.p, raw[1] % self.p)
+        return (self.base._int_payload(n), self.base.raw_zero)
 
     def inv(self, a):
-        p = self.p
         x, y = a.v
-        n = (x * x + y * y) % p
-        if n == 0:
-            # x^2+y^2 = 0 with (x,y) != 0 is impossible for p = 3 (mod 4)
+        base = self.base
+        n = base.reduce(x * x + y * y)
+        if n == base.raw_zero:  # x^2 + y^2 = 0 only at 0, as -1 is not a square
             raise ZeroDivisionError(f"division by zero in {self.name}")
-        ninv = pow(n, p - 2, p)
-        return FieldElement(self, (x * ninv % p, -y * ninv % p))
+        m = base.inv(FieldElement(base, n)).v
+        return FieldElement(self, self.reduce((x * m, -y * m)))
 
     def sqrt_minus_one(self):
-        return FieldElement(self, (0, 1))
+        return FieldElement(self, (self.base.raw_zero, self.base.raw_one))
+
+    def shows_negative(self, v):
+        neg = self.base.shows_negative
+        return neg(v[0]) or (v[0] == self.base.raw_zero and neg(v[1]))
 
     def elements(self):
-        for re_ in range(self.p):
-            for im_ in range(self.p):
-                yield FieldElement(self, (re_, im_))
+        if not self.is_finite:
+            return super().elements()
+        parts = [e.v for e in self.base.elements()]
+        return (FieldElement(self, (re_, im_)) for re_ in parts for im_ in parts)
 
     def render(self, v):
-        x, y = v
-        if y == 0:
-            return str(x)
-        im = "i" if y == 1 else f"{y}*i"
-        return im if x == 0 else f"{x} + {im}"
+        p, q = v
+        if q == 0:
+            return str(p)
+        im = "i" if q == 1 else "-i" if q == -1 else f"{q}*i"
+        if p == 0:
+            return im
+        return f"{p} - {im[1:]}" if im.startswith("-") else f"{p} + {im}"
 
 
 _CACHE: dict[str, Field] = {}
@@ -375,16 +348,16 @@ def rationals() -> RationalField:
     return _cached("Q", RationalField)
 
 
-def gaussian_rationals() -> GaussianRationalField:
-    return _cached("Q(i)", GaussianRationalField)
+def gaussian_rationals() -> GaussianField:
+    return _cached("Q(i)", lambda: GaussianField(rationals()))
 
 
 def prime_field(p: int) -> PrimeField:
     return _cached(f"F{p}", lambda: PrimeField(p))
 
 
-def prime_quadratic_field(p: int) -> PrimeQuadraticField:
-    return _cached(f"F{p}(i)", lambda: PrimeQuadraticField(p))
+def prime_quadratic_field(p: int) -> GaussianField:
+    return _cached(f"F{p}(i)", lambda: GaussianField(prime_field(p)))
 
 
 def _cached(name, ctor):

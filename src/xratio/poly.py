@@ -330,7 +330,7 @@ class MultiPoly:
         names = self.ring.variables
         parts = []
         for e, c in self.sorted_terms():
-            neg = _display_negative(field, c)
+            neg = field.shows_negative(c)
             if neg:
                 c = field.reduce(field.raw_neg(c))
             mono = "*".join(
@@ -398,15 +398,6 @@ def _product(factors, empty):
     for f in factors:
         out = f if out is None else out * f
     return empty if out is None else out
-
-
-def _display_negative(field, v) -> bool:
-    name = field.name
-    if name == "Q":
-        return v < 0
-    if name == "Q(i)":
-        return v[0] < 0 or (v[0] == 0 and v[1] < 0)
-    return False
 
 
 def _wrap_scalar(s: str) -> str:

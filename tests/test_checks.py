@@ -352,3 +352,34 @@ def test_skipped_main_b_verdict_states_only_the_skip_reason():
     res = run_checklist(RunConfig(fields=("F2",)), only={"MAIN-B-VERDICT"}).checks[0]
     assert res.verdict == SKIPPED
     assert res.details == ["no field of characteristic != 2 selected"]
+
+
+def _bent_form(field):
+    """Y^2 - x*Z^2 - x^2*W^2: the criterion form with its W^2 term bent."""
+    ring = conic.base_ring(field)
+    x = ring.var("x")
+    return conic.TernaryForm(ring, {("Y", "Y"): 1, ("Z", "Z"): -x, ("W", "W"): -x * x})
+
+
+def test_lem_a_rel_evaluates_the_criterion_form(monkeypatch):
+    monkeypatch.setattr(conic, "criterion_form", _bent_form)
+    res = run_checklist(RunConfig(fields=("Q", "F3")), only={"LEM-A-REL"}).checks[0]
+    assert res.verdict == FAIL
+    assert [line for line in res.details if "y^2" in line] == [
+        f"{name}: y^2 - x*z^2 - x does NOT vanish on the generators" for name in ("Q", "F3")]
+
+
+def test_warm_lem_a_rel_parses_nothing(monkeypatch):
+    # the generators come from the memoized certificate verification
+    run_checklist(RunConfig(fields=("Q",)), only={"LEM-A-REL"})
+    made, real = [], exprparse._Parser
+
+    def parser(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exprparse, "_Parser", parser)
+    res = run_checklist(RunConfig(fields=("Q",)), only={"LEM-A-REL"}).checks[0]
+    assert made == []
+    assert res.verdict == PASS
+    assert res.details[-1] == "Q: y^2 - x*z^2 - x = 0 holds among the generators"

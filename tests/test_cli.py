@@ -288,9 +288,13 @@ def test_run_duplicate_fields_exits_2(capsys):
     ("--checks", "", "no check ids given"),
     ("--fields", ",", "no fields selected"),
     ("--fields", "", "no fields selected"),
+    ("--fields", "F5(i)", "F5(i) is not a field: X^2+1 is reducible mod 5 (need p = 3 mod 4)"),
+    ("--fields", "F2(i)", "F2(i) is not a field: X^2+1 is reducible mod 2 (need p = 3 mod 4)"),
+    ("--fields", "F9(i)", "9 is not prime"),
 ])
 def test_run_empty_selection_exits_2(capsys, option, value, message):
-    # an empty list is not the default: it would run nothing and still say OK
+    # an empty list is not the default: it would run nothing and still say OK;
+    # a k(i) that is not a field is refused by name before anything runs
     assert main(["run", option, value]) == 2
     captured = capsys.readouterr()
     assert message in captured.err

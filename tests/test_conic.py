@@ -4,12 +4,13 @@ from itertools import product
 
 import pytest
 
+from xratio import conic
 from xratio.conic import (SEARCH_BUDGET, DegenerateConicError, ParametrizationMap,
                           ProjPoint2, SearchBudgetError, TernaryForm, base_ring,
                           bounded_point_search, char2_form, criterion_form,
                           decide_isotropy, form_from_text, known_point,
                           parametrize, searchable_degree, standard_form,
-                          tail_remainder)
+                          tail_remainder, valuation_obstruction)
 from xratio.exprparse import parse_expression
 from xratio.fields import (FieldMismatchError, XratioError, field_by_name,
                            prime_field, rationals)
@@ -319,6 +320,18 @@ def test_tail_remainder_covers_random_tails(name):
         A = a0 + a1 * x + x * x * tails["Ar"]
         assert plugged == _low_part_removed(A, b0 + x * tails["Br"],
                                             c0 + x * tails["Cr"])
+
+
+def test_tail_remainder_is_derived_from_the_standard_form(monkeypatch):
+    assert valuation_obstruction(rationals()).verified
+
+    def bent(field):  # Y^2 - x*Z^2 - x^2*W^2
+        ring = base_ring(field)
+        x = ring.var("x")
+        return TernaryForm(ring, {("Y", "Y"): 1, ("Z", "Z"): -x, ("W", "W"): -x * x})
+
+    monkeypatch.setattr(conic, "standard_form", bent)
+    assert not valuation_obstruction(rationals()).verified
 
 
 @pytest.mark.parametrize("name", ["Q", "F3", "F7"])

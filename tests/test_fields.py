@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from xratio.fields import (FieldConstructionError, FieldMismatchError,
@@ -130,3 +132,70 @@ def test_element_equality_and_hash():
     assert hash(f5.from_int(7)) == hash(f5.from_int(2))
     assert f5.from_int(2) != f5.from_int(3)
     assert f5.from_int(0).is_zero() and f5.one.is_one()
+
+
+def test_f3i_field_laws_exhaustive():
+    f9 = prime_quadratic_field(3)
+    elems = list(f9.elements())
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                assert (a * b) * c == a * (b * c)
+                assert (a + b) + c == a + (b + c)
+                assert a * (b + c) == a * b + a * c
+    for a in elems:
+        if not a.is_zero():
+            assert a * f9.inv(a) == f9.one
+
+
+def test_f7i_inverses_and_element_order():
+    f49 = prime_quadratic_field(7)
+    elems = list(f49.elements())
+    # real part first: (0, 0), (0, 1), ..., (0, 6), (1, 0), ...
+    assert [e.v for e in elems] == [(re, im) for re in range(7) for im in range(7)]
+    assert [str(e) for e in elems[:9]] == [
+        "0", "i", "2*i", "3*i", "4*i", "5*i", "6*i", "1", "1 + i"]
+    for a in elems[1:]:
+        assert a * f49.inv(a) == f49.one
+        assert a / a == f49.one
+
+
+def test_gaussian_rational_inverses_and_render():
+    qi = gaussian_rationals()
+    i = qi.sqrt_minus_one()
+    shown = {}
+    for x in (-2, -1, 0, 1, 2):
+        for y in (-2, -1, 0, 1, 2):
+            z = qi.from_int(x) + qi.from_int(y) * i
+            shown[x, y] = str(z)
+            if not z.is_zero():
+                assert z * qi.inv(z) == qi.one
+    assert shown[0, 0] == "0" and shown[-2, 0] == "-2"
+    assert shown[0, 1] == "i" and shown[0, -1] == "-i" and shown[0, -2] == "-2*i"
+    assert shown[1, 1] == "1 + i" and shown[1, -1] == "1 - i"
+    assert shown[-1, 2] == "-1 + 2*i" and shown[-2, -2] == "-2 - 2*i"
+    w = qi.one / (qi.from_int(2) * (qi.one + i))
+    assert str(w) == "1/4 - 1/4*i"
+    assert w * (qi.from_int(2) + qi.from_int(2) * i) == qi.one
+
+
+@pytest.mark.parametrize("name", ["Q(i)", "F3(i)", "F7(i)"])
+def test_gaussian_division_by_zero_names_the_field(name):
+    f = field_by_name(name)
+    with pytest.raises(ZeroDivisionError, match=rf"division by zero in {re.escape(name)}$"):
+        f.one / f.zero
+
+
+def test_gaussian_fields_keep_their_identity():
+    assert gaussian_rationals() is field_by_name("Q(i)")
+    assert prime_quadratic_field(7) is field_by_name("F7(i)")
+    assert gaussian_rationals().base is rationals()
+    assert prime_quadratic_field(3).base is prime_field(3)
+
+
+def test_negative_display_rule():
+    q, qi, f7, f7i = rationals(), gaussian_rationals(), prime_field(7), prime_quadratic_field(7)
+    assert q.shows_negative(-1) and not q.shows_negative(0)
+    assert qi.shows_negative((-1, 5)) and qi.shows_negative((0, -1))
+    assert not qi.shows_negative((1, -5)) and not qi.shows_negative((0, 0))
+    assert not f7.shows_negative(6) and not f7i.shows_negative((0, 6))
