@@ -451,3 +451,19 @@ def test_conic_output_matches_golden():
             code = main(rec["argv"])
         assert (code, out.getvalue(), err.getvalue()) == (
             rec["exit"], rec["stdout"], rec["stderr"]), rec
+
+
+def test_enumerative_output_matches_golden():
+    # exit code, stdout and stderr of `subgroups`, `stabilizer` (two refused
+    # inputs among them) and `run` of GENFREE, SPLIT, FIX-EQ and SUBGRP-COUNT
+    # as JSON for seeds 1-5, recorded before `perms` and `projline` moved to
+    # image tuples and raw payloads; tests/data/make_enum_golden.py holds the
+    # argument lists and rewrites the file
+    records = json.loads((DATA / "enum_golden.json").read_text(encoding="utf-8"))
+    assert len(records) == 16
+    for rec in records:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            code = main(rec["argv"])
+        assert (code, out.getvalue(), err.getvalue()) == (
+            rec["exit"], rec["stdout"], rec["stderr"]), rec
