@@ -15,10 +15,13 @@ no set is counted twice (two distinct involutions compose to a nontrivial
 translation).  The formula is brute-force validated over q = 17, which has
 the same relevant structure as 101 (3 does not divide q-1, 4 does); q = 13
 is kept as a negative control showing the classification really needs
-3 to not divide q-1.  Run: python3 scripts/genfree_sampling.py
+3 to not divide q-1.  Exit status 0 when the brute force agrees with the
+formula at q = 17, disagrees at q = 13, and finds the designed stabilizer
+of order 2; 1 otherwise.  Run: python3 scripts/genfree_sampling.py
 """
 
 import random
+import sys
 from itertools import combinations
 from math import comb
 
@@ -42,10 +45,12 @@ def exceptional_count_formula(q):
 
 
 def main():
+    agree = {}
     for small in (17, 13):
         brute = exceptional_count_brute(small)
         formula = exceptional_count_formula(small)
-        tag = ("agree" if brute == formula else
+        agree[small] = brute == formula
+        tag = ("agree" if agree[small] else
                "disagree as expected: 3 divides q-1, so order-3 stabilizers "
                "exist and the involution formula does not apply")
         print(f"q={small}: brute {brute}, formula {formula} -> {tag}")
@@ -70,6 +75,16 @@ def main():
     print(f"affine maps fixing {{0,1,2}} (the {{0,1,2,inf}} stabilizer): "
           f"{designed}")
 
+    failed = [name for name, ok in (
+        ("formula validated by brute force at q=17", agree[17]),
+        ("negative control at q=13 disagrees", not agree[13]),
+        ("designed stabilizer has order 2", designed == 2),
+    ) if not ok]
+    for name in failed:
+        print(f"CHECK FAILED: {name}")
+    print("sampling checks: " + (f"{len(failed)} failed" if failed else "all agree"))
+    return 1 if failed else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,15 +3,22 @@
 Recomputes, with raw image tuples and no project imports, the numbers the
 test suite freezes: 30 subgroups, 11 conjugacy classes, the order profile,
 which subgroups split over their intersection with the Klein four-group,
-and the fixed-point criterion.  Run: python3 scripts/subgroup_census.py
+and the fixed-point criterion.  It checks its own census: every closure is
+a subgroup, the classes partition the subgroups and each has a size that
+divides 24, the counts are 30, 11 and the order profile below, the
+non-split subgroups are exactly three cyclic groups of order 4, and no
+subgroup violates the fixed-point criterion.  Exit status 0 when every
+check agrees, 1 otherwise.  Run: python3 scripts/subgroup_census.py
 """
 
+import sys
 from collections import Counter
 from itertools import permutations
 
 PERMS = list(permutations(range(4)))
 ID = (0, 1, 2, 3)
 KLEIN = {ID, (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)}
+PROFILE = {1: 1, 2: 9, 3: 4, 4: 7, 6: 4, 8: 3, 12: 1, 24: 1}
 
 
 def mul(p, q):
@@ -91,6 +98,8 @@ def main():
     print(f"conjugacy classes: {len(classes)}")
     print("order profile:", dict(sorted(profile.items())))
     nonsplit = [s for s in subs if not splits_over_klein(s)]
+    cyclic4 = [s for s in subs
+               if len(s) == 4 and any(closure({g}) == s for g in s)]
     print(f"non-split over Klein part: {len(nonsplit)}")
     for s in nonsplit:
         print("  order", len(s), "cyclic:",
@@ -99,6 +108,22 @@ def main():
                 if has_fixed_point(s) != (len(s & KLEIN) == 1)]
     print(f"fixed-point <=> trivial-Klein-part violations: {len(mismatch)}")
 
+    failed = [name for name, ok in (
+        ("every closure is a subgroup", all(map(is_subgroup, subs))),
+        ("the classes partition the subgroups",
+         sum(map(len, classes)) == len(subs) and set().union(*classes) == set(subs)),
+        ("every class size divides 24", all(24 % len(c) == 0 for c in classes)),
+        ("30 subgroups in 11 classes", (len(subs), len(classes)) == (30, 11)),
+        ("the order profile", dict(profile) == PROFILE),
+        ("non-split exactly the three cyclic groups of order 4",
+         nonsplit == cyclic4 and len(cyclic4) == 3),
+        ("no fixed-point violation", not mismatch),
+    ) if not ok]
+    for name in failed:
+        print(f"CHECK FAILED: {name}")
+    print("census checks: " + (f"{len(failed)} failed" if failed else "all agree"))
+    return 1 if failed else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,7 +19,8 @@ a ``float``: ``inv`` divides through ``Fraction``, and over k(i) through k's
 inverse of the norm.  ``shows_negative`` says which payloads a polynomial
 prints with a minus sign.  Polynomials store these payloads directly.
 :class:`FieldElement` wraps one payload for the API edges and supports
-``+ - * / **`` and structural equality by delegating to the payload ops.
+``+ - * / **`` by delegating to the payload ops, and structural equality
+with elements of the same field only (never with a plain ``int``).
 Mixing elements of two different fields raises :class:`FieldMismatchError`.
 """
 
@@ -129,10 +130,11 @@ class FieldElement:
         return FieldElement(f, out)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        return (isinstance(other, FieldElement)
-                and other.field == self.field and other.v == self.v)
+        # equal only to an element of the same field, so equality agrees with
+        # the hash; over F_p no hash could agree with equality to ints
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        return other.field == self.field and other.v == self.v
 
     def __hash__(self):
         return hash((self.field.name, self.v))

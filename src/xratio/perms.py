@@ -12,6 +12,8 @@ complement: a subgroup C of S with C & (S&V) = {id} and |C|*|S&V| = |S|.
 
 Composition convention: (p*q)(k) = p(q(k)), matching automorphism
 composition by substitution elsewhere in the package.
+Conjugacy classes are computed on the image tuples ``Perm.imgs``, and V is
+built once at import.
 """
 
 from __future__ import annotations
@@ -164,33 +166,39 @@ def _subgroup_key(s):
     return (len(s), sorted(p.imgs for p in s))
 
 
-def conjugate_subgroup(s, g: Perm) -> frozenset:
-    return frozenset(p.conjugate(g) for p in s)
-
-
 def subgroup_conjugacy_classes():
     """Partition of all subgroups into conjugacy classes, ordered like
-    subgroups(): each class is the sorted list of its members."""
-    remaining = list(subgroups())
-    elems = all_perms()
-    classes = []
-    while remaining:
-        s = remaining[0]
-        orbit = {conjugate_subgroup(s, g) for g in elems}
-        cls = [t for t in remaining if t in orbit]
-        remaining = [t for t in remaining if t not in orbit]
-        classes.append(sorted(cls, key=_subgroup_key))
+    subgroups(): each class is the sorted list of its members, the orbit of
+    its first member under all 24 elements, compared as frozensets of image
+    tuples.  g*p*g^-1 maps k to g(p(g^-1(k))), so it is four tuple lookups:
+    g1 = (0,) + g.imgs has g1[x] = g(x), and a..d are g^-1(1..4) - 1."""
+    subs = subgroups()
+    index = {frozenset(p.imgs for p in s): k for k, s in enumerate(subs)}
+    pairs = [((0,) + g.imgs, tuple(h - 1 for h in g.inverse().imgs)) for g in all_perms()]
+    classes, placed = [], set()
+    for k, s in enumerate(subs):
+        if k in placed:
+            continue
+        imgs = [p.imgs for p in s]
+        orbit = {index[frozenset([(g1[p[a]], g1[p[b]], g1[p[c]], g1[p[d]]) for p in imgs])]
+                 for g1, (a, b, c, d) in pairs}
+        placed |= orbit
+        # a subsequence of the sorted tuple subgroups() is sorted itself
+        classes.append([subs[j] for j in sorted(orbit)])
     return classes
+
+
+_KLEIN = frozenset({
+    IDENTITY,
+    parse_perm("(1 2)(3 4)"),
+    parse_perm("(1 3)(2 4)"),
+    parse_perm("(1 4)(2 3)"),
+})
 
 
 def klein_group() -> frozenset:
     """{id} plus the three double transpositions; normal in Sym4."""
-    return frozenset({
-        IDENTITY,
-        parse_perm("(1 2)(3 4)"),
-        parse_perm("(1 3)(2 4)"),
-        parse_perm("(1 4)(2 3)"),
-    })
+    return _KLEIN
 
 
 def klein_part(s) -> frozenset:

@@ -14,7 +14,8 @@ field (another field raises :class:`FieldMismatchError`), and ``eval``,
 ``constant_value``, ``leading`` and ``coefficients`` return elements.
 :func:`substitute_cleared` is the one substitution loop, shared with
 :mod:`.ratfunc`; a renaming of the variables needs no products and is
-:meth:`MultiPoly.permute`, which only reorders exponent tuples.  The
+:meth:`MultiPoly.permute`, which only reorders exponent tuples, as does an
+embedding into a larger ring, :meth:`MultiPoly.embed`.  The
 canonical term order (serialization, leading term) is graded lexicographic:
 higher total degree first, then lexicographic on the exponent tuple in ring
 variable order.
@@ -316,10 +317,20 @@ class MultiPoly:
         return MultiPoly(self.ring, {pick(e): c for e, c in self.terms.items()})
 
     def embed(self, target_ring: Ring) -> "MultiPoly":
-        """Rename-free embedding into a ring containing these variables."""
+        """Rename-free embedding into a ring that has every variable occurring
+        here: target slot j takes the slot of the same name, or 0.  Like
+        :meth:`permute`, it keeps every coefficient and forms no products."""
         if target_ring == self.ring:
             return self
-        return self.substitute({}, target_ring)
+        if target_ring.field != self.ring.field:
+            raise RingMismatchError("substitution cannot change the coefficient field")
+        for name, deg in zip(self.ring.variables, self.degrees()):
+            if deg and name not in target_ring._index:
+                raise XratioError(f"{name!r} is not a variable of {target_ring!r}")
+        zero = len(self.ring.variables)  # the slot of a 0 appended to each tuple
+        src = [self.ring._index.get(name, zero) for name in target_ring.variables]
+        return MultiPoly(target_ring, {tuple(map((e + (0,)).__getitem__, src)): c
+                                       for e, c in self.terms.items()})
 
     # -- rendering ----------------------------------------------------------
 

@@ -7,14 +7,15 @@ The upper-triangular subgroup B of the projective linear group is exactly
 the stabilizer of the infinite point; its q*(q-1) elements are the affine
 maps s -> alpha*s + beta with alpha != 0.  Stabilizers of unordered 4-sets
 in B are exhaustive via two-point candidates (see ``borel_stabilizer``),
-with a size guard of q <= 257.
+with a size guard of q <= 257.  The candidates are computed on raw payloads;
+points and maps wrap field elements only at the API edges.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .fields import Field, XratioError
+from .fields import Field, FieldElement, XratioError
 from .poly import _wrap_scalar
 
 BRUTE_FORCE_MAX_Q = 257
@@ -147,20 +148,29 @@ def borel_stabilizer(points, field: Field):
     affine points t0, t1 of the set.  The ordered pairs (t0, t1) -- 12 for an
     all-affine set, 6 when infinity is in it -- therefore give every
     candidate alpha = (t1 - t0)/(s1 - s0), beta = t0 - alpha*s0, and each is
-    kept only if it maps the whole set into itself.  The result is a subgroup
-    of B, listed in the order of a scan over (alpha, beta) in
-    ``field.elements()`` order, which is increasing payload order.
+    kept only if it maps the whole set into itself: on payloads, with one
+    inversion of s1 - s0 and membership among the set's canonical payloads.
+    The result is a subgroup of B, listed in the order of a scan over (alpha,
+    beta) in ``field.elements()`` order, which is increasing payload order.
     """
     pts = _check_tuple(points, field)
     _require_small_finite(field)
+    add, mul, neg, red = field.raw_add, field.raw_mul, field.raw_neg, field.reduce
     # payload order, so the work done does not vary with set iteration order
-    vals = sorted((p.value for p in pts if not p.infinite), key=lambda v: v.v)
+    vals = sorted(p.value.v for p in pts if not p.infinite)
     targets = frozenset(vals)
-    s0, s1 = vals[0], vals[1]
-    found = {}
+    s0 = vals[0]
+    inv_ds = field.inv(FieldElement(field, red(add(vals[1], neg(s0))))).v
+    kept = []
     for t0, t1 in permutations(vals, 2):
-        alpha = (t1 - t0) / (s1 - s0)
-        beta = t0 - alpha * s0
-        if all(alpha * v + beta in targets for v in vals):
-            found[alpha.v, beta.v] = AffineMap(field, alpha, beta)
-    return [found[key] for key in sorted(found)]
+        # unreduced: each image is reduced before the membership test
+        alpha = mul(add(t1, neg(t0)), inv_ds)
+        beta = add(t0, neg(mul(alpha, s0)))
+        for v in vals:
+            if red(add(mul(alpha, v), beta)) not in targets:
+                break
+        else:
+            kept.append((red(alpha), red(beta)))
+    # distinct (t0, t1) give distinct maps; an AffineMap only for a kept one
+    return [AffineMap(field, FieldElement(field, alpha), FieldElement(field, beta))
+            for alpha, beta in sorted(kept)]

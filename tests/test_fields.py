@@ -134,6 +134,22 @@ def test_element_equality_and_hash():
     assert f5.from_int(0).is_zero() and f5.one.is_one()
 
 
+@pytest.mark.parametrize("name", ["F5", "Q(i)"])
+def test_element_equality_agrees_with_hash(name):
+    field = field_by_name(name)
+    two, seven = field.from_int(2), field.from_int(7)
+    # equal elements hash alike, so sets and dicts see one element
+    assert (two == seven) == (hash(two) == hash(seven)) == (len({two, seven}) == 1)
+    assert field.from_int(2) == two and hash(field.from_int(2)) == hash(two)
+    # a plain int is never equal to an element, in either order
+    assert two != 2 and not two == 2 and 2 != two
+    assert two.__eq__(2) is NotImplemented
+    assert two not in {2} and 2 not in {two}
+    # nor is an element of another field with the same payload
+    other = prime_field(7) if name == "F5" else rationals()
+    assert two != other.from_int(2)
+
+
 def test_f3i_field_laws_exhaustive():
     f9 = prime_quadratic_field(3)
     elems = list(f9.elements())

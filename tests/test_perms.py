@@ -135,3 +135,22 @@ def test_splits_and_classes_pinned_on_memoized_tuple():
     assert complements == [0, 1, 2, 3, 4, 0, 6, 0, 8, 0, 10, 11, 12, 13, 1, 2,
                            3, 0, None, None, None, 21, 22, 23, 24, 1, 2, 3, 10,
                            21]
+
+
+def test_conjugacy_classes_match_orbits_under_perm_conjugate():
+    # reference: conjugate each subgroup elementwise with Perm.conjugate and
+    # group the subgroups by orbit, in the order of subgroups()
+    subs, elems = subgroups(), all_perms()
+    reference, placed = [], set()
+    for s in subs:
+        if s in placed:
+            continue
+        orbit = {frozenset(p.conjugate(g) for p in s) for g in elems}
+        placed |= orbit
+        reference.append([t for t in subs if t in orbit])
+    assert subgroup_conjugacy_classes() == reference
+
+
+def test_klein_group_is_the_identity_and_three_double_transpositions():
+    assert klein_group() == frozenset(
+        {IDENTITY} | {parse_perm(t) for t in ("(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)")})

@@ -129,6 +129,22 @@ def test_embed(qring):
     assert f == big.var("x") + 1
 
 
+def test_embed_maps_exponent_slots_without_substituting(qring, monkeypatch):
+    x, y, z = qring.vars()
+    f = 3 * x ** 2 * z - x + 5
+    monkeypatch.setattr(MultiPoly, "substitute", None)  # embed must not call it
+    # slots follow the names; a variable that does not occur may be dropped
+    small = f.embed(Ring(rationals(), ("z", "x")))
+    assert small.terms == {(1, 2): 3, (0, 1): -1, (0, 0): 5}
+    big = f.embed(Ring(rationals(), ("w", "z", "y", "x")))
+    assert big.terms == {(0, 1, 0, 2): 3, (0, 0, 0, 1): -1, (0, 0, 0, 0): 5}
+    with pytest.raises(RingMismatchError, match="cannot change the coefficient field"):
+        f.embed(Ring(prime_field(5), ("x", "y", "z")))
+    with pytest.raises(XratioError, match="'z' is not a variable of"):
+        f.embed(Ring(rationals(), ("x", "y")))
+    assert (y - 1).embed(Ring(rationals(), ("y",))) == Ring(rationals(), ("y",)).var("y") - 1
+
+
 def test_permute_renames_exponent_slots(qring):
     x, y, z = qring.vars()
     f = 3 * x ** 2 * y + z - 1

@@ -101,6 +101,26 @@ def test_borel_stabilizer_matches_filter_over_every_4_subset(name):
         assert borel_stabilizer(sample, field) == scanned, sample
 
 
+@pytest.mark.parametrize("name, values", [
+    ("F101", (0, 1, 2, 3)), ("F101", (0, 1, 2, "inf")), ("F13", (0, 3, 6, 9)),
+    ("F7(i)", (0, 1, 2, 3)), ("F3(i)", (0, 1, 2, "inf")),
+])
+def test_borel_stabilizer_inverts_once_per_call(name, values, monkeypatch):
+    field = field_by_name(name)
+    sample = pts(field, values)
+    expected = borel_stabilizer(sample, field)
+    calls = []
+    inv = field.inv
+
+    def counted(a):
+        calls.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(field, "inv", counted)
+    assert borel_stabilizer(sample, field) == expected
+    assert len(calls) == 1  # of s1 - s0, not one per candidate
+
+
 def test_stabilizer_input_validation():
     f101 = prime_field(101)
     with pytest.raises(XratioError, match="distinct"):
