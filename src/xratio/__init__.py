@@ -12,19 +12,19 @@ from .fields import (Field, FieldElement, XratioError, field_by_name,
                      rationals)
 from .poly import MultiPoly, Ring, RingMismatchError
 from .ratfunc import (CharacteristicError, DegenerateSubstitutionError,
-                      PoleError, RatFunc, ZeroDenominatorError, jacobian_rank,
-                      rat, rf_eq, rvar, rvars)
+                      RatFunc, ZeroDenominatorError, jacobian_rank, rat, rf_eq,
+                      rvar)
 from .exprparse import ParseError, parse_expression
 from .perms import (IDENTITY, Perm, all_perms, cyclic_order4_subgroups,
                     has_fixed_point, klein_group, klein_part, parse_perm,
                     splits, subgroup_conjugacy_classes, subgroups)
-from .autos import Automorphism, OrderBoundError, perm_automorphism
-from .projline import AffineMap, ProjPoint1, borel_elements, borel_stabilizer
+from .autos import Automorphism, perm_automorphism
+from .projline import AffineMap, ProjPoint1, borel_stabilizer
 from .conic import (DegenerateConicError, IsotropyDecision, ObstructionRecord,
                     ParametrizationMap, ProjPoint2, SearchBudgetError,
                     TernaryForm, VerificationError, bounded_point_search,
-                    char2_form, criterion_form, decide_isotropy, form_from_text,
-                    known_point, parametrize, standard_form)
+                    char2_form, criterion_form, decide_isotropy, known_point,
+                    parametrize, standard_form)
 from .certs import (Certificate, CertFormatError, CertVerification,
                     parse_certificate, shipped_certificate,
                     shipped_certificates, verify_certificate)

@@ -6,9 +6,10 @@ homomorphism fixing k.  A renaming, whose images are distinct bare variables
 (every permutation action), is detected once at construction and applied by
 permuting exponent tuples instead: the same map, with no products.  Nothing
 at construction time guarantees the map is invertible;
-:meth:`Automorphism.order` verifies finite order semantically (composing
-until the identity, bounded), and a non-invertible image map fails that
-verification instead of being rejected up front.
+:meth:`Automorphism.identity_power` finds the first power of the map that is
+the identity, composing at most a given number of times, and a
+non-invertible image map never reaches the identity instead of being
+rejected up front.
 
 Composition is (s*t)(f) = s(t(f)), so the images of s*t are s applied to
 the images of t.  With the permutation convention p: v_k -> v_{p(k)} the map
@@ -21,10 +22,6 @@ from .fields import XratioError
 from .perms import Perm
 from .poly import Ring
 from .ratfunc import RatFunc, rat, rvar
-
-
-class OrderBoundError(XratioError):
-    pass
 
 
 class Automorphism:
@@ -58,24 +55,19 @@ class Automorphism:
     def is_identity(self) -> bool:
         return all(self.images[v] == rvar(self.ring, v) for v in self.ring.variables)
 
-    def __eq__(self, other):
-        return (isinstance(other, Automorphism) and other.ring == self.ring
-                and all(self.images[v] == other.images[v] for v in self.ring.variables))
+    def identity_power(self, m: int):
+        """The least k in 1..m with self^k = id, or None when there is none.
 
-    __hash__ = None
-
-    def order(self, bound: int = 24) -> int:
-        """Smallest n >= 1 with self^n = id, verified by composition.
-
-        Raises OrderBoundError past `bound`; a degenerate image map (for
-        example a constant image) never reaches the identity and fails here.
+        Composes self at most m - 1 times, so a map of infinite order costs m
+        powers, not a search; a degenerate image map (for example a constant
+        image) never reaches the identity.
         """
         p = self
-        for n in range(1, bound + 1):
+        for k in range(1, m):
             if p.is_identity():
-                return n
+                return k
             p = self * p
-        raise OrderBoundError(f"order exceeds bound {bound} (or map is not invertible)")
+        return m if p.is_identity() else None
 
     def fixes(self, f) -> bool:
         return self.apply(f) == rat(self.ring, f)

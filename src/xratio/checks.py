@@ -263,8 +263,8 @@ def _run_certs(ctx):
             ver = ctx.verified(name, f)
             checked += 1
             if name in certs.COUNTEREXAMPLE_CERT_NAMES:
-                cond1_failed = not ver.conditions[0].ok
-                good = (not ver.valid) and cond1_failed
+                # broken at invariance alone: conditions 2-4 must still hold
+                good = [c.ok for c in ver.conditions] == [False, True, True, True]
                 parts.append(f"{name} INVALID at condition 1 as intended"
                              if good else f"{name} UNEXPECTEDLY {ver.render()}")
             else:

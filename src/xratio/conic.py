@@ -119,15 +119,6 @@ class ProjPoint2:
         self.ring = ring
         self.coords = coords
 
-    def same_point(self, other: "ProjPoint2") -> bool:
-        """Projective equality: all 2x2 minors of the coordinate pair vanish."""
-        a, b = self.coords, other.coords
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not (a[i] * b[j] - a[j] * b[i]).is_zero():
-                    return False
-        return True
-
     def __str__(self):
         return "(" + " : ".join(str(x) for x in self.coords) + ")"
 
@@ -259,26 +250,6 @@ def known_point(field: Field):
         return None
     form = standard_form(field)
     return form, ProjPoint2(form.ring, (0, s, 1))
-
-
-def form_from_text(field: Field, text: str) -> TernaryForm:
-    """Parse e.g. 'Y^2 - x*Z^2 - x*W^2' (reserved names Y, Z, W, x).
-
-    An x-only denominator is dropped: it scales the form, not its conic.
-    """
-    from .exprparse import parse_expression
-
-    f = parse_expression(text, Ring(field, ("x", "Y", "Z", "W")))
-    if any(f.den.degree_in(v) for v in ("Y", "Z", "W")):
-        raise XratioError("form denominator must not involve Y, Z, W")
-    terms = {}  # pair -> {(x exponent,): payload}; distinct terms never collide
-    for (ex, ey, ez, ew), c in f.num.terms.items():
-        if ey + ez + ew != 2:
-            raise XratioError("form must be homogeneous of degree 2 in Y, Z, W")
-        names = "Y" * ey + "Z" * ez + "W" * ew
-        terms.setdefault((names[0], names[1]), {})[(ex,)] = c
-    ring = base_ring(field)
-    return TernaryForm(ring, {p: MultiPoly(ring, t) for p, t in terms.items()})
 
 
 # -- isotropy decision ------------------------------------------------------

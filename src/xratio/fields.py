@@ -166,7 +166,8 @@ def _pair_neg(a):
 
 
 class Field:
-    """Shared surface; the default payload ops are the scalar ones (Q, F_p)."""
+    """Shared surface; the default payload ops are the scalar ones (Q, F_p),
+    and each field kind supplies its own ``reduce``."""
 
     name = "?"
     characteristic = 0
@@ -180,10 +181,6 @@ class Field:
         self.raw_one = self._int_payload(1)
         self.zero = FieldElement(self, self.raw_zero)
         self.one = FieldElement(self, self.raw_one)
-
-    @staticmethod
-    def reduce(raw):
-        return raw
 
     def from_int(self, n: int) -> FieldElement:
         return FieldElement(self, self._int_payload(n))
@@ -238,7 +235,8 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    """F_p, residues 0..p-1; inverses via a precomputed table."""
+    """F_p, residues 0..p-1; an inverse is one modular power, so nothing
+    grows with p."""
 
     def __init__(self, p):
         if not is_prime(p):
@@ -247,7 +245,6 @@ class PrimeField(Field):
         self.name = f"F{p}"
         self.characteristic = p
         self.order = p
-        self._inv = None
         super().__init__()
 
     def _int_payload(self, n):
@@ -259,10 +256,7 @@ class PrimeField(Field):
     def inv(self, a):
         if a.v == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
-        if self._inv is None:
-            p = self.p
-            self._inv = [0] + [pow(k, p - 2, p) for k in range(1, p)]
-        return FieldElement(self, self._inv[a.v])
+        return FieldElement(self, pow(a.v, -1, self.p))
 
     def sqrt_minus_one(self):
         p = self.p

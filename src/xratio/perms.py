@@ -51,10 +51,6 @@ class Perm:
             out[self.imgs[k - 1] - 1] = k
         return Perm(out)
 
-    def conjugate(self, g: "Perm") -> "Perm":
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
     def is_identity(self) -> bool:
         return self.imgs == _POINTS
 

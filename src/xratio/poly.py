@@ -10,7 +10,7 @@ Arithmetic sums raw products with the field's payload ops and reduces once
 per output monomial; a product by a single term needs no sums, since its
 shifted exponents stay distinct.  :class:`FieldElement` appears only at the
 edges: ``Ring.const``/``Ring.poly`` take ints or elements of the ring's own
-field (another field raises :class:`FieldMismatchError`), and ``eval``,
+field (another field raises :class:`FieldMismatchError`), and
 ``constant_value``, ``leading`` and ``coefficients`` return elements.
 :func:`substitute_cleared` is the one substitution loop, shared with
 :mod:`.ratfunc`; a renaming of the variables needs no products and is
@@ -277,24 +277,6 @@ class MultiPoly:
                 raise RingMismatchError(f"image of {name!r} lives in the wrong ring")
             images[name] = (img, None)
         return substitute_cleared((self,), images, target)[0][0]
-
-    def eval(self, point: dict) -> FieldElement:
-        """Total evaluation; `point` maps every variable to a field element."""
-        field = self.ring.field
-        vals = []
-        for name in self.ring.variables:
-            v = point[name]
-            if isinstance(v, int):
-                v = field.from_int(v)
-            vals.append(v)
-        acc = field.zero
-        for e, c in self.coefficients():
-            t = c
-            for v, k in zip(vals, e):
-                if k:
-                    t = t * v ** k
-            acc = acc + t
-        return acc
 
     def derivative(self, name: str) -> "MultiPoly":
         """Formal partial derivative; exponent multiples reduce mod char."""

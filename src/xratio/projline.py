@@ -6,9 +6,10 @@ single infinite point (1 : 0).
 The upper-triangular subgroup B of the projective linear group is exactly
 the stabilizer of the infinite point; its q*(q-1) elements are the affine
 maps s -> alpha*s + beta with alpha != 0.  Stabilizers of unordered 4-sets
-in B are exhaustive via two-point candidates (see ``borel_stabilizer``),
-with a size guard of q <= 257.  The candidates are computed on raw payloads;
-points and maps wrap field elements only at the API edges.
+in B are exhaustive via at most 12 two-point candidates (see
+``borel_stabilizer``), so the work does not grow with q.  The candidates are
+computed on raw payloads; points and maps wrap field elements only at the API
+edges.
 """
 
 from __future__ import annotations
@@ -17,13 +18,6 @@ from itertools import permutations
 
 from .fields import Field, FieldElement, XratioError
 from .poly import _wrap_scalar
-
-BRUTE_FORCE_MAX_Q = 257
-
-
-class BruteForceBudgetError(XratioError):
-    pass
-
 
 class ProjPoint1:
     """Canonical point of P^1: affine value, or infinity."""
@@ -61,13 +55,6 @@ class ProjPoint1:
     __repr__ = __str__
 
 
-def p1_points(field: Field):
-    """All q+1 points, affine in field enumeration order, then infinity."""
-    pts = [ProjPoint1.affine(field, v) for v in field.elements()]
-    pts.append(ProjPoint1.infinity(field))
-    return pts
-
-
 class AffineMap:
     """An element s -> alpha*s + beta (alpha != 0) of B; it fixes infinity."""
 
@@ -80,25 +67,6 @@ class AffineMap:
         self.field = field
         self.alpha, self.beta = alpha, beta
 
-    def is_identity(self):
-        return self.alpha.is_one() and self.beta.is_zero()
-
-    def apply(self, p: ProjPoint1) -> ProjPoint1:
-        if p.infinite:
-            return p
-        return ProjPoint1.affine(self.field, self.alpha * p.value + self.beta)
-
-    def __mul__(self, o: "AffineMap") -> "AffineMap":
-        """(self*o)(s) = self(o(s))."""
-        return AffineMap(self.field, self.alpha * o.alpha, self.alpha * o.beta + self.beta)
-
-    def __eq__(self, other):
-        return (isinstance(other, AffineMap) and other.field == self.field
-                and (self.alpha, self.beta) == (other.alpha, other.beta))
-
-    def __hash__(self):
-        return hash((self.field.name, self.alpha.v, self.beta.v))
-
     def __str__(self):
         alpha = _wrap_scalar(str(self.alpha))
         if self.beta.is_zero():
@@ -108,24 +76,6 @@ class AffineMap:
         return f"s -> {alpha}*s + {self.beta}"
 
     __repr__ = __str__
-
-
-def _require_small_finite(field):
-    if not field.is_finite:
-        raise XratioError("brute force needs a finite field")
-    if field.order > BRUTE_FORCE_MAX_Q:
-        raise BruteForceBudgetError(
-            f"field order {field.order} exceeds brute-force guard {BRUTE_FORCE_MAX_Q}")
-
-
-def borel_elements(field: Field):
-    """The q*(q-1) upper-triangular elements s -> alpha*s + beta."""
-    _require_small_finite(field)
-    for alpha in field.elements():
-        if alpha.is_zero():
-            continue
-        for beta in field.elements():
-            yield AffineMap(field, alpha, beta)
 
 
 def _check_tuple(points, field):
@@ -154,7 +104,8 @@ def borel_stabilizer(points, field: Field):
     beta) in ``field.elements()`` order, which is increasing payload order.
     """
     pts = _check_tuple(points, field)
-    _require_small_finite(field)
+    if not field.is_finite:
+        raise XratioError("brute force needs a finite field")
     add, mul, neg, red = field.raw_add, field.raw_mul, field.raw_neg, field.reduce
     # payload order, so the work done does not vary with set iteration order
     vals = sorted(p.value.v for p in pts if not p.infinite)

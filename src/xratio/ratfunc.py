@@ -10,9 +10,8 @@ That identity is sound because polynomial rings over a field are integral
 domains.  Over one denominator it reduces to n1 == n2, since d is nonzero,
 so equal denominators are compared by their numerators alone.  Substitution
 clears denominators term by term (one :func:`.poly.substitute_cleared` call
-covers numerator and denominator), flags substitutions that make a
-denominator vanish identically, and evaluation at a point with a vanishing
-denominator is a pole error (the pair is unreduced, so a vanishing
+covers numerator and denominator) and flags substitutions that make a
+denominator vanish identically (the pair is unreduced, so a vanishing
 denominator is never silently "cancelled").
 
 Display applies an optional cosmetic normalization (strip common monomial
@@ -27,10 +26,6 @@ from .poly import MultiPoly, Ring, RingMismatchError, substitute_cleared
 
 
 class ZeroDenominatorError(XratioError):
-    pass
-
-
-class PoleError(XratioError):
     pass
 
 
@@ -164,19 +159,6 @@ class RatFunc:
                 "substitution sends the denominator to zero")
         return RatFunc(target, nn * dd, nd * dn)
 
-    def eval(self, point: dict) -> FieldElement:
-        dv = self.den.eval(point)
-        if dv.is_zero():
-            raise PoleError("denominator vanishes at the evaluation point")
-        return self.num.eval(point) / dv
-
-    def derivative(self, name: str) -> "RatFunc":
-        n, d = self.num, self.den
-        return RatFunc(self.ring, n.derivative(name) * d - n * d.derivative(name), d * d)
-
-    def embed(self, target_ring: Ring) -> "RatFunc":
-        return RatFunc(target_ring, self.num.embed(target_ring), self.den.embed(target_ring))
-
     # -- display ------------------------------------------------------------
 
     def display_normalized(self) -> "RatFunc":
@@ -218,10 +200,6 @@ def rat(ring: Ring, x) -> RatFunc:
 
 def rvar(ring: Ring, name: str) -> RatFunc:
     return RatFunc(ring, ring.var(name))
-
-
-def rvars(ring: Ring):
-    return tuple(rvar(ring, v) for v in ring.variables)
 
 
 def rf_eq(f: RatFunc, g) -> bool:

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from xratio.ratfunc import rvar
+
 
 def _genfree_draws(seed, samples):
     """GENFREE's seeded draws, regenerated, each flagged as symmetric or not.
@@ -29,3 +31,9 @@ def _genfree_draws(seed, samples):
 def genfree_draws():
     """``genfree_draws(seed, samples)`` -> list of (draw, symmetric) pairs."""
     return _genfree_draws
+
+
+@pytest.fixture(scope="session")
+def rvars():
+    """``rvars(ring)`` -> every variable of ``ring`` as a rational function."""
+    return lambda ring: tuple(rvar(ring, v) for v in ring.variables)

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from xratio.autos import Automorphism, OrderBoundError, perm_automorphism
+from xratio.autos import Automorphism, perm_automorphism
 from xratio.exprparse import parse_expression
 from xratio.fields import XratioError, field_by_name, rationals
 from xratio.perms import all_perms, parse_perm
 from xratio.poly import Ring
-from xratio.ratfunc import (DegenerateSubstitutionError, RatFunc, rf_eq, rvar,
-                            rvars)
+from xratio.ratfunc import DegenerateSubstitutionError, RatFunc, rf_eq, rvar
 
 NINE_FIELDS = ("Q", "Q(i)", "F2", "F3", "F5", "F7", "F3(i)", "F7(i)", "F101")
 
@@ -23,7 +22,7 @@ def test_requires_image_for_every_variable(ring):
         Automorphism(ring, {"x1": rvar(ring, "x2")})
 
 
-def test_perm_automorphism_moves_variables(ring):
+def test_perm_automorphism_moves_variables(ring, rvars):
     c = parse_perm("(1 2 3 4)")
     s = perm_automorphism(ring, c)
     assert rf_eq(s.apply(rvar(ring, "x1")), rvar(ring, "x2"))
@@ -43,32 +42,45 @@ def test_perm_automorphism_is_homomorphism(ring):
 
 def test_orders(ring):
     identity = Automorphism(ring, {v: rvar(ring, v) for v in ring.variables})
-    assert identity.order() == 1
-    assert perm_automorphism(ring, parse_perm("(1 2 3 4)")).order() == 4
-    assert perm_automorphism(ring, parse_perm("(1 2)")).order() == 2
-    orders = {perm_automorphism(ring, p).order() for p in all_perms()}
+    assert identity.identity_power(1) == 1
+    cycle = perm_automorphism(ring, parse_perm("(1 2 3 4)"))
+    assert cycle.identity_power(24) == 4
+    assert cycle.identity_power(3) is None
+    assert perm_automorphism(ring, parse_perm("(1 2)")).identity_power(24) == 2
+    orders = {perm_automorphism(ring, p).identity_power(24) for p in all_perms()}
     assert orders == {1, 2, 3, 4}
 
 
-def test_order_bound_raises_for_shift():
+def test_a_shift_has_no_identity_power_up_to_the_bound():
     r = Ring(rationals(), ("u",))
     shift = Automorphism(r, {"u": rvar(r, "u") + 1})
-    with pytest.raises(OrderBoundError):
-        shift.order(bound=24)
+    assert shift.identity_power(24) is None
 
 
 def test_degenerate_map_fails_order_check():
     r = Ring(rationals(), ("u",))
     collapse = Automorphism(r, {"u": rvar(r, "u") * 0 + 1})
-    with pytest.raises(OrderBoundError):
-        collapse.order(bound=8)
+    assert collapse.identity_power(8) is None
 
 
-def test_negate_invert_action():
+def test_identity_power_composes_at_most_m_minus_1_times(monkeypatch):
+    r = Ring(rationals(), ("u",))
+    shift = Automorphism(r, {"u": rvar(r, "u") + 1})
+    products = []
+    compose = Automorphism.__mul__
+    monkeypatch.setattr(Automorphism, "__mul__",
+                        lambda s, t: products.append(t) or compose(s, t))
+    for m in (1, 2, 5):
+        products.clear()
+        assert shift.identity_power(m) is None
+        assert len(products) == m - 1
+
+
+def test_negate_invert_action(rvars):
     r = Ring(rationals(), ("b", "u"))
     b, u = rvars(r)
     s = Automorphism(r, {"b": -b, "u": -1 / u})
-    assert s.order() == 2
+    assert s.identity_power(1) is None and s.identity_power(2) == 2
     assert s.fixes(b * b)
     assert s.fixes(b * (u * u + 1) / (2 * u))
     assert s.fixes((u * u - 1) / (2 * u))
@@ -140,7 +152,8 @@ def test_renaming_orientation_on_the_four_cycle(ring, substitutions):
 
 
 @pytest.mark.parametrize("image", ["2*x1", "x1 + x2", "x2/x3", "x2"])
-def test_other_images_stay_on_the_substitution_path(ring, substitutions, image):
+def test_other_images_stay_on_the_substitution_path(ring, substitutions, image,
+                                                     rvars):
     images = {v: rvar(ring, v) for v in ring.variables}
     images["x1"] = parse_expression(image, ring)
     s = Automorphism(ring, images)   # "x2": x1 -> x2, x2 -> x2 is not injective
@@ -151,7 +164,7 @@ def test_other_images_stay_on_the_substitution_path(ring, substitutions, image):
     assert rf_eq(got, f.substitute(images))
 
 
-def test_a_collapsing_image_map_still_finds_a_vanishing_denominator(ring):
+def test_a_collapsing_image_map_still_finds_a_vanishing_denominator(ring, rvars):
     x1, x2, _, _ = rvars(ring)
     collapse = Automorphism(ring, {"x1": x2, "x2": x2, "x3": rvar(ring, "x3"),
                                    "x4": rvar(ring, "x4")})

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -132,6 +133,7 @@ def test_generator_whose_denominator_collapses_under_the_action_is_not_fixed():
 
 
 def test_degenerate_power_of_the_action_fails_the_order_condition():
+    # degree 2, so condition 4 forms sigma^2, whose image of b is 1/(1 - 1)
     text = (
         "characteristic: 0\n"
         "variables: a b\n"
@@ -143,7 +145,7 @@ def test_degenerate_power_of_the_action_fails_the_order_condition():
         "[primitive]\n"
         "theta = b\n"
         "[relation]\n"
-        "T - 1\n"
+        "T^2 - 1\n"
         "[expressions]\n"
         "a = c - 7\n"
         "b = theta\n"
@@ -214,3 +216,40 @@ def test_each_condition_bites_on_the_conic_reflections(cert_name, field_name,
     ver = verify_certificate(bad, field_by_name(field_name))
     assert not ver.valid
     assert failed <= {c.index for c in ver.conditions if not c.ok}, ver.render()
+
+
+def _auto_edits(cert, field):
+    """Each [auto] edit that changes the map over `field`: negated, plus one
+    and doubled (negation is no change in characteristic 2)."""
+    (target, image), = cert.auto_images
+    edits = {"plus one": f"({image}) + 1", "doubled": f"2*({image})"}
+    if field.characteristic != 2:
+        edits["negated"] = f"-({image})"
+    return [(label, [(target, text)]) for label, text in edits.items()]
+
+
+@pytest.mark.parametrize("cert_name, field_name", [
+    *(("conic_reflection", name) for name in ODD_NAMES),
+    ("conic_reflection_char2", "F2"),
+])
+def test_each_auto_edit_of_the_conic_reflections_fails_condition_4_fast(cert_name,
+                                                                         field_name):
+    # each edit has infinite order, so condition 4 must settle it from sigma and
+    # sigma^2 instead of searching through higher powers
+    cert, field = shipped_certificate(cert_name), field_by_name(field_name)
+    for label, images in _auto_edits(cert, field):
+        start = time.perf_counter()
+        ver = verify_certificate(dataclasses.replace(cert, auto_images=images), field)
+        elapsed = time.perf_counter() - start
+        assert ver.conditions[3].detail == \
+            "sigma^2 is not the identity (relation degree 2)", (label, ver.render())
+        assert elapsed < 1.0, (label, elapsed)
+
+
+def test_condition_4_names_the_power_that_breaks_it():
+    ver = verify_certificate(parse_certificate(TINY.replace("u -> -u", "u -> u")),
+                             rationals())
+    assert ver.conditions[3].detail == "sigma^1 is already the identity (relation degree 2)"
+    ver = verify_certificate(parse_certificate(TINY.replace("u -> -u", "u -> u + 1")),
+                             rationals())
+    assert ver.conditions[3].detail == "sigma^2 is not the identity (relation degree 2)"

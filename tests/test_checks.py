@@ -236,7 +236,7 @@ def _recorded_work(monkeypatch):
     and, per certificate/field instance, the work of each condition."""
     work, current, vers = Counter(), [], {}
     real_verify = certs.verify_certificate
-    real_fixes, real_order = Automorphism.fixes, Automorphism.order
+    real_fixes, real_power = Automorphism.fixes, Automorphism.identity_power
     real_subst, real_eq, real_tables_eq = certs._substitute, checks.rf_eq, tables.rf_eq
 
     def verify(cert, field):
@@ -253,7 +253,8 @@ def _recorded_work(monkeypatch):
     monkeypatch.setattr(certs, "verify_certificate", verify)
     monkeypatch.setattr(Automorphism, "fixes", counted(lambda: (current[-1], 1), real_fixes))
     monkeypatch.setattr(certs, "_substitute", counted(lambda: (current[-1], "2+3"), real_subst))
-    monkeypatch.setattr(Automorphism, "order", counted(lambda: (current[-1], 4), real_order))
+    monkeypatch.setattr(Automorphism, "identity_power",
+                        counted(lambda: (current[-1], 4), real_power))
     monkeypatch.setattr(checks, "rf_eq", counted("compared", real_eq))
     monkeypatch.setattr(tables, "rf_eq", counted("oriented", real_tables_eq))
     return work, vers
@@ -383,3 +384,17 @@ def test_warm_lem_a_rel_parses_nothing(monkeypatch):
     assert made == []
     assert res.verdict == PASS
     assert res.details[-1] == "Q: y^2 - x*z^2 - x = 0 holds among the generators"
+
+
+def test_certs_fails_when_the_perturbed_fixture_breaks_beyond_invariance(monkeypatch):
+    # the fixture must fail condition 1 and pass conditions 2-4; breaking its
+    # relation as well leaves it invalid at condition 1, and CERTS must FAIL
+    shipped = certs.shipped_certificates()
+    cert = shipped["negate_invert_perturbed"]
+    bad = dataclasses.replace(cert, relation="T^2 - 2*z*T + 1")
+    monkeypatch.setitem(certs._cache, cert.name, bad)
+    ver = certs.verify_certificate(bad, field_by_name("Q"))
+    assert [c.ok for c in ver.conditions] == [False, False, True, True]
+    (res,) = run_checklist(RunConfig(), only={"CERTS"}).checks
+    assert res.verdict == FAIL
+    assert "negate_invert_perturbed UNEXPECTEDLY" in res.details[0]

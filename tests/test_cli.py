@@ -67,6 +67,13 @@ def test_check_identity_not_equal(capsys):
     assert "lhs =" in out and "rhs =" in out
 
 
+def test_check_identity_over_a_large_prime_field(capsys):
+    # an inverse over F_p is one modular power: no table with p entries
+    assert main(["check-identity", "--field", "F1000000007",
+                 "--lhs", "u", "--rhs", "t"]) == 1
+    assert capsys.readouterr().out.startswith("NOT EQUAL over F1000000007: u  vs  t\n")
+
+
 def test_check_identity_not_equal_exact_output(capsys):
     assert main(["check-identity", "--field", "Q", "--lhs", "u", "--rhs", "t"]) == 1
     assert capsys.readouterr().out == (

@@ -79,6 +79,11 @@ def test_prime_field_inverses():
     for a in f7.elements():
         if not a.is_zero():
             assert a * (f7.one / a) == f7.one
+    big = prime_field(1000000007)
+    for k in (1, 2, 10 ** 9, 1000000006):
+        a = big.from_int(k)
+        assert big.inv(a).v == pow(k, 1000000005, 1000000007)
+        assert a * big.inv(a) == big.one
 
 
 def test_prime_quadratic_field_structure():

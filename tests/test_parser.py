@@ -3,7 +3,7 @@ import pytest
 from xratio.exprparse import ParseError, parse_expression
 from xratio.fields import field_by_name, prime_field, rationals
 from xratio.poly import Ring
-from xratio.ratfunc import rf_eq, rvars
+from xratio.ratfunc import rf_eq
 
 
 @pytest.fixture
@@ -14,12 +14,11 @@ def points():
 def test_cross_ratio_at_0_1_2_3(points):
     q = rationals()
     a = parse_expression("(x4-x1)*(x3-x2)/((x4-x2)*(x3-x1))", points)
-    value = a.eval({"x1": q.from_int(0), "x2": q.from_int(1),
-                    "x3": q.from_int(2), "x4": q.from_int(3)})
+    value = a.substitute({"x1": 0, "x2": 1, "x3": 2, "x4": 3})
     assert value == q.from_int(3) / q.from_int(4)
 
 
-def test_precedence_and_unary_minus(points):
+def test_precedence_and_unary_minus(points, rvars):
     x1, x2, _, _ = rvars(points)
     assert rf_eq(parse_expression("-x1 + x2 * x1 ^ 2", points),
                  -x1 + x2 * x1 * x1)
@@ -29,7 +28,7 @@ def test_precedence_and_unary_minus(points):
     assert rf_eq(parse_expression("2*x1/4", points), x1 / 2)
 
 
-def test_parentheses(points):
+def test_parentheses(points, rvars):
     x1, x2, x3, _ = rvars(points)
     assert rf_eq(parse_expression("(x1 + x2) * x3", points), (x1 + x2) * x3)
     assert rf_eq(parse_expression("x1 / (x2 * x3)", points), x1 / (x2 * x3))
@@ -80,7 +79,7 @@ def test_rational_number_literals(points):
     assert rf_eq(parse_expression("3/4 + 1/4", points), 1)
 
 
-def test_display_round_trips_through_parser(points):
+def test_display_round_trips_through_parser(points, rvars):
     x1, x2, x3, x4 = rvars(points)
     samples = [
         (x1 + x2) / (x3 - x4),

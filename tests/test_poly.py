@@ -98,13 +98,6 @@ def test_substitute_int_and_element_images(qring):
     assert val == qring.const(9)
 
 
-def test_eval(qring):
-    x, y, z = qring.vars()
-    q = rationals()
-    point = {"x": q.from_int(2), "y": q.from_int(-1), "z": q.from_int(5)}
-    assert (x * y + z).eval(point) == q.from_int(3)
-
-
 def test_derivative_leibniz_spot(qring):
     x, y, _ = qring.vars()
     f = x * x * y + y

@@ -2,9 +2,9 @@ import pytest
 
 from xratio.fields import XratioError, prime_field, rationals
 from xratio.poly import Ring
-from xratio.ratfunc import (DegenerateSubstitutionError, PoleError, RatFunc,
+from xratio.ratfunc import (DegenerateSubstitutionError, RatFunc,
                             ZeroDenominatorError, jacobian_rank, rat, rf_eq,
-                            rvar, rvars)
+                            rvar)
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def test_equal_denominators_compare_numerators(ring):
     assert not rf_eq(RatFunc(ring, -x, -d), RatFunc(ring, y, d))
 
 
-def test_arithmetic(ring):
+def test_arithmetic(ring, rvars):
     x, y = rvars(ring)
     half = rat(ring, 1) / 2
     assert rf_eq(half + half, 1)
@@ -62,7 +62,7 @@ def test_unreduced_pairs_never_cancel_silently(ring):
     assert rf_eq(f, x)
 
 
-def test_substitute_clears_denominators(ring):
+def test_substitute_clears_denominators(ring, rvars):
     x, y = rvars(ring)
     f = (x + y) / (x - y)
     target = Ring(rationals(), ("s",))
@@ -72,7 +72,7 @@ def test_substitute_clears_denominators(ring):
     assert rf_eq(g, expected)
 
 
-def test_substitute_degenerate_denominator(ring):
+def test_substitute_degenerate_denominator(ring, rvars):
     x, y = rvars(ring)
     f = (x + y) / (x - y)
     with pytest.raises(DegenerateSubstitutionError):
@@ -87,27 +87,7 @@ def test_substitute_unused_vars_and_unknown_keys(ring):
         x.substitute({"q": 1})
 
 
-def test_eval_and_poles(ring):
-    x, y = rvars(ring)
-    q = rationals()
-    f = (x + y) / (x - y)
-    assert f.eval({"x": q.from_int(3), "y": q.from_int(1)}) == q.from_int(2)
-    with pytest.raises(PoleError):
-        f.eval({"x": q.one, "y": q.one})
-
-
-def test_derivative_quotient_rule(ring):
-    x, y = rvars(ring)
-    f = x / y
-    d = f.derivative("y")
-    assert rf_eq(d, -x / (y * y))
-    g = (x * x + 1) / (x + 1)
-    lhs = g.derivative("x")
-    rhs = (2 * x * (x + 1) - (x * x + 1)) / ((x + 1) * (x + 1))
-    assert rf_eq(lhs, rhs)
-
-
-def test_display_normalized(ring):
+def test_display_normalized(ring, rvars):
     x, y = rvars(ring)
     f = (2 * x * y) / (2 * y * y)
     shown = f.display_normalized()
@@ -115,28 +95,20 @@ def test_display_normalized(ring):
     assert rf_eq(shown, f)
 
 
-def test_embed(ring):
-    x = rvar(ring, "x")
-    big = Ring(rationals(), ("x", "y", "z"))
-    g = (x / (x + 1)).embed(big)
-    assert g.ring == big
-    assert rf_eq(g, rvar(big, "x") / (rvar(big, "x") + 1))
-
-
-def test_jacobian_rank_full():
+def test_jacobian_rank_full(rvars):
     r = Ring(rationals(), ("x1", "x2"))
     x1, x2 = rvars(r)
     assert jacobian_rank([x1 + x2, x1 * x2], ("x1", "x2")) == 2
 
 
-def test_jacobian_rank_detects_dependence():
+def test_jacobian_rank_detects_dependence(rvars):
     r = Ring(rationals(), ("x1", "x2"))
     x1, _ = rvars(r)
     assert jacobian_rank([x1, x1 * x1], ("x1", "x2")) == 1
     assert jacobian_rank([x1 / (x1 + 1), x1 * x1], ("x1", "x2")) == 1
 
 
-def test_jacobian_rank_char0_only():
+def test_jacobian_rank_char0_only(rvars):
     r = Ring(prime_field(5), ("x1", "x2"))
     x1, x2 = rvars(r)
     with pytest.raises(XratioError):

@@ -39,8 +39,7 @@ def _definition_names(field, parsed):
 def test_cross_ratio_at_reference_points():
     q = rationals()
     a = derived_values(q)["a"]
-    got = a.eval({"x1": q.from_int(0), "x2": q.from_int(1),
-                  "x3": q.from_int(2), "x4": q.from_int(3)})
+    got = a.substitute({"x1": 0, "x2": 1, "x3": 2, "x4": 3})
     assert got == q.from_int(3) / q.from_int(4)
 
 
