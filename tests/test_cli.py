@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from xratio.cli import main
 
 DATA = Path(__file__).parent / "data"
 NINE_FIELDS = "Q,Q(i),F2,F3,F5,F7,F3(i),F7(i),F101"
+# the "<ms> ms" column of a text report check line (tests/data/make_report_golden.py)
+REPORT_TIMING = re.compile(r"^(\S.{33}) *\d+ ms  ", re.M)
 
 
 def test_run_single_check_json_to_file(tmp_path):
@@ -474,3 +477,19 @@ def test_enumerative_output_matches_golden():
             code = main(rec["argv"])
         assert (code, out.getvalue(), err.getvalue()) == (
             rec["exit"], rec["stdout"], rec["stderr"]), rec
+
+
+def test_run_reports_match_golden():
+    # exit code, stdout and stderr of `run` as text on the default fields, on
+    # all nine fields and on each field alone, and as JSON on each field
+    # alone; the text's per-check ms column is replaced by "- ms" on both
+    # sides.  tests/data/make_report_golden.py holds the argument lists and
+    # rewrites the file
+    records = json.loads((DATA / "report_golden.json").read_text(encoding="utf-8"))
+    assert len(records) == 20
+    for rec in records:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            code = main(rec["argv"])
+        assert (code, REPORT_TIMING.sub(r"\1     - ms  ", out.getvalue()), err.getvalue()) == (
+            rec["exit"], rec["stdout"], rec["stderr"]), rec["argv"]
