@@ -15,9 +15,10 @@ from .ratfunc import (CharacteristicError, DegenerateSubstitutionError,
                       RatFunc, ZeroDenominatorError, jacobian_rank, rat, rf_eq,
                       rvar)
 from .exprparse import ParseError, parse_expression
-from .perms import (IDENTITY, Perm, all_perms, cyclic_order4_subgroups,
-                    has_fixed_point, klein_group, klein_part, parse_perm,
-                    splits, subgroup_conjugacy_classes, subgroups)
+from .perms import (IDENTITY, all_perms, compose, cyclic_order4_subgroups,
+                    has_fixed_point, inverse, klein_group, klein_part, order,
+                    parse_perm, perm_str, splits, subgroup_conjugacy_classes,
+                    subgroups)
 from .autos import Automorphism, perm_automorphism
 from .projline import AffineMap, ProjPoint1, borel_stabilizer
 from .conic import (DegenerateConicError, IsotropyDecision, ObstructionRecord,

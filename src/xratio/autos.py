@@ -19,7 +19,6 @@ perm_automorphism is a group homomorphism for this composition.
 from __future__ import annotations
 
 from .fields import XratioError
-from .perms import Perm
 from .poly import Ring
 from .ratfunc import RatFunc, rat, rvar
 
@@ -93,12 +92,13 @@ def _renaming_sources(ring: Ring, images: dict):
     return tuple(src)
 
 
-def perm_automorphism(ring: Ring, p: Perm, point_vars=None) -> Automorphism:
-    """v_k -> v_{p(k)} on the listed point variables (default: all ring vars).
+def perm_automorphism(ring: Ring, p) -> Automorphism:
+    """v_k -> v_{p(k)} for the image tuple p (p[k-1] is the image of k).
 
-    The convention is index-to-index: the image of the k-th listed variable
-    is the p(k)-th listed variable.
+    The convention is index-to-index: the image of the k-th ring variable is
+    the p(k)-th ring variable.
     """
-    point_vars = list(point_vars if point_vars is not None else ring.variables)
-    moved = {v: point_vars[p(k) - 1] for k, v in enumerate(point_vars, start=1)}
-    return Automorphism(ring, {v: rvar(ring, moved.get(v, v)) for v in ring.variables})
+    p, vs = tuple(p), ring.variables
+    if sorted(p) != list(range(1, len(vs) + 1)):
+        raise XratioError(f"not a permutation of 1..{len(vs)}: {p}")
+    return Automorphism(ring, {v: rvar(ring, vs[p[k] - 1]) for k, v in enumerate(vs)})

@@ -33,8 +33,8 @@ from . import certs, conic, tables
 from .autos import perm_automorphism
 from .fields import Field, XratioError, field_by_name, prime_field, rationals
 from .perms import (all_perms, cyclic_order4_subgroups, has_fixed_point,
-                    klein_group, klein_part, splits, subgroup_conjugacy_classes,
-                    subgroup_str, subgroups)
+                    klein_group, klein_part, perm_str, splits,
+                    subgroup_conjugacy_classes, subgroup_str, subgroups)
 from .poly import Ring
 from .projline import ProjPoint1, borel_stabilizer
 from .ratfunc import DegenerateSubstitutionError, jacobian_rank, rf_eq
@@ -133,7 +133,7 @@ def _vanishes(f, text):
 @_per_field("fields")
 def _run_cr_inv(ctx, f):
     ring, a, v4 = tables.point_ring(f), tables.derived_values(f)["a"], klein_group()
-    bad = [str(p) for p in all_perms()
+    bad = [perm_str(p) for p in all_perms()
            if rf_eq(perm_automorphism(ring, p).apply(a), a) != (p in v4)]
     return not bad, [f"wrong invariance at {', '.join(bad)}" if bad
                      else "all 24 permutations behave as predicted"]

@@ -10,10 +10,10 @@ sequence of interest is
 (Sym3 = Sym4/V acting on the three pairings), and ``splits`` searches for a
 complement: a subgroup C of S with C & (S&V) = {id} and |C|*|S&V| = |S|.
 
-Composition convention: (p*q)(k) = p(q(k)), matching automorphism
-composition by substitution elsewhere in the package.
-Conjugacy classes are computed on the image tuples ``Perm.imgs``, and V is
-built once at import.
+A permutation is its image tuple: p[k-1] is the image of k, and a subgroup
+is a frozenset of such tuples.  Composition convention:
+compose(p, q)(k) = p(q(k)), matching automorphism composition by
+substitution elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -24,79 +24,14 @@ from itertools import combinations, permutations
 
 from .fields import XratioError
 
-N = 4
 _POINTS = (1, 2, 3, 4)
 
-
-class Perm:
-    """Permutation of {1..4}; imgs[k-1] is the image of k."""
-
-    __slots__ = ("imgs",)
-
-    def __init__(self, imgs):
-        imgs = tuple(imgs)
-        if sorted(imgs) != list(_POINTS):
-            raise XratioError(f"not a permutation of 1..4: {imgs}")
-        self.imgs = imgs
-
-    def __call__(self, k: int) -> int:
-        return self.imgs[k - 1]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        return Perm(tuple(self.imgs[other.imgs[k - 1] - 1] for k in _POINTS))
-
-    def inverse(self) -> "Perm":
-        out = [0] * N
-        for k in _POINTS:
-            out[self.imgs[k - 1] - 1] = k
-        return Perm(out)
-
-    def is_identity(self) -> bool:
-        return self.imgs == _POINTS
-
-    def order(self) -> int:
-        p, n = self, 1
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and other.imgs == self.imgs
-
-    def __hash__(self):
-        return hash(self.imgs)
-
-    def cycles(self):
-        seen, out = set(), []
-        for start in _POINTS:
-            if start in seen:
-                continue
-            cyc, k = [start], self(start)
-            seen.add(start)
-            while k != start:
-                cyc.append(k)
-                seen.add(k)
-                k = self(k)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def __str__(self):
-        cyc = self.cycles()
-        if not cyc:
-            return "id"
-        return "".join("(" + " ".join(str(k) for k in c) + ")" for c in cyc)
-
-    __repr__ = __str__
-
-
-IDENTITY = Perm(_POINTS)
+IDENTITY = _POINTS
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_perm(text: str) -> Perm:
+def parse_perm(text: str) -> tuple:
     """Cycle notation: '(1 2 3 4)', '(1 2)(3 4)', 'id'."""
     text = text.strip()
     if text in ("id", "()", ""):
@@ -116,12 +51,49 @@ def parse_perm(text: str) -> Perm:
         seen |= set(pts)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             imgs[a - 1] = b
-    return Perm(imgs)
+    return tuple(imgs)
+
+
+def perm_str(p) -> str:
+    """Cycle notation, each cycle from its least letter; 'id' for the
+    identity.  parse_perm reads it back."""
+    seen, out = set(), []
+    for start in _POINTS:
+        k = p[start - 1]
+        if start in seen or k == start:
+            continue
+        cyc = [start]
+        while k != start:
+            cyc.append(k)
+            k = p[k - 1]
+        seen.update(cyc)
+        out.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(out) or "id"
+
+
+def compose(p, q) -> tuple:
+    """p after q: k -> p(q(k)), unrolled over the four letters."""
+    a, b, c, d = q
+    return (p[a - 1], p[b - 1], p[c - 1], p[d - 1])
+
+
+def inverse(p) -> tuple:
+    out = [0] * len(p)
+    for k, image in enumerate(p, start=1):
+        out[image - 1] = k
+    return tuple(out)
+
+
+def order(p) -> int:
+    q, n = p, 1
+    while q != IDENTITY:
+        q, n = compose(q, p), n + 1
+    return n
 
 
 def all_perms():
     """The 24 elements in a fixed canonical (lexicographic) order."""
-    return [Perm(p) for p in permutations(_POINTS)]
+    return list(permutations(_POINTS))
 
 
 def closure(gens) -> frozenset:
@@ -133,7 +105,7 @@ def closure(gens) -> frozenset:
         nxt = []
         for g in frontier:
             for h in gens:
-                q = g * h
+                q = compose(g, h)
                 if q not in group:
                     group.add(q)
                     nxt.append(q)
@@ -155,28 +127,23 @@ def subgroups() -> tuple:
         found.add(closure([g]))
     for g, h in combinations(elems, 2):
         found.add(closure([g, h]))
-    return tuple(sorted(found, key=_subgroup_key))
-
-
-def _subgroup_key(s):
-    return (len(s), sorted(p.imgs for p in s))
+    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
 def subgroup_conjugacy_classes():
     """Partition of all subgroups into conjugacy classes, ordered like
     subgroups(): each class is the sorted list of its members, the orbit of
-    its first member under all 24 elements, compared as frozensets of image
-    tuples.  g*p*g^-1 maps k to g(p(g^-1(k))), so it is four tuple lookups:
-    g1 = (0,) + g.imgs has g1[x] = g(x), and a..d are g^-1(1..4) - 1."""
+    its first member under all 24 elements.  g*p*g^-1 maps k to
+    g(p(g^-1(k))), so it is four tuple lookups: g1 = (0,) + g has
+    g1[x] = g(x), and a..d are g^-1(1..4) - 1."""
     subs = subgroups()
-    index = {frozenset(p.imgs for p in s): k for k, s in enumerate(subs)}
-    pairs = [((0,) + g.imgs, tuple(h - 1 for h in g.inverse().imgs)) for g in all_perms()]
+    index = {s: k for k, s in enumerate(subs)}
+    pairs = [((0,) + g, tuple(h - 1 for h in inverse(g))) for g in all_perms()]
     classes, placed = [], set()
     for k, s in enumerate(subs):
         if k in placed:
             continue
-        imgs = [p.imgs for p in s]
-        orbit = {index[frozenset([(g1[p[a]], g1[p[b]], g1[p[c]], g1[p[d]]) for p in imgs])]
+        orbit = {index[frozenset([(g1[p[a]], g1[p[b]], g1[p[c]], g1[p[d]]) for p in s])]
                  for g1, (a, b, c, d) in pairs}
         placed |= orbit
         # a subsequence of the sorted tuple subgroups() is sorted itself
@@ -184,12 +151,8 @@ def subgroup_conjugacy_classes():
     return classes
 
 
-_KLEIN = frozenset({
-    IDENTITY,
-    parse_perm("(1 2)(3 4)"),
-    parse_perm("(1 3)(2 4)"),
-    parse_perm("(1 4)(2 3)"),
-})
+# (1 2)(3 4), (1 3)(2 4) and (1 4)(2 3)
+_KLEIN = frozenset({IDENTITY, (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)})
 
 
 def klein_group() -> frozenset:
@@ -219,12 +182,12 @@ def splits(s):
 
 def has_fixed_point(s) -> bool:
     """Does some letter stay fixed under every element of S?"""
-    return any(all(g(k) == k for g in s) for k in _POINTS)
+    return any(all(g[k - 1] == k for g in s) for k in _POINTS)
 
 
 def is_cyclic(s) -> bool:
     n = len(s)
-    return any(g.order() == n for g in s)
+    return any(order(g) == n for g in s)
 
 
 def cyclic_order4_subgroups():
@@ -232,4 +195,4 @@ def cyclic_order4_subgroups():
 
 
 def subgroup_str(s) -> str:
-    return "{" + ", ".join(str(p) for p in sorted(s, key=lambda p: p.imgs)) + "}"
+    return "{" + ", ".join(map(perm_str, sorted(s))) + "}"

@@ -29,7 +29,7 @@ import functools
 from .autos import Automorphism, perm_automorphism
 from .exprparse import parse_expression, tokenize
 from .fields import Field, XratioError
-from .perms import Perm, parse_perm
+from .perms import parse_perm
 from .poly import Ring
 from .ratfunc import DegenerateSubstitutionError, RatFunc, rf_eq
 
@@ -107,7 +107,7 @@ def point_ring(field: Field) -> Ring:
     return Ring(field, POINT_VARS)
 
 
-def four_cycle() -> Perm:
+def four_cycle() -> tuple:
     return parse_perm("(1 2 3 4)")
 
 

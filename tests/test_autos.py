@@ -5,7 +5,7 @@ import pytest
 from xratio.autos import Automorphism, perm_automorphism
 from xratio.exprparse import parse_expression
 from xratio.fields import XratioError, field_by_name, rationals
-from xratio.perms import all_perms, parse_perm
+from xratio.perms import all_perms, compose, parse_perm
 from xratio.poly import Ring
 from xratio.ratfunc import DegenerateSubstitutionError, RatFunc, rf_eq, rvar
 
@@ -35,9 +35,14 @@ def test_perm_automorphism_is_homomorphism(ring):
     p = parse_perm("(1 2)")
     q = parse_perm("(2 3 4)")
     f = (rvar(ring, "x1") + 2 * rvar(ring, "x3")) / rvar(ring, "x4")
-    lhs = perm_automorphism(ring, p * q).apply(f)
+    lhs = perm_automorphism(ring, compose(p, q)).apply(f)
     rhs = perm_automorphism(ring, p).apply(perm_automorphism(ring, q).apply(f))
     assert rf_eq(lhs, rhs)
+
+
+def test_perm_automorphism_refuses_a_non_permutation(ring):
+    with pytest.raises(XratioError, match=r"not a permutation of 1\.\.4: \(1, 1, 2, 3\)"):
+        perm_automorphism(ring, (1, 1, 2, 3))
 
 
 def test_orders(ring):

@@ -217,6 +217,17 @@ def test_a_table_patched_after_a_warm_run_still_fails(monkeypatch):
     assert (res.verdict, res.details) == (FAIL, ["Q: mismatch at w"])
 
 
+
+def test_cr_inv_names_the_wrong_permutations_in_cycle_notation(monkeypatch):
+    # x1 + x2 - x3 - x4 is fixed by (1 2) and (3 4), which are not in the
+    # Klein group, and moved by (1 3)(2 4) and (1 4)(2 3), which are
+    bent = tuple((name, "x1 + x2 - x3 - x4" if name == "a" else text)
+                 for name, text in tables.DERIVED_ODD)
+    monkeypatch.setattr(tables, "DERIVED_ODD", bent)
+    res = run_checklist(RunConfig(fields=("Q",)), only={"CR-INV"}).checks[0]
+    assert (res.verdict, res.details) == (
+        FAIL, ["Q: wrong invariance at (3 4), (1 2), (1 3)(2 4), (1 4)(2 3)"])
+
 def _recorded_parses(monkeypatch):
     """Record the text, without spaces, of each parse `tables` and `certs` make."""
     seen, real = [], exprparse.parse_expression

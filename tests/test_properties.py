@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from xratio.autos import perm_automorphism
 from xratio.exprparse import parse_expression
 from xratio.fields import prime_field, rationals
-from xratio.perms import all_perms
+from xratio.perms import all_perms, compose
 from xratio.poly import Ring
 from xratio.ratfunc import RatFunc, rat, rf_eq
 
@@ -124,7 +124,7 @@ def test_permutation_action_homomorphism_exhaustive():
     checked = 0
     for p, ap in autos.items():
         for q, aq in autos.items():
-            composite = autos[p * q]
+            composite = autos[compose(p, q)]
             pointwise = ap * aq
             for name in ring.variables:
                 v = rat(ring, ring.var(name))

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from xratio.checks import run_checklist
-from xratio.perms import Perm, subgroup_str
+from xratio.perms import subgroup_str
 from xratio.report import RunConfig
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -53,7 +53,7 @@ def test_companion_scripts_agree_with_the_enumerative_checks():
     nonsplit = [ast.literal_eval(m.group(2)) for m in
                 re.finditer(r"^  order (\d+) cyclic: True (\[.*\])$", census, re.M)]
     assert len(nonsplit) == int(_value(census, r"^non-split over Klein part: (\d+)$")) == 3
-    as_perms = [frozenset(Perm(k + 1 for k in imgs) for imgs in s) for s in nonsplit]
+    as_perms = [frozenset(tuple(k + 1 for k in imgs) for imgs in s) for s in nonsplit]
     assert details["SPLIT"] == [
         f"{subs - len(nonsplit)}/{subs} subgroups split over their Klein part",
         "non-split subgroups: " + "; ".join(sorted(map(subgroup_str, as_perms)))]

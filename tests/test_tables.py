@@ -4,6 +4,7 @@ from xratio import tables
 from xratio.conic import base_ring
 from xratio.exprparse import ParseError
 from xratio.fields import field_by_name, prime_field, rationals
+from xratio.perms import order, perm_str
 from xratio.ratfunc import rf_eq
 from xratio.tables import (CONIC_CHAR2_TEXT, CONIC_ODD_TEXT, CROSS_RATIO_TEXT,
                            POINT_VARS, SIGMA2_CHAR2, SIGMA2_ODD, SIGMA_CHAR2,
@@ -111,8 +112,9 @@ def test_conic_identity_vanishes(name):
 
 def test_four_cycle_order():
     s = four_cycle()
-    assert s.order() == 4
-    assert str(s) == "(1 2 3 4)"
+    assert s == (2, 3, 4, 1)
+    assert order(s) == 4
+    assert perm_str(s) == "(1 2 3 4)"
 
 
 def test_in_derived_accepts_point_variables():
