@@ -43,18 +43,38 @@ class FieldConstructionError(XratioError):
     pass
 
 
+# Miller-Rabin with the first 13 prime bases decides every n below
+# MILLER_RABIN_BOUND, the least strong pseudoprime to all of them (Sorenson
+# and Webster 2015); 2..37 alone admit 318665857834031151167461 = psi_12
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n below MILLER_RABIN_BOUND; a larger n is refused
+    with FieldConstructionError, never decided probabilistically."""
+    if n >= MILLER_RABIN_BOUND:
+        raise FieldConstructionError(
+            f"cannot decide whether {n} is prime: moduli must be below "
+            f"{MILLER_RABIN_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -264,10 +284,11 @@ class PrimeField(Field):
             return self.one
         if p % 4 != 1:
             return None
-        for s in range(2, p):
-            if s * s % p == p - 1:
-                return FieldElement(self, s)
-        raise AssertionError("unreachable for p = 1 (mod 4)")
+        # c^((p-1)/4) squares to c^((p-1)/2) = -1 for a non-residue c (Euler's
+        # criterion); of the two roots r and p - r the smaller is canonical
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        r = pow(c, (p - 1) // 4, p)
+        return FieldElement(self, min(r, p - r))
 
     def elements(self):
         for k in range(self.p):

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
 from xratio import cli, poly
 from xratio.cli import main
+from xratio.fields import MILLER_RABIN_BOUND
 
 DATA = Path(__file__).parent / "data"
 NINE_FIELDS = "Q,Q(i),F2,F3,F5,F7,F3(i),F7(i),F101"
@@ -75,6 +77,27 @@ def test_check_identity_over_a_large_prime_field(capsys):
     assert main(["check-identity", "--field", "F1000000007",
                  "--lhs", "u", "--rhs", "t"]) == 1
     assert capsys.readouterr().out.startswith("NOT EQUAL over F1000000007: u  vs  t\n")
+
+
+def test_large_prime_fields_answer_within_a_second(capsys):
+    # Euler's criterion gives the square root of -1 and Miller-Rabin the
+    # primality of 2^61 - 1: neither scans up to p or sqrt(p)
+    start = time.perf_counter()
+    assert main(["conic", "decide", "--field", "F1000000009"]) == 0
+    assert main(["check-identity", "--field", "F2305843009213693951",
+                 "--lhs", "u", "--rhs", "t"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert "isotropic over F1000000009(x)" in out
+    assert "NOT EQUAL over F2305843009213693951: u  vs  t\n" in out
+
+
+def test_a_modulus_above_the_primality_bound_exits_2(capsys):
+    assert main(["check-identity", "--field", f"F{2 ** 89 - 1}",
+                 "--lhs", "u", "--rhs", "u"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot decide whether {2 ** 89 - 1} is prime: moduli "
+                   f"must be below {MILLER_RABIN_BOUND}\n")
 
 
 def test_check_identity_not_equal_exact_output(capsys):

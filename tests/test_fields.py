@@ -2,8 +2,9 @@ import re
 
 import pytest
 
-from xratio.fields import (FieldConstructionError, FieldMismatchError,
-                           field_by_name, gaussian_rationals, prime_field,
+from xratio.fields import (MILLER_RABIN_BOUND, FieldConstructionError,
+                           FieldMismatchError, field_by_name,
+                           gaussian_rationals, is_prime, prime_field,
                            prime_quadratic_field, rationals)
 
 NAMES = ("Q", "Q(i)", "F2", "F3", "F5", "F7", "F101", "F3(i)", "F7(i)")
@@ -117,6 +118,42 @@ def test_large_prime_names_work():
     f13 = field_by_name("F13")
     assert f13.sqrt_minus_one().v == 5
     assert field_by_name("F11").sqrt_minus_one() is None
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_sqrt_minus_one_is_the_least_root_the_scan_finds():
+    # oracle: the scan s = 2, 3, ... that sqrt_minus_one used to run
+    for p in range(5, 3000, 4):
+        if _trial_division_is_prime(p):
+            scan = next(s for s in range(2, p) if s * s % p == p - 1)
+            assert prime_field(p).sqrt_minus_one().v == scan, p
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == \
+        [n for n in range(-3, 10 ** 5) if _trial_division_is_prime(n)]
+
+
+# each composite is a strong pseudoprime to every prime base up to 7, 11, 13,
+# 17, 23 and 37 in turn; the last one needs base 41
+@pytest.mark.parametrize("n", [3215031751, 2152302898747, 3474749660383,
+                               341550071728321, 3825123056546413051,
+                               318665857834031151167461])
+def test_strong_pseudoprimes_are_refused(n):
+    assert not is_prime(n)
+    with pytest.raises(FieldConstructionError, match="is not prime"):
+        field_by_name(f"F{n}")
+
+
+def test_primality_above_the_miller_rabin_bound_is_refused():
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(MILLER_RABIN_BOUND - 1) is False  # even, and below the bound
+    for n in (MILLER_RABIN_BOUND, 2 ** 89 - 1):
+        with pytest.raises(FieldConstructionError, match=str(MILLER_RABIN_BOUND)):
+            is_prime(n)
 
 
 def test_mixed_field_arithmetic_rejected():
