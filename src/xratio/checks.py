@@ -2,19 +2,20 @@
 
 Each check is a pure function of a :class:`_Ctx` (run configuration plus the
 resolved coefficient fields) returning a verdict and human-readable detail
-lines.  The context computes the objects checks share (the orientation-checked
-4-cycle action, certificate verifications, isotropy decisions, conic
-parametrizations) once per run and per field; the derived values and the
-constant claim and certificate texts are parsed once per process by
-:mod:`tables` and :mod:`certs`.  Most claims are one claim per
+lines, declared once by :func:`check` with its id, the claim it verifies and
+its field scope.  The context computes the objects checks share (the
+orientation-checked 4-cycle action, certificate verifications, isotropy
+decisions, conic parametrizations) once per run and per field; the derived
+values and the constant claim and certificate texts are parsed once per
+process by :mod:`tables` and :mod:`certs`.  Most claims are one claim per
 selected field: such a check is a body for one field, and :func:`_per_field`
-runs it over its declared scope (all, odd, characteristic 2 or finite
-fields), prefixes the lines with the field name and applies the one verdict
-rule, SKIPPED when no field is in scope or none verified anything.
-Checks never abort the run: any exception inside one becomes a FAIL with the
-error message in the details.  Randomized checks draw from
-``random.Random(f"{seed}-{check_id}")`` so every check is reproducible in
-isolation and the whole run is deterministic for a given configuration.
+runs it over its scope (all, odd, characteristic 2 or finite fields), prefixes
+the lines with the field name and applies the one verdict rule, SKIPPED when
+no field is in scope or none verified anything.  Checks never abort the run:
+any exception inside one becomes a FAIL with the error message in the details.
+Randomized checks draw from ``random.Random(f"{seed}-{check_id}")`` so every
+check is reproducible in isolation and the whole run is deterministic for a
+given configuration.
 
 Several claims are deliberately covered twice by independent routes (for
 example, the isotropy criterion is decided symbolically by ISO-CRIT and
@@ -92,27 +93,46 @@ _SKIP_REASONS = {
 }
 
 
-def _per_field(scope):
-    """Make a body `(ctx, f) -> (ok, lines)` the check run over the fields of
+def _per_field(scope, body):
+    """The check that runs a body `(ctx, f) -> (ok, lines)` over the fields of
     the _Ctx list `scope`, prefixing each line with the field name.  `ok` is
     True, False, or None for "verified nothing": the check FAILs if any field
     returns False, is SKIPPED if the scope is empty or every field returns
     None, and PASSes otherwise."""
-    def check(body):
-        def run(ctx):
-            fields = getattr(ctx, scope)
-            if not fields:
-                return SKIPPED, [_SKIP_REASONS[scope]]
-            oks, details = [], []
-            for f in fields:
-                ok, lines = body(ctx, f)
-                oks.append(ok)
-                details += [f"{f.name}: {line}" for line in lines]
-            if False in oks:
-                return FAIL, details
-            return (SKIPPED if all(ok is None for ok in oks) else PASS), details
-        return run
-    return check
+    def run(ctx):
+        fields = getattr(ctx, scope)
+        if not fields:
+            return SKIPPED, [_SKIP_REASONS[scope]]
+        oks, details = [], []
+        for f in fields:
+            ok, lines = body(ctx, f)
+            oks.append(ok)
+            details += [f"{f.name}: {line}" for line in lines]
+        if False in oks:
+            return FAIL, details
+        return (SKIPPED if all(ok is None for ok in oks) else PASS), details
+    return run
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    id: str
+    anchor: str
+    run: object
+
+
+CHECKS = []  # in declaration order; a tuple once the last check is declared
+
+
+def check(check_id, anchor, scope=None):
+    """Declare the decorated body the check `check_id` of the claim `anchor`.
+    With a `scope` the body verifies one field and :func:`_per_field` runs it
+    over that _Ctx field list; without one it is the whole check."""
+    def declare(body):
+        CHECKS.append(CheckSpec(check_id, anchor,
+                                body if scope is None else _per_field(scope, body)))
+        return body
+    return declare
 
 
 def _table_errors(field: Field, act, claims) -> list:
@@ -127,10 +147,11 @@ def _vanishes(f, text):
                                 else "does NOT vanish")]
 
 
-# -- checks, in report order --------------------------------------------------
+# -- checks, in run order -----------------------------------------------------
 
 
-@_per_field("fields")
+@check("CR-INV", "the cross ratio of four points is fixed exactly by the Klein four-group of "
+       "double transpositions", scope="fields")
 def _run_cr_inv(ctx, f):
     ring, a, v4 = tables.point_ring(f), tables.derived_values(f)["a"], klein_group()
     bad = [perm_str(p) for p in all_perms()
@@ -139,14 +160,16 @@ def _run_cr_inv(ctx, f):
                      else "all 24 permutations behave as predicted"]
 
 
-@_per_field("odd_fields")
+@check("SIGMA-TABLE", "away from characteristic 2 the distinguished 4-cycle acts on (w, y, z, a, "
+       "u, t, b, x) by the recorded table", scope="odd_fields")
 def _run_sigma_table(ctx, f):
     bad = _table_errors(f, ctx.action(f), tables.SIGMA_ODD)
     return not bad, [f"mismatch at {', '.join(bad)}" if bad
                      else f"{len(tables.SIGMA_ODD)}/8 entries verified"]
 
 
-@_per_field("odd_fields")
+@check("SIGMA2-TABLE", "the square of the 4-cycle negates w, y, t and fixes z, a, u, b, x",
+       scope="odd_fields")
 def _run_sigma2_table(ctx, f):
     act = ctx.action(f)
     bad = _table_errors(f, act * act, tables.SIGMA2_ODD)
@@ -154,7 +177,8 @@ def _run_sigma2_table(ctx, f):
                      else f"{len(tables.SIGMA2_ODD)}/8 entries verified"]
 
 
-@_per_field("odd_fields")
+@check("BASIS-IDS", "point differences are half sums/differences of w, y, z, and the cross ratio "
+       "equals (w^2 - z^2)/(w^2 - y^2)", scope="odd_fields")
 def _run_basis_ids(ctx, f):
     ids = tables.BASIS_IDS_ODD
     bad = [f"{lhs} = {rhs}" for (lhs, rhs), (lv, rv) in zip(ids, tables.claim_values(ids, f))
@@ -163,7 +187,8 @@ def _run_basis_ids(ctx, f):
                      else f"{len(ids)}/7 identities verified"]
 
 
-@_per_field("odd_fields")
+@check("CONIC-B", "the pair (u, t) satisfies (1 - a)u^2 - t^2 + a = 0 over the "
+       "cross-ratio field", scope="odd_fields")
 def _run_conic_b(ctx, f):
     return _vanishes(f, tables.CONIC_ODD_TEXT)
 
@@ -171,7 +196,8 @@ def _run_conic_b(ctx, f):
 _LEM_A_CERTS = ("negate_invert_full", "negate_base")
 
 
-@_per_field("odd_fields")
+@check("LEM-A-INV", "x = b^2, y = b(u^2+1)/(2u), z = (u^2-1)/(2u) are invariant under "
+       "b -> -b, u -> -1/u", scope="odd_fields")
 def _run_lem_a_inv(ctx, f):
     firsts = [(name, ctx.verified(name, f).conditions[0]) for name in _LEM_A_CERTS]
     return all(c1.ok for _, c1 in firsts), [
@@ -179,7 +205,8 @@ def _run_lem_a_inv(ctx, f):
         for name, c1 in firsts]
 
 
-@_per_field("odd_fields")
+@check("LEM-A-REL", "u is quadratic over the invariants via T^2 - 2zT - 1, every ambient "
+       "generator is recovered, and the action has order 2", scope="odd_fields")
 def _run_lem_a_rel(ctx, f):
     ok, lines = True, []
     for name in _LEM_A_CERTS:
@@ -201,7 +228,8 @@ def _run_lem_a_rel(ctx, f):
     return ok and conic_rel, lines
 
 
-@_per_field("odd_fields")
+@check("ISO-CRIT", "Y^2 - xZ^2 - xW^2 has a k(x)-point precisely when k contains a "
+       "square root of -1", scope="odd_fields")
 def _run_iso_crit(ctx, f):
     dec = ctx.decision(f)
     agrees = dec.isotropic == (f.sqrt_minus_one() is not None)
@@ -213,7 +241,8 @@ def _run_iso_crit(ctx, f):
     return agrees, lines
 
 
-@_per_field("finite_fields")
+@check("ISO-SEARCH", "exhaustive bounded-degree point search over finite fields agrees with the "
+       "isotropy criterion", scope="finite_fields")
 def _run_iso_search(ctx, f):
     d = conic.searchable_degree(f, ctx.config.degree_bound)
     if d < 0:
@@ -228,7 +257,8 @@ def _run_iso_search(ctx, f):
                                  + ("" if on else " which is NOT on the conic")]
 
 
-@_per_field("fields")
+@check("PARAM", "a conic with a point is parametrized by the pencil of lines through it, with "
+       "verified forward and inverse maps", scope="fields")
 def _run_param(ctx, f):
     inst = conic.known_point(f)
     if inst is None:
@@ -250,6 +280,8 @@ def _run_param(ctx, f):
         f"symbolically; {good}/{total} sampled parameters land on the conic"]
 
 
+@check("CERTS", "all shipped fixed-field certificates verify, and the deliberately perturbed "
+       "fixture fails exactly the invariance condition")
 def _run_certs(ctx):
     ok, details = True, []
     shipped = certs.shipped_certificates()
@@ -277,7 +309,8 @@ def _run_certs(ctx):
     return (PASS if ok else FAIL), details
 
 
-@_per_field("char2_fields")
+@check("CHAR2-TABLE", "in characteristic 2 the 4-cycle fixes w, shifts a and u by 1, and the "
+       "recorded sigma and sigma^2 tables hold", scope="char2_fields")
 def _run_char2_table(ctx, f):
     act = ctx.action(f)
     bad1 = _table_errors(f, act, tables.SIGMA_CHAR2)
@@ -288,7 +321,8 @@ def _run_char2_table(ctx, f):
                   f"sigma^2 {len(tables.SIGMA2_CHAR2)}/9 entries verified"]
 
 
-@_per_field("char2_fields")
+@check("CONIC-C", "in characteristic 2 the pair (u, t) satisfies t^2 + t = a u^2 + a u over the "
+       "cross-ratio field", scope="char2_fields")
 def _run_conic_c(ctx, f):
     return _vanishes(f, tables.CONIC_CHAR2_TEXT)
 
@@ -296,7 +330,8 @@ def _run_conic_c(ctx, f):
 _LEM_B_CERTS = ("shift_full_char2", "shift_base_char2", "conic_reflection_char2")
 
 
-@_per_field("char2_fields")
+@check("LEM-B-ALL", "the characteristic-2 chain holds: the conic point (x : 1 : 1), the shift "
+       "certificates, and the invariance of a^2+a, u^2+u, a+u", scope="char2_fields")
 def _run_lem_b_all(ctx, f):
     form, pt = conic.known_point(f)
     on = form.is_point(pt)
@@ -312,6 +347,8 @@ def _run_lem_b_all(ctx, f):
     return on and all(ver.valid for ver in vers) and not moved, lines
 
 
+@check("SPLIT", "all 30 subgroups of the symmetric group on four letters split over their Klein "
+       "part except the three cyclic groups of order 4")
 def _run_split(ctx):
     subs = subgroups()
     nonsplit, bad_witness = [], []
@@ -336,6 +373,8 @@ def _run_split(ctx):
     return (PASS if ok else FAIL), details
 
 
+@check("FIX-EQ", "a subgroup fixes one of the four letters exactly when it meets the Klein "
+       "four-group trivially")
 def _run_fix_eq(ctx):
     subs = subgroups()
     bad = [subgroup_str(s) for s in subs
@@ -347,6 +386,8 @@ def _run_fix_eq(ctx):
     return (PASS if not bad else FAIL), details
 
 
+@check("SUBGRP-COUNT", "the symmetric group on four letters has 30 subgroups in 11 conjugacy "
+       "classes with the recorded order profile")
 def _run_subgrp_count(ctx):
     subs = subgroups()
     classes = subgroup_conjugacy_classes()
@@ -361,6 +402,8 @@ def _run_subgrp_count(ctx):
     return (PASS if ok else FAIL), details
 
 
+@check("GENFREE", "randomly sampled 4-subsets of the affine line over F101 generically have "
+       "trivial upper-triangular stabilizer")
 def _run_genfree(ctx):
     rng = ctx.rng("GENFREE")
     f101 = prime_field(101)
@@ -388,6 +431,7 @@ def _run_genfree(ctx):
     return EVIDENCE, details
 
 
+@check("INDEP", "the cross ratio a and the ratio u are algebraically independent")
 def _run_indep(ctx):
     q = rationals()
     vq = tables.derived_values(q)
@@ -427,8 +471,7 @@ def _run_indep(ctx):
     return (ASSUMED if ok0 else FAIL), details
 
 
-@_per_field("odd_fields")
-def _main_b_fields(ctx, f):
+def _main_b_field(ctx, f):
     dec = ctx.decision(f)
     if dec.isotropic:
         ctx.param(f)  # the witness is conic.known_point's (0 : s : 1)
@@ -440,15 +483,19 @@ def _main_b_fields(ctx, f):
     return dec.isotropic == (f.sqrt_minus_one() is not None), [line]
 
 
+@check("MAIN-B-VERDICT", "away from characteristic 2, the 4-cycle invariant field is "
+       "rational over the cross-ratio invariants exactly when the coefficient field "
+       "contains a square root of -1")
 def _run_main_b(ctx):
-    verdict, details = _main_b_fields(ctx)
+    verdict, details = _per_field("odd_fields", _main_b_field)(ctx)
     if verdict != SKIPPED:
         details.append("criterion: rational exactly when the coefficient field "
                        "contains a square root of -1")
     return verdict, details
 
 
-@_per_field("char2_fields")
+@check("MAIN-C-VERDICT", "in characteristic 2 the 4-cycle invariant field is always rational "
+       "over the cross-ratio invariants", scope="char2_fields")
 def _run_main_c(ctx, f):
     form, pt = conic.known_point(f)
     on = form.is_point(pt)
@@ -461,99 +508,7 @@ def _run_main_c(ctx, f):
         f"chain broken (point on conic: {on}, certificates valid: {certs_ok})"]
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    id: str
-    anchor: str
-    run: object
-
-
-CHECKS = (
-    CheckSpec("CR-INV",
-              "the cross ratio of four points is fixed exactly by the Klein "
-              "four-group of double transpositions",
-              _run_cr_inv),
-    CheckSpec("SIGMA-TABLE",
-              "away from characteristic 2 the distinguished 4-cycle acts on "
-              "(w, y, z, a, u, t, b, x) by the recorded table",
-              _run_sigma_table),
-    CheckSpec("SIGMA2-TABLE",
-              "the square of the 4-cycle negates w, y, t and fixes z, a, u, b, x",
-              _run_sigma2_table),
-    CheckSpec("BASIS-IDS",
-              "point differences are half sums/differences of w, y, z, and the "
-              "cross ratio equals (w^2 - z^2)/(w^2 - y^2)",
-              _run_basis_ids),
-    CheckSpec("CONIC-B",
-              "the pair (u, t) satisfies (1 - a)u^2 - t^2 + a = 0 over the "
-              "cross-ratio field",
-              _run_conic_b),
-    CheckSpec("LEM-A-INV",
-              "x = b^2, y = b(u^2+1)/(2u), z = (u^2-1)/(2u) are invariant under "
-              "b -> -b, u -> -1/u",
-              _run_lem_a_inv),
-    CheckSpec("LEM-A-REL",
-              "u is quadratic over the invariants via T^2 - 2zT - 1, every "
-              "ambient generator is recovered, and the action has order 2",
-              _run_lem_a_rel),
-    CheckSpec("ISO-CRIT",
-              "Y^2 - xZ^2 - xW^2 has a k(x)-point precisely when k contains a "
-              "square root of -1",
-              _run_iso_crit),
-    CheckSpec("ISO-SEARCH",
-              "exhaustive bounded-degree point search over finite fields agrees "
-              "with the isotropy criterion",
-              _run_iso_search),
-    CheckSpec("PARAM",
-              "a conic with a point is parametrized by the pencil of lines "
-              "through it, with verified forward and inverse maps",
-              _run_param),
-    CheckSpec("CERTS",
-              "all shipped fixed-field certificates verify, and the deliberately "
-              "perturbed fixture fails exactly the invariance condition",
-              _run_certs),
-    CheckSpec("CHAR2-TABLE",
-              "in characteristic 2 the 4-cycle fixes w, shifts a and u by 1, and "
-              "the recorded sigma and sigma^2 tables hold",
-              _run_char2_table),
-    CheckSpec("CONIC-C",
-              "in characteristic 2 the pair (u, t) satisfies "
-              "t^2 + t = a u^2 + a u over the cross-ratio field",
-              _run_conic_c),
-    CheckSpec("LEM-B-ALL",
-              "the characteristic-2 chain holds: the conic point (x : 1 : 1), "
-              "the shift certificates, and the invariance of a^2+a, u^2+u, a+u",
-              _run_lem_b_all),
-    CheckSpec("SPLIT",
-              "all 30 subgroups of the symmetric group on four letters split "
-              "over their Klein part except the three cyclic groups of order 4",
-              _run_split),
-    CheckSpec("FIX-EQ",
-              "a subgroup fixes one of the four letters exactly when it meets "
-              "the Klein four-group trivially",
-              _run_fix_eq),
-    CheckSpec("SUBGRP-COUNT",
-              "the symmetric group on four letters has 30 subgroups in 11 "
-              "conjugacy classes with the recorded order profile",
-              _run_subgrp_count),
-    CheckSpec("GENFREE",
-              "randomly sampled 4-subsets of the affine line over F101 "
-              "generically have trivial upper-triangular stabilizer",
-              _run_genfree),
-    CheckSpec("INDEP",
-              "the cross ratio a and the ratio u are algebraically independent",
-              _run_indep),
-    CheckSpec("MAIN-B-VERDICT",
-              "away from characteristic 2, the 4-cycle invariant field is "
-              "rational over the cross-ratio invariants exactly when the "
-              "coefficient field contains a square root of -1",
-              _run_main_b),
-    CheckSpec("MAIN-C-VERDICT",
-              "in characteristic 2 the 4-cycle invariant field is always "
-              "rational over the cross-ratio invariants",
-              _run_main_c),
-)
-
+CHECKS = tuple(CHECKS)
 CHECK_IDS = tuple(spec.id for spec in CHECKS)
 
 
