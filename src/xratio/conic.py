@@ -43,7 +43,7 @@ from itertools import product
 from operator import add as _iadd
 
 from .fields import Field, FieldElement, XratioError
-from .poly import MultiPoly, Ring, RingMismatchError, _canonical
+from .poly import MultiPoly, Ring, RingMismatchError, _canonical, strip_monomial_content
 from .ratfunc import CharacteristicError, RatFunc, rat
 
 
@@ -76,19 +76,6 @@ def _clear_denominators(rfs) -> list:
                 p = p * d
         out.append(p)
     return out
-
-
-def _strip_monomial_content(polys) -> list:
-    """Divide every nonzero polynomial by the monomial they all share."""
-    shared = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        m = p.monomial_content()
-        shared = m if shared is None else tuple(min(a, b) for a, b in zip(shared, m))
-    if shared and any(shared):
-        polys = [p if p.is_zero() else p.divide_monomial(shared) for p in polys]
-    return polys
 
 
 def _poly(ring: Ring, c, what: str) -> MultiPoly:
@@ -590,7 +577,7 @@ def parametrize(form: TernaryForm, point: ProjPoint2) -> ParametrizationMap:
     B = form.eval_at(*(p + d for p, d in zip(P, D)), pring) - qD  # q(P) = 0
     if B.is_zero():
         raise DegenerateConicError("base point is singular on the conic")
-    forward = _strip_monomial_content([qD * p - B * d for p, d in zip(P, D)])
+    forward = strip_monomial_content([qD * p - B * d for p, d in zip(P, D)])
     if not form.eval_at(*forward, pring).is_zero():
         raise VerificationError("forward map does not land on the conic")
 

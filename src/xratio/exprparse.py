@@ -12,6 +12,8 @@ the field's canonical square root of -1 and is rejected with a position
 when the field has none, identifiers must be ring variables.  The result is
 a RatFunc, so '/' is exact division in the fraction field; dividing by a
 semantically zero subexpression is a parse-time error with a position.
+Parentheses nest at most MAX_NESTING levels deep; a deeper '(' is a parse
+error at its position, well before the recursion runs out of stack.
 
 Serialization is the inverse direction: MultiPoly.__str__ and
 RatFunc.__str__ emit canonical graded-lex text that this parser accepts, so
@@ -32,6 +34,8 @@ class ParseError(XratioError):
         super().__init__(f"{message} (position {pos})")
         self.pos = pos
 
+
+MAX_NESTING = 100  # each level costs the recursive descent four frames
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
 
@@ -64,6 +68,7 @@ class _Parser:
         self.ring = ring
         self.tokens = tokens
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -145,8 +150,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {v!r}", pos)
             return RatFunc(self.ring, self.ring.var(v))
         if kind == "op" and v == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", pos)
+            self.depth += 1
             f = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return f
         if kind == "end":
             raise ParseError("unexpected end of expression", pos)

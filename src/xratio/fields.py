@@ -29,6 +29,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import cache
 
 
 class XratioError(Exception):
@@ -356,33 +357,28 @@ class GaussianField(Field):
         return f"{p} - {im[1:]}" if im.startswith("-") else f"{p} + {im}"
 
 
-_CACHE: dict[str, Field] = {}
+# one spelling per field: ASCII digits, no leading zero
+_NAME_RE = re.compile(r"^F([1-9][0-9]*)(\(i\))?$")
 
-_NAME_RE = re.compile(r"^F(\d+)(\(i\))?$")
 
-
+@cache
 def rationals() -> RationalField:
-    return _cached("Q", RationalField)
+    return RationalField()
 
 
+@cache
 def gaussian_rationals() -> GaussianField:
-    return _cached("Q(i)", lambda: GaussianField(rationals()))
+    return GaussianField(rationals())
 
 
+@cache
 def prime_field(p: int) -> PrimeField:
-    return _cached(f"F{p}", lambda: PrimeField(p))
+    return PrimeField(p)
 
 
+@cache
 def prime_quadratic_field(p: int) -> GaussianField:
-    return _cached(f"F{p}(i)", lambda: GaussianField(prime_field(p)))
-
-
-def _cached(name, ctor):
-    f = _CACHE.get(name)
-    if f is None:
-        f = ctor()
-        _CACHE[name] = f
-    return f
+    return GaussianField(prime_field(p))
 
 
 def field_by_name(name: str) -> Field:

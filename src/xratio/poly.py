@@ -344,6 +344,19 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+def strip_monomial_content(polys) -> list:
+    """Divide every nonzero polynomial by the monomial they all share."""
+    shared = None
+    for p in polys:
+        if p.is_zero():
+            continue
+        m = p.monomial_content()
+        shared = m if shared is None else tuple(min(a, b) for a, b in zip(shared, m))
+    if shared and any(shared):
+        polys = [p if p.is_zero() else p.divide_monomial(shared) for p in polys]
+    return polys
+
+
 def substitute_cleared(polys, images: dict, target: Ring) -> list:
     """Each p in `polys` with v -> n_v/d_v, denominators cleared: [(N, D)].
 

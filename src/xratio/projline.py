@@ -105,7 +105,7 @@ def borel_stabilizer(points, field: Field):
     """
     pts = _check_tuple(points, field)
     if not field.is_finite:
-        raise XratioError("brute force needs a finite field")
+        raise XratioError("the stabilizer is computed over a finite field only")
     add, mul, neg, red = field.raw_add, field.raw_mul, field.raw_neg, field.reduce
     # payload order, so the work done does not vary with set iteration order
     vals = sorted(p.value.v for p in pts if not p.infinite)

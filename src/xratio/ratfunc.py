@@ -22,7 +22,8 @@ normalizes.
 from __future__ import annotations
 
 from .fields import FieldElement, XratioError
-from .poly import MultiPoly, Ring, RingMismatchError, substitute_cleared
+from .poly import (MultiPoly, Ring, RingMismatchError, strip_monomial_content,
+                   substitute_cleared)
 
 
 class ZeroDenominatorError(XratioError):
@@ -165,11 +166,7 @@ class RatFunc:
         """Cosmetic only: strip shared monomial content, monic denominator."""
         if self.num.is_zero():
             return RatFunc(self.ring, self.ring.zero, self.ring.one)
-        mn = self.num.monomial_content()
-        md = self.den.monomial_content()
-        shared = tuple(min(a, b) for a, b in zip(mn, md))
-        num = self.num.divide_monomial(shared)
-        den = self.den.divide_monomial(shared)
+        num, den = strip_monomial_content([self.num, self.den])
         _, lc = den.leading()
         if not lc.is_one():
             inv = self.ring.field.one / lc

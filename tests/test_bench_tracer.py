@@ -5,7 +5,8 @@ holds them.  A renamed or deleted function would otherwise show only in a
 traced benchmark run (`bench/run.py --trace 1`), as a `KeyError`.  This test
 installs the tracer in process, checks that each listed layer function was
 wrapped, uninstalls it and checks that every binding holds its original
-value again.
+value again.  It also runs the default checklist traced: the tracer rebinds
+`checks.CHECKS`, so a check held anywhere else would run without its span.
 """
 
 import importlib.util
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import xratio.cli  # noqa: F401  (the tracer wraps names in every xratio module)
+from xratio.checks import CHECK_IDS, run_checklist
+from xratio.report import RunConfig
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -57,3 +60,15 @@ def test_tracer_wraps_every_layer_and_restores_every_binding():
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert changed == []
+
+
+def test_a_traced_default_run_records_one_span_per_check():
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        run_checklist(RunConfig())
+    finally:
+        tracer.uninstall()
+    calls, _, _ = tracer.totals()
+    assert {name: n for name, n in calls.items() if name.startswith("checks.")} == \
+        {f"checks.{check_id}": 1 for check_id in CHECK_IDS}

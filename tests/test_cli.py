@@ -9,6 +9,7 @@ import pytest
 
 from xratio import cli, poly
 from xratio.cli import main
+from xratio.exprparse import MAX_NESTING
 from xratio.fields import MILLER_RABIN_BOUND
 
 DATA = Path(__file__).parent / "data"
@@ -324,6 +325,7 @@ def test_run_duplicate_fields_exits_2(capsys):
     ("--fields", "F5(i)", "F5(i) is not a field: X^2+1 is reducible mod 5 (need p = 3 mod 4)"),
     ("--fields", "F2(i)", "F2(i) is not a field: X^2+1 is reducible mod 2 (need p = 3 mod 4)"),
     ("--fields", "F9(i)", "9 is not prime"),
+    ("--fields", "F5,F05", "unknown field name: 'F05'"),
 ])
 def test_run_empty_selection_exits_2(capsys, option, value, message):
     # an empty list is not the default: it would run nothing and still say OK;
@@ -332,6 +334,20 @@ def test_run_empty_selection_exits_2(capsys, option, value, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert "overall" not in captured.out
+
+
+@pytest.mark.parametrize("argv, atom, tail", [
+    (["check-identity", "--field", "Q", "--rhs", "x1", "--lhs"], "x1", ""),
+    (["conic", "parametrize", "--field", "Q(i)", "--point"], "0", ",i,1"),
+])
+def test_nesting_up_to_the_bound_is_read_and_one_level_more_exits_2(capsys, argv, atom, tail):
+    def nested(levels):
+        return "(" * levels + atom + ")" * levels + tail
+    assert main(argv + [nested(MAX_NESTING)]) == 0
+    capsys.readouterr()
+    assert main(argv + [nested(MAX_NESTING + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: parentheses nested deeper than {MAX_NESTING} levels (position {MAX_NESTING})\n")
 
 
 def test_conic_decide_negative_degree_bound_exits_2(capsys):

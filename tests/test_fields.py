@@ -102,7 +102,8 @@ def test_prime_quadratic_field_structure():
     assert sum(1 for _ in f49.elements()) == 49
 
 
-@pytest.mark.parametrize("bad", ["F4", "F6", "F1", "F9", "Q(j)", "", "F", "Fx"])
+@pytest.mark.parametrize("bad", ["F4", "F6", "F1", "F9", "Q(j)", "", "F", "Fx",
+                                 "F05", "F007(i)", "F\u0665"])
 def test_unknown_names_error(bad):
     with pytest.raises(FieldConstructionError):
         field_by_name(bad)
@@ -245,6 +246,7 @@ def test_gaussian_division_by_zero_names_the_field(name):
 
 
 def test_gaussian_fields_keep_their_identity():
+    assert prime_field(5) is field_by_name("F5")
     assert gaussian_rationals() is field_by_name("Q(i)")
     assert prime_quadratic_field(7) is field_by_name("F7(i)")
     assert gaussian_rationals().base is rationals()

@@ -1,6 +1,6 @@
 import pytest
 
-from xratio.exprparse import ParseError, parse_expression
+from xratio.exprparse import MAX_NESTING, ParseError, parse_expression
 from xratio.fields import field_by_name, prime_field, rationals
 from xratio.poly import Ring
 from xratio.ratfunc import rf_eq
@@ -32,6 +32,12 @@ def test_parentheses(points, rvars):
     x1, x2, x3, _ = rvars(points)
     assert rf_eq(parse_expression("(x1 + x2) * x3", points), (x1 + x2) * x3)
     assert rf_eq(parse_expression("x1 / (x2 * x3)", points), x1 / (x2 * x3))
+
+
+def test_deep_nesting_is_refused_before_the_recursion_runs_out(points):
+    with pytest.raises(ParseError, match=rf"nested deeper than {MAX_NESTING} levels "
+                                         rf"\(position {MAX_NESTING}\)$"):
+        parse_expression("(" * 300 + "x1" + ")" * 300, points)
 
 
 def test_power_requires_natural_exponent(points):
