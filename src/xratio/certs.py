@@ -25,8 +25,8 @@ purpose to demonstrate that condition (1) actually bites.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
-from importlib import resources
+import os
+from operator import attrgetter
 
 from .autos import Automorphism
 from .exprparse import parse_expression
@@ -42,16 +42,25 @@ class CertFormatError(XratioError):
 # -- certificate files -------------------------------------------------------
 
 
-@dataclass
 class Certificate:
-    name: str
-    characteristic: str            # "0" | "2" | "not-2" | "any"
-    variables: tuple
-    auto_images: list = dc_field(default_factory=list)     # (name, expr text)
-    generators: list = dc_field(default_factory=list)      # (name, expr text)
-    primitive: tuple = None                                # (name, expr text)
-    relation: str = ""
-    expressions: list = dc_field(default_factory=list)     # (name, expr text)
+    __slots__ = ("name", "characteristic", "variables", "auto_images", "generators",
+                 "primitive", "relation", "expressions")
+
+    def __init__(self, name, characteristic, variables, auto_images=None,
+                 generators=None, primitive=None, relation="", expressions=None):
+        # characteristic is "0", "2", "not-2" or "any"; auto_images, generators
+        # and expressions are lists of (name, expr text), primitive one such pair
+        self.name, self.characteristic, self.variables = name, characteristic, variables
+        self.auto_images = [] if auto_images is None else auto_images
+        self.generators = [] if generators is None else generators
+        self.primitive, self.relation = primitive, relation
+        self.expressions = [] if expressions is None else expressions
+
+    def __eq__(self, other):  # verify_certificate's parse-cache guard compares all fields
+        if type(other) is not type(self):
+            return NotImplemented
+        values = attrgetter(*self.__slots__)
+        return values(self) == values(other)
 
     def applies_to(self, field: Field) -> bool:
         c = self.characteristic
@@ -163,21 +172,20 @@ CONDITIONS = (
 )
 
 
-@dataclass
 class ConditionResult:
-    index: int
-    description: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("index", "description", "ok", "detail")
+
+    def __init__(self, index, description, ok, detail=""):
+        self.index, self.description, self.ok, self.detail = index, description, ok, detail
 
 
-@dataclass
 class CertVerification:
-    cert_name: str
-    field_name: str
-    degree: int
-    conditions: list
-    generators: dict  # name -> its parsed value in the ambient field
+    __slots__ = ("cert_name", "field_name", "degree", "conditions", "generators")
+
+    def __init__(self, cert_name, field_name, degree, conditions, generators):
+        self.cert_name, self.field_name, self.degree = cert_name, field_name, degree
+        self.conditions = conditions
+        self.generators = generators  # name -> its parsed value in the ambient field
 
     @property
     def valid(self) -> bool:
@@ -319,12 +327,12 @@ def shipped_certificates() -> dict:
     """Parse and cache the certificates bundled under data/."""
     if _cache:
         return dict(_cache)
-    root = resources.files(__package__) / "data"
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if not entry.name.endswith(".cert"):
+    root = os.path.join(os.path.dirname(__file__), "data")
+    for entry in sorted(os.listdir(root)):
+        if not entry.endswith(".cert"):
             continue
-        stem = entry.name[: -len(".cert")]
-        cert = parse_certificate(entry.read_text(), name=stem)
+        with open(os.path.join(root, entry), encoding="utf-8") as fh:
+            cert = parse_certificate(fh.read(), name=entry[: -len(".cert")])
         _cache[cert.name] = cert
     return dict(_cache)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import certs, conic, tables
 from .autos import perm_automorphism
@@ -43,11 +43,12 @@ from .report import (ASSUMED, EVIDENCE, FAIL, PASS, SKIPPED, CheckResult,
                      Report, RunConfig)
 
 
-@dataclass
 class _Ctx:
-    config: RunConfig
-    fields: tuple
-    memo: dict = dc_field(default_factory=dict)  # shared objects, one run only
+    __slots__ = ("config", "fields", "memo")
+
+    def __init__(self, config, fields, memo=None):
+        self.config, self.fields = config, fields
+        self.memo = {} if memo is None else memo  # shared objects, one run only
 
     def rng(self, check_id: str) -> random.Random:
         return random.Random(f"{self.config.seed}-{check_id}")
@@ -114,7 +115,7 @@ def _per_field(scope, body):
     return run
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # bench/tracer.py rebuilds each spec with dataclasses.replace
 class CheckSpec:
     id: str
     anchor: str

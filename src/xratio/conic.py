@@ -38,7 +38,6 @@ inverse (the one rational map here) recovers the parameter.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
 from itertools import product
 from operator import add as _iadd
 
@@ -242,17 +241,18 @@ def known_point(field: Field):
 # -- isotropy decision ------------------------------------------------------
 
 
-@dataclass
 class ObstructionStep:
-    description: str
-    method: str
-    verified: bool
+    __slots__ = ("description", "method", "verified")
+
+    def __init__(self, description, method, verified):
+        self.description, self.method, self.verified = description, method, verified
 
 
-@dataclass
 class ObstructionRecord:
-    field_name: str
-    steps: list = dc_field(default_factory=list)
+    __slots__ = ("field_name", "steps")
+
+    def __init__(self, field_name, steps=None):
+        self.field_name, self.steps = field_name, [] if steps is None else steps
 
     @property
     def verified(self) -> bool:
@@ -267,12 +267,12 @@ class ObstructionRecord:
         return "\n".join(lines)
 
 
-@dataclass
 class IsotropyDecision:
-    field_name: str
-    isotropic: bool
-    witness: ProjPoint2 = None
-    obstruction: ObstructionRecord = None
+    __slots__ = ("field_name", "isotropic", "witness", "obstruction")
+
+    def __init__(self, field_name, isotropic, witness=None, obstruction=None):
+        self.field_name, self.isotropic = field_name, isotropic
+        self.witness, self.obstruction = witness, obstruction
 
     def render(self) -> str:
         if self.isotropic:

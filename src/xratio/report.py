@@ -20,9 +20,6 @@ wall-clock timings appear only in the text report.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
-
 from .fields import XratioError
 
 VERSION = "0.1.0"
@@ -41,15 +38,12 @@ AXIOM_LINE = ("axiom (fixed-field degree): a finite group H of field "
               "automorphisms of F satisfies [F : F^H] = |H|")
 
 
-@dataclass
 class RunConfig:
-    seed: int = 0
-    fields: tuple = DEFAULT_FIELDS
-    degree_bound: int = 2
-    samples: int = 100
+    __slots__ = ("seed", "fields", "degree_bound", "samples")
 
-    def __post_init__(self):
-        self.fields = tuple(self.fields)
+    def __init__(self, seed=0, fields=DEFAULT_FIELDS, degree_bound=2, samples=100):
+        self.seed, self.degree_bound, self.samples = seed, degree_bound, samples
+        self.fields = tuple(name.strip() for name in fields)
         if not self.fields:
             raise XratioError("no fields selected")
         if len(set(self.fields)) != len(self.fields):
@@ -60,19 +54,19 @@ class RunConfig:
             raise XratioError(f"degree bound must be >= 0, got {self.degree_bound}")
 
 
-@dataclass
 class CheckResult:
-    id: str
-    anchor: str
-    verdict: str
-    details: list = dc_field(default_factory=list)
-    ms: int = 0
+    __slots__ = ("id", "anchor", "verdict", "details", "ms")
+
+    def __init__(self, id, anchor, verdict, details=None, ms=0):
+        self.id, self.anchor, self.verdict, self.ms = id, anchor, verdict, ms
+        self.details = [] if details is None else details
 
 
-@dataclass
 class Report:
-    config: RunConfig
-    checks: list
+    __slots__ = ("config", "checks")
+
+    def __init__(self, config, checks):
+        self.config, self.checks = config, checks
 
     @property
     def exit_code(self) -> int:
@@ -82,6 +76,7 @@ class Report:
         return {v: sum(c.verdict == v for c in self.checks) for v in VERDICTS}
 
     def to_json(self) -> str:
+        import json  # only JSON output needs it; a text run never imports it
         payload = {
             "run": {
                 "seed": self.config.seed,

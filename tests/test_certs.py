@@ -1,11 +1,14 @@
-import dataclasses
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import xratio
 from xratio import certs
 from xratio.certs import (COUNTEREXAMPLE_CERT_NAMES, VALID_CERT_NAMES,
-                          CertFormatError, parse_certificate,
+                          Certificate, CertFormatError, parse_certificate,
                           shipped_certificate, shipped_certificates,
                           verify_certificate)
 from xratio.fields import XratioError, field_by_name, prime_field, rationals
@@ -20,6 +23,35 @@ def test_shipped_inventory():
     assert len(certs) == 7
     with pytest.raises(XratioError):
         shipped_certificate("no_such_cert")
+
+
+def test_loading_the_certificates_imports_neither_json_nor_importlib_resources():
+    # without `site`, nothing preloads either module, so this sees what the
+    # package itself imports up to its first parsed certificate
+    src = str(Path(xratio.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import xratio; "
+            "xratio.certs.shipped_certificates(); "
+            "print(sorted({'json', 'importlib.resources'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_each_certificate_starts_with_its_own_lists():
+    first, second = Certificate("a", "any", ("u",)), Certificate("b", "any", ("u",))
+    for section in ("auto_images", "generators", "expressions"):
+        getattr(first, section).append(("u", "u"))
+        assert getattr(second, section) == []
+
+
+def test_certificates_are_equal_exactly_when_every_field_is():
+    # verify_certificate reuses a parse only for a certificate equal to the
+    # shipped one of its name
+    cert = shipped_certificate("negate_invert_full")
+    assert _rebuilt(cert) == cert
+    for name in Certificate.__slots__:
+        assert _rebuilt(cert, **{name: "changed"}) != cert, name
+    assert cert != cert.name
 
 
 def test_applies_to_characteristic_gate():
@@ -195,6 +227,12 @@ def test_a_malformed_certificate_is_refused_on_every_call(monkeypatch, old, new,
         assert str(info.value) == message
 
 
+def _rebuilt(cert, **changes):
+    """A copy of the certificate `cert` with the fields in `changes` replaced."""
+    fields = {name: getattr(cert, name) for name in Certificate.__slots__}
+    return Certificate(**{**fields, **changes})
+
+
 def _replaced(entries, name, text):
     return [(n, text if n == name else t) for n, t in entries]
 
@@ -211,8 +249,7 @@ def _replaced(entries, name, text):
 def test_each_condition_bites_on_the_conic_reflections(cert_name, field_name,
                                                        section, name, text, failed):
     cert = shipped_certificate(cert_name)
-    bad = dataclasses.replace(
-        cert, **{section: _replaced(getattr(cert, section), name, text)})
+    bad = _rebuilt(cert, **{section: _replaced(getattr(cert, section), name, text)})
     ver = verify_certificate(bad, field_by_name(field_name))
     assert not ver.valid
     assert failed <= {c.index for c in ver.conditions if not c.ok}, ver.render()
@@ -239,7 +276,7 @@ def test_each_auto_edit_of_the_conic_reflections_fails_condition_4_fast(cert_nam
     cert, field = shipped_certificate(cert_name), field_by_name(field_name)
     for label, images in _auto_edits(cert, field):
         start = time.perf_counter()
-        ver = verify_certificate(dataclasses.replace(cert, auto_images=images), field)
+        ver = verify_certificate(_rebuilt(cert, auto_images=images), field)
         elapsed = time.perf_counter() - start
         assert ver.conditions[3].detail == \
             "sigma^2 is not the identity (relation degree 2)", (label, ver.render())

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from collections import Counter
 
@@ -7,6 +6,7 @@ import pytest
 
 from xratio import certs, checks, conic, exprparse, tables
 from xratio.autos import Automorphism
+from xratio.certs import Certificate
 from xratio.checks import CHECK_IDS, CHECKS, resolve_fields, run_checklist
 from xratio.fields import XratioError, field_by_name
 from xratio.report import (ASSUMED, DEFAULT_FIELDS, EVIDENCE, FAIL, PASS,
@@ -163,6 +163,20 @@ def test_run_config_rejects_bad_values(kwargs, message):
         RunConfig(**kwargs)
 
 
+def test_run_config_refuses_names_that_repeat_after_stripping():
+    with pytest.raises(XratioError, match=r"^duplicate field names in F5,F5$"):
+        RunConfig(fields=("F5", " F5"))
+    rep = run_checklist(RunConfig(fields=(" F5 ", "Q")), only=["CERTS"])
+    assert json.loads(rep.to_json())["run"]["fields"] == ["F5", "Q"]
+    assert rep.checks[0].details[-1] == "8 certificate/field instances checked"
+
+
+def test_each_check_result_starts_with_its_own_detail_list():
+    first, second = CheckResult("X", "anchor", PASS), CheckResult("Y", "anchor", PASS)
+    first.details.append("one")
+    assert second.details == []
+
+
 def test_seed_changes_genfree_sampling_details():
     a = run_checklist(RunConfig(seed=1), only={"GENFREE"})
     b = run_checklist(RunConfig(seed=2), only={"GENFREE"})
@@ -227,6 +241,13 @@ def test_cr_inv_names_the_wrong_permutations_in_cycle_notation(monkeypatch):
     res = run_checklist(RunConfig(fields=("Q",)), only={"CR-INV"}).checks[0]
     assert (res.verdict, res.details) == (
         FAIL, ["Q: wrong invariance at (3 4), (1 2), (1 3)(2 4), (1 4)(2 3)"])
+
+
+def _rebuilt(cert, **changes):
+    """A copy of the certificate `cert` with the fields in `changes` replaced."""
+    fields = {name: getattr(cert, name) for name in Certificate.__slots__}
+    return Certificate(**{**fields, **changes})
+
 
 def _recorded_parses(monkeypatch):
     """Record the text, without spaces, of each parse `tables` and `certs` make."""
@@ -319,7 +340,7 @@ def test_a_replaced_certificate_or_table_after_a_warm_run_is_parsed_afresh(monke
     parsed = _recorded_parses(monkeypatch)
     assert certs.verify_certificate(cert, q).valid
     assert parsed == []
-    bad = dataclasses.replace(cert, auto_images=[("b", "b"), ("u", "-1/u")])
+    bad = _rebuilt(cert, auto_images=[("b", "b"), ("u", "-1/u")])
     ver = certs.verify_certificate(bad, q)
     assert parsed[:2] == ["b", "-1/u"]
     assert [c.ok for c in ver.conditions] == [False, True, True, True]
@@ -402,7 +423,7 @@ def test_certs_fails_when_the_perturbed_fixture_breaks_beyond_invariance(monkeyp
     # relation as well leaves it invalid at condition 1, and CERTS must FAIL
     shipped = certs.shipped_certificates()
     cert = shipped["negate_invert_perturbed"]
-    bad = dataclasses.replace(cert, relation="T^2 - 2*z*T + 1")
+    bad = _rebuilt(cert, relation="T^2 - 2*z*T + 1")
     monkeypatch.setitem(certs._cache, cert.name, bad)
     ver = certs.verify_certificate(bad, field_by_name("Q"))
     assert [c.ok for c in ver.conditions] == [False, False, True, True]

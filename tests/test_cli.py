@@ -318,6 +318,18 @@ def test_run_duplicate_fields_exits_2(capsys):
 
 
 @pytest.mark.parametrize("option, value, message", [
+    ("--samples", "0", "samples must be >= 1, got 0"),
+    ("--degree-bound", "-2", "degree bound must be >= 0, got -2"),
+    ("--fields", "Q,F3,Q", "duplicate field names in Q,F3,Q"),
+    ("--fields", "F5, F5", "duplicate field names in F5,F5"),
+    ("--fields", ",", "no fields selected"),
+])
+def test_run_config_refusals_keep_their_messages(capsys, option, value, message):
+    assert main(["run", "--checks", "GENFREE", option, value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("option, value, message", [
     ("--checks", ",", "no check ids given"),
     ("--checks", "", "no check ids given"),
     ("--fields", ",", "no fields selected"),

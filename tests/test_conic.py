@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from xratio import conic
-from xratio.conic import (SEARCH_BUDGET, DegenerateConicError, ParametrizationMap,
-                          ProjPoint2, SearchBudgetError, TernaryForm, base_ring,
+from xratio.conic import (SEARCH_BUDGET, DegenerateConicError, ObstructionRecord,
+                          ObstructionStep, ParametrizationMap, ProjPoint2, SearchBudgetError, TernaryForm, base_ring,
                           bounded_point_search, char2_form, criterion_form,
                           decide_isotropy, known_point, parametrize,
                           searchable_degree, standard_form, tail_remainder,
@@ -360,6 +360,13 @@ def test_tail_remainder_is_derived_from_the_standard_form(monkeypatch):
 
     monkeypatch.setattr(conic, "standard_form", bent)
     assert not valuation_obstruction(rationals()).verified
+
+
+def test_each_obstruction_record_starts_with_its_own_step_list():
+    first, second = ObstructionRecord("Q"), ObstructionRecord("Q")
+    first.steps.append(ObstructionStep("a step", "by hand", True))
+    assert first.verified
+    assert second.steps == [] and not second.verified
 
 
 @pytest.mark.parametrize("name", ["Q", "F3", "F7"])
