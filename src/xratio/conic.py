@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 from itertools import product
-from operator import add as _iadd
 
 from .fields import Field, FieldElement, XratioError
 from .poly import MultiPoly, Ring, RingMismatchError, _canonical, strip_monomial_content
@@ -145,7 +144,7 @@ class TernaryForm:
         of another ring raises RingMismatchError).  Every raw triple product
         c*A*B is summed into one dict, reduced once per monomial at the end."""
         field = target_ring.field
-        add, mul = field.raw_add, field.raw_mul
+        add, mul, add_exps = field.raw_add, field.raw_mul, target_ring.add_exponents
         vals = {n: _poly(target_ring, v, "a coordinate").terms
                 for n, v in zip("YZW", (Y, Z, W))}
         acc = {}
@@ -154,9 +153,9 @@ class TernaryForm:
                 continue
             for e1, c1 in c.embed(target_ring).terms.items():
                 for e2, c2 in vals[a].items():
-                    e12, c12 = tuple(map(_iadd, e1, e2)), mul(c1, c2)
+                    e12, c12 = add_exps(e1, e2), mul(c1, c2)
                     for e3, c3 in vals[b].items():
-                        e, t = tuple(map(_iadd, e12, e3)), mul(c12, c3)
+                        e, t = add_exps(e12, e3), mul(c12, c3)
                         acc[e] = add(acc[e], t) if e in acc else t
         return MultiPoly(target_ring, _canonical(field, acc))
 

@@ -8,9 +8,12 @@ the zero polynomial is the empty map, so structural equality of the maps is
 mathematical equality.
 Arithmetic sums raw products with the field's payload ops and reduces once
 per output monomial; a product by a single term needs no sums, since its
-shifted exponents stay distinct.  :class:`FieldElement` appears only at the
-edges: ``Ring.const``/``Ring.poly`` take ints or elements of the ring's own
-field (another field raises :class:`FieldMismatchError`), and
+shifted exponents stay distinct.  Exponent tuples are added by
+``Ring.add_exponents``, code generated once per arity that returns a tuple
+display of the slot sums; exponents are unbounded ints.
+:class:`FieldElement` appears only at the edges: ``Ring.const``/``Ring.poly``
+take ints or elements of the ring's own field (another field raises
+:class:`FieldMismatchError`), and
 ``constant_value``, ``leading`` and ``coefficients`` return elements.
 :func:`substitute_cleared` is the one substitution loop, shared with
 :mod:`.ratfunc`; a renaming of the variables needs no products and is
@@ -27,7 +30,7 @@ Operands must share a ring; mixing rings raises :class:`RingMismatchError`.
 
 from __future__ import annotations
 
-from operator import add as _iadd, itemgetter, sub as _isub
+from operator import itemgetter, sub as _isub
 
 from .fields import Field, FieldElement, FieldMismatchError, XratioError
 
@@ -39,7 +42,7 @@ class RingMismatchError(XratioError):
 class Ring:
     """Polynomial ring context k[v1, ..., vn]."""
 
-    __slots__ = ("field", "variables", "_index", "zero", "one")
+    __slots__ = ("field", "variables", "_index", "zero", "one", "add_exponents")
 
     def __init__(self, field: Field, variables):
         variables = tuple(variables)
@@ -48,6 +51,7 @@ class Ring:
         self.field = field
         self.variables = variables
         self._index = {v: k for k, v in enumerate(variables)}
+        self.add_exponents = _exponent_adder(len(variables))
         # shared by every use: a MultiPoly is never mutated
         self.zero = MultiPoly(self, {})
         self.one = MultiPoly(self, {(0,) * len(variables): field.raw_one})
@@ -64,10 +68,18 @@ class Ring:
         return tuple(self.var(v) for v in self.variables)
 
     def const(self, c) -> "MultiPoly":
-        return self.poly({(0,) * len(self.variables): c})
+        return self._poly({(0,) * len(self.variables): c})
 
     def poly(self, terms: dict) -> "MultiPoly":
-        """Polynomial from {exponents: int or element of this field}; zeros dropped."""
+        """Polynomial from {exponents: int or element of this field}; zeros
+        dropped.  Each exponent tuple has one nonnegative int per variable."""
+        n = len(self.variables)
+        for e in terms:
+            if len(e) != n or not all(type(k) is int and k >= 0 for k in e):
+                raise XratioError(f"{tuple(e)!r} is not an exponent tuple of {self!r}")
+        return self._poly(terms)
+
+    def _poly(self, terms: dict) -> "MultiPoly":
         field, out = self.field, {}
         for e, c in terms.items():
             if isinstance(c, int):
@@ -87,6 +99,21 @@ class Ring:
 
     def __repr__(self):
         return f"Ring({self.field.name}[{', '.join(self.variables)}])"
+
+
+_ADDERS = {}  # arity -> its exponent adder
+
+
+def _exponent_adder(n: int):
+    """(a, b) -> the slot sums of two n-slot exponent tuples: generated code
+    that unpacks both and returns one tuple display, built once per arity."""
+    if n not in _ADDERS:
+        a, b, sums = ("".join(f.format(k) for k in range(n))
+                      for f in ("a{}, ", "b{}, ", "a{0} + b{0}, "))
+        namespace = {}
+        exec(f"def add(a, b):\n    [{a}] = a\n    [{b}] = b\n    return ({sums})", namespace)
+        _ADDERS[n] = namespace["add"]
+    return _ADDERS[n]
 
 
 def grlex_key(exps):
@@ -112,7 +139,7 @@ class MultiPoly:
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError(f"mixed rings: {self.ring!r} vs {other.ring!r}")
             return other
         if isinstance(other, (int, FieldElement)):
@@ -154,15 +181,15 @@ class MultiPoly:
             (e2, c2), = m.terms.items()
             if c2 == field.raw_one and not any(e2):
                 return p
-            reduce, mul = field.reduce, field.raw_mul
-            return MultiPoly(self.ring, {tuple(map(_iadd, e1, e2)): reduce(mul(c1, c2))
+            reduce, mul, add_exps = field.reduce, field.raw_mul, self.ring.add_exponents
+            return MultiPoly(self.ring, {add_exps(e1, e2): reduce(mul(c1, c2))
                                          for e1, c1 in p.terms.items()})
-        add, mul = field.raw_add, field.raw_mul
+        add, mul, add_exps = field.raw_add, field.raw_mul, self.ring.add_exponents
         out = {}
         get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(map(_iadd, e1, e2))
+                e = add_exps(e1, e2)
                 s = get(e)
                 out[e] = mul(c1, c2) if s is None else add(s, mul(c1, c2))
         return MultiPoly(self.ring, _canonical(field, out))

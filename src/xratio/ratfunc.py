@@ -14,6 +14,9 @@ covers numerator and denominator) and flags substitutions that make a
 denominator vanish identically (the pair is unreduced, so a vanishing
 denominator is never silently "cancelled").
 
+Two polynomials (both denominators one) add and multiply without products
+by one, which give the same terms in the same order.
+
 Display applies an optional cosmetic normalization (strip common monomial
 content, make the denominator's leading coefficient 1); arithmetic never
 normalizes.
@@ -46,7 +49,8 @@ class RatFunc:
     def __init__(self, ring: Ring, num: MultiPoly, den: MultiPoly = None):
         if den is None:
             den = ring.one
-        if num.ring != ring or den.ring != ring:
+        if (num.ring is not ring and num.ring != ring
+                or den.ring is not ring and den.ring != ring):
             raise RingMismatchError("num/den must live in the declared ring")
         if den.is_zero():
             raise ZeroDenominatorError("zero denominator")
@@ -58,7 +62,7 @@ class RatFunc:
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError("mixed rings")
             return other
         if isinstance(other, MultiPoly):
@@ -69,10 +73,16 @@ class RatFunc:
 
     # -- arithmetic (cross-multiplication, no reduction) ----------------------
 
+    def _over_one(self, o):
+        one = self.ring.one.terms  # a product by one returns its other factor
+        return self.den.terms == one and o.den.terms == one
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if self._over_one(o):
+            return RatFunc(self.ring, self.num + o.num, self.den)
         return RatFunc(self.ring, self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -92,6 +102,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if self._over_one(o):
+            return RatFunc(self.ring, self.num * o.num, self.den)
         return RatFunc(self.ring, self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__

@@ -14,7 +14,9 @@ stands, both sides of each entry of the claim tables SIGMA, SIGMA2 and
 BASIS-IDS (:func:`claim_values`).  Every run still applies the 4-cycle to
 each entry and compares, compares both sides of each basis identity,
 re-checks the 4-cycle's orientation and parses the conic texts again (for
-them the parse is the check); a query text is parsed on every call.
+them the parse is the check); a query text is parsed on every call.  A text
+that names no derived quantity is parsed straight into k[x1..x4], with no
+substitution after the parse.
 
 The permutation convention is sigma(x_k) = x_{sigma(k)}.  That orientation
 is what makes the recorded tables correct (the other convention flips
@@ -152,6 +154,8 @@ def _in_table(text, field, table, before):
     tokens = tokenize(text)
     used = {v for kind, v, _ in tokens if kind == "ident"}
     scope = tuple(name for name, _ in table[:before] if name in used)
+    if not scope:  # nothing to substitute: parse straight into k[x1..x4]
+        return parse_expression(tokens, point_ring(field))
     rf = parse_expression(tokens, Ring(field, POINT_VARS + scope))
     try:
         return rf.substitute({name: _resolved(field, table, name) for name in scope},

@@ -1,6 +1,13 @@
+import operator
+import random
+import re
+
 import pytest
 
-from xratio.fields import FieldMismatchError, XratioError, prime_field, rationals
+from xratio.conic import tail_remainder
+from xratio.exprparse import parse_expression
+from xratio.fields import (FieldMismatchError, XratioError, gaussian_rationals,
+                           prime_field, rationals)
 from xratio.poly import MultiPoly, Ring, RingMismatchError
 
 
@@ -202,3 +209,67 @@ def test_payloads_and_coefficients(qring):
                                       (0,): f5.from_int(2)}
     assert p.leading() == ((2,), f5.one)
     assert ring.poly({(0,): 5, (1,): f5.from_int(7)}).terms == {(1,): 2}
+
+
+@pytest.mark.parametrize("terms", [
+    {(1,): 1}, {(-1, 0): 1}, {(1, 2, 3): 2}, {(): 1},
+    {(1.0, 0): 1}, {(True, 0): 1}, {("1", 0): 1}, {(0, 0): 1, (2, -3): 4},
+])
+def test_ring_poly_refuses_malformed_exponent_tuples(terms):
+    ring = Ring(prime_field(5), ("x", "y"))
+    bad = next(e for e in terms if e != (0, 0))
+    message = f"{bad!r} is not an exponent tuple of Ring(F5[x, y])"
+    with pytest.raises(XratioError, match=f"^{re.escape(message)}$"):
+        ring.poly(terms)
+
+
+def test_ring_poly_keeps_well_formed_tuples_and_const_skips_the_check(monkeypatch):
+    ring = Ring(prime_field(5), ("x", "y"))
+    assert ring.poly({(1, 0): 1, (0, 2): 3, (0, 0): 5}).terms == {(1, 0): 1, (0, 2): 3}
+    assert ring.poly({(2 ** 70, 0): 2}).terms == {(2 ** 70, 0): 2}
+    monkeypatch.setattr(Ring, "poly", None)  # constants build the zero key themselves
+    assert ring.const(7).terms == {(0, 0): 2}
+    assert ring.const(5).terms == {}
+    assert str(parse_expression("3*x + 2 - y^2", ring).num) == "4*y^2 + 3*x + 2"
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_exponent_adder_sums_every_slot_for_every_arity(n):
+    ring = Ring(rationals(), tuple(f"v{k}" for k in range(n)))
+    add = ring.add_exponents
+    assert Ring(prime_field(3), ring.variables).add_exponents is add
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = (tuple(rng.choice((0, 1, 2, 7, 2 ** 64 - 1, 2 ** 64, 3 ** 90))
+                      for _ in range(n)) for _ in range(2))
+        assert add(a, b) == tuple(map(operator.add, a, b))
+        assert type(add(a, b)) is tuple
+
+
+def test_huge_exponents_stay_exact():
+    ring = Ring(rationals(), ("x1", "x2"))
+    x1, x2 = ring.vars()
+    assert (x1 ** 100000).terms == {(100000, 0): 1}
+    assert ((x1 + x2) * x1 ** (2 ** 64)).terms == {(2 ** 64 + 1, 0): 1, (2 ** 64, 1): 1}
+
+
+def _schoolbook(p, q):
+    """p*q by one FieldElement sum per term pair, exponents added by map."""
+    out = {}
+    for e1, c1 in p.coefficients():
+        for e2, c2 in q.coefficients():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return p.ring.poly(out)
+
+
+@pytest.mark.parametrize("field", [rationals(), prime_field(7), gaussian_rationals()],
+                         ids=lambda f: f.name)
+def test_products_in_the_tail_remainder_ring_match_the_schoolbook_product(field):
+    rem = tail_remainder(field)
+    ring = rem.ring
+    assert len(ring.variables) == 8
+    x, a0, a1, ar, b0, br, c0, cr = ring.vars()
+    A, B, C = a0 + a1 * x + x * x * ar, b0 + x * br, c0 + x * cr
+    for p, q in [(A, A), (B, C), (A * B, C - 3 * x), (rem, A + B), (rem, x * x)]:
+        assert (p * q).terms == _schoolbook(p, q).terms

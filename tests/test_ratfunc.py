@@ -1,6 +1,6 @@
 import pytest
 
-from xratio.fields import XratioError, prime_field, rationals
+from xratio.fields import XratioError, gaussian_rationals, prime_field, rationals
 from xratio.poly import Ring
 from xratio.ratfunc import (DegenerateSubstitutionError, RatFunc,
                             ZeroDenominatorError, jacobian_rank, rat, rf_eq,
@@ -113,3 +113,30 @@ def test_jacobian_rank_char0_only(rvars):
     x1, x2 = rvars(r)
     with pytest.raises(XratioError):
         jacobian_rank([x1, x2], ("x1", "x2"))
+
+
+@pytest.mark.parametrize("field", [rationals(), prime_field(5), gaussian_rationals()],
+                         ids=lambda f: f.name)
+def test_polynomials_add_and_multiply_without_products_by_one(field):
+    ring = Ring(field, ("x1", "x2"))
+    x1, x2 = ring.vars()
+    polys = [x1 + 2 * x2, x1 * x2 - 3, ring.zero, ring.const(4), x2 ** 3 - x1 * x2 + x1]
+    for P in polys:
+        for Q in polys:
+            # a denominator equal to one need not be the ring's own `one`
+            p, q = RatFunc(ring, P), RatFunc(ring, Q, ring.const(1))
+            cross = {"+": p.num * q.den + q.num * p.den,
+                     "-": p.num * q.den + (-q.num) * p.den,
+                     "*": p.num * q.num}
+            for op, got in (("+", p + q), ("-", p - q), ("*", p * q)):
+                assert got.den == ring.one
+                assert list(got.num.terms.items()) == list(cross[op].terms.items()), op
+
+
+def test_a_fraction_plus_a_polynomial_keeps_its_denominator(rvars):
+    ring = Ring(rationals(), ("x1", "x2"))
+    x1, x2 = rvars(ring)
+    got = (x1 / 2) + x2
+    assert got.num == ring.var("x1") + 2 * ring.var("x2")
+    assert got.den == ring.const(2)
+    assert str(got) == "1/2*x1 + x2"

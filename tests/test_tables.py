@@ -2,11 +2,13 @@ import pytest
 
 from xratio import tables
 from xratio.conic import base_ring
-from xratio.exprparse import ParseError
+from xratio.exprparse import ParseError, parse_expression, tokenize
 from xratio.fields import field_by_name, prime_field, rationals
 from xratio.perms import order, perm_str
-from xratio.ratfunc import rf_eq
-from xratio.tables import (CONIC_CHAR2_TEXT, CONIC_ODD_TEXT, CROSS_RATIO_TEXT,
+from xratio.poly import Ring
+from xratio.ratfunc import RatFunc, rf_eq
+from xratio.tables import (BASIS_IDS_ODD, CONIC_CHAR2_TEXT, CONIC_ODD_TEXT,
+                           CROSS_RATIO_TEXT, DERIVED_CHAR2, DERIVED_ODD,
                            POINT_VARS, SIGMA2_CHAR2, SIGMA2_ODD, SIGMA_CHAR2,
                            SIGMA_ODD, derived_definitions, derived_values,
                            four_cycle, in_derived, point_action, point_ring)
@@ -243,3 +245,39 @@ def test_a_replaced_definition_is_not_served_from_the_cache(monkeypatch):
 def test_unknown_name_is_a_parse_error():
     with pytest.raises(ParseError, match="unknown variable 'inv_x' \\(position 4\\)"):
         in_derived("a + inv_x", rationals())
+
+
+def _scope_free_texts():
+    """Every text of the module's tables whose identifiers are all point
+    variables, in table order, each once."""
+    texts = [CROSS_RATIO_TEXT, CONIC_ODD_TEXT, CONIC_CHAR2_TEXT]
+    for claims in (DERIVED_ODD, DERIVED_CHAR2, SIGMA_ODD, SIGMA2_ODD, SIGMA_CHAR2,
+                   SIGMA2_CHAR2, BASIS_IDS_ODD):
+        texts += [text for entry in claims for text in entry]
+    return list(dict.fromkeys(
+        t for t in texts
+        if {v for kind, v, _ in tokenize(t) if kind == "ident"} <= set(POINT_VARS)))
+
+
+def test_the_scope_free_texts_are_the_point_definitions_and_basis_left_sides():
+    defined = [text for table in (DERIVED_ODD, DERIVED_CHAR2)
+               for name, text in table if name in ("w", "y", "z", "a")]
+    left = [lhs for lhs, _ in BASIS_IDS_ODD if lhs != "a"]
+    assert set(_scope_free_texts()) == {CROSS_RATIO_TEXT, *defined, *left}
+    assert len(_scope_free_texts()) == 13
+
+
+@pytest.mark.parametrize("name", NINE_FIELDS)
+def test_a_scope_free_text_parses_straight_into_the_point_ring(name, monkeypatch):
+    field = field_by_name(name)
+    ring = point_ring(field)
+    # the route before: parse over an equal ring, then substitute x_i -> x_i
+    oracle = {text: parse_expression(text, Ring(field, POINT_VARS)).substitute({}, ring)
+              for text in _scope_free_texts()}
+    monkeypatch.setattr(RatFunc, "substitute", None)  # the direct route needs none
+    for text, old in oracle.items():
+        got = in_derived(text, field)
+        assert isinstance(got, RatFunc) and got.ring is ring
+        assert got.num.ring is ring and got.den.ring is ring
+        assert list(got.num.terms.items()) == list(old.num.terms.items()), text
+        assert list(got.den.terms.items()) == list(old.den.terms.items()), text
