@@ -14,9 +14,9 @@ if the field has a square root s of -1 then (0 : s : 1) is a point; if it
 has none, the x = 0 valuation argument shows there is no point at all, and
 :func:`valuation_obstruction` replays that argument mechanically at every
 degree: one identity mod x^2 in which each coordinate's tail past its first
-coefficients is an opaque variable (plus an exhaustive impossibility check
-for b^2 + c^2 = 0 in finite fields).  :func:`known_point` names the point
-of each family the other routes start from.
+coefficients is an opaque variable (plus Euler's criterion, one power in
+F_q, that b^2 + c^2 = 0 has no nonzero solution).  :func:`known_point` names
+the point of each family the other routes start from.
 
 :func:`bounded_point_search` is the independent cross-check: exhaustive
 enumeration of polynomial coordinate triples up to a degree bound, in a
@@ -296,8 +296,9 @@ def valuation_obstruction(field: Field) -> ObstructionRecord:
     Steps 1 and 2 rest on one identity: every monomial of
     :func:`tail_remainder` has x-degree >= 2.  Divisibility by x^2 survives
     substituting polynomials in x for the tails, so the steps hold for every
-    polynomial triple at once.  Requires a field with no square root of -1
-    and characteristic != 2 (otherwise the argument simply does not apply).
+    polynomial triple at once.  Step 4 over F_q is Euler's criterion, one
+    power apart from ``sqrt_minus_one``.  Requires a field with no square
+    root of -1 and characteristic != 2 (else the argument does not apply).
     """
     if field.characteristic == 2:
         raise CharacteristicError("the x = 0 argument needs characteristic != 2")
@@ -320,20 +321,12 @@ def valuation_obstruction(field: Field) -> ObstructionRecord:
         "bookkeeping on a minimal counterexample", True))
 
     if field.is_finite:
-        pairs = 0
-        ok = True
-        for b in field.elements():
-            for c in field.elements():
-                if b.is_zero() and c.is_zero():
-                    continue
-                pairs += 1
-                if (b * b + c * c).is_zero():
-                    ok = False
+        ok = (-field.one) ** ((field.order - 1) // 2) == -field.one
         rec.steps.append(ObstructionStep(
             "b^2 + c^2 = 0 has no solution with (b, c) != (0, 0); such a "
             "solution would make b/c a square root of -1, i.e. a primitive "
             "4th root of unity",
-            f"exhaustive over all {pairs} nonzero pairs of {field.name}", ok))
+            f"Euler's criterion in {field.name}: (-1)^((q-1)/2) = -1", ok))
     else:
         ok = field.sqrt_minus_one() is None
         rec.steps.append(ObstructionStep(
@@ -362,7 +355,9 @@ def decide_isotropy(field: Field) -> IsotropyDecision:
         return IsotropyDecision(field.name, True, witness=witness)
     rec = valuation_obstruction(field)
     if not rec.verified:
-        raise VerificationError("obstruction replay failed; see record")
+        k, step = next((k, s) for k, s in enumerate(rec.steps, start=1) if not s.verified)
+        raise VerificationError(f"obstruction replay over {field.name} failed at step {k}, "
+                                f"{step.description.split(';')[0]}  [{step.method}]")
     return IsotropyDecision(field.name, False, obstruction=rec)
 
 

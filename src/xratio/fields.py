@@ -344,8 +344,8 @@ class GaussianField(Field):
     def elements(self):
         if not self.is_finite:
             return super().elements()
-        parts = [e.v for e in self.base.elements()]
-        return (FieldElement(self, (re_, im_)) for re_ in parts for im_ in parts)
+        parts = self.base.elements  # lazily: no list of the base's p payloads
+        return (FieldElement(self, (re_.v, im_.v)) for re_ in parts() for im_ in parts())
 
     def render(self, v):
         p, q = v

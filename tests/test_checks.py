@@ -8,7 +8,7 @@ from xratio import certs, checks, conic, exprparse, tables
 from xratio.autos import Automorphism
 from xratio.certs import Certificate
 from xratio.checks import CHECK_IDS, CHECKS, resolve_fields, run_checklist
-from xratio.fields import XratioError, field_by_name
+from xratio.fields import PrimeField, XratioError, field_by_name
 from xratio.report import (ASSUMED, DEFAULT_FIELDS, EVIDENCE, FAIL, PASS,
                            REPORT_SCHEMA, SKIPPED, CheckResult, Report,
                            RunConfig)
@@ -379,6 +379,21 @@ def test_one_failing_field_outweighs_fields_that_verified_nothing(monkeypatch):
     assert res.details == [
         "F5: first zero up to degree 2 is (0 : 2 : 1)",
         "F1009: not searched (degree 0 already exceeds the budget)"]
+
+
+def test_step_four_refuses_a_field_whose_square_root_of_minus_one_is_hidden(monkeypatch):
+    # with F5's square root of -1 hidden, steps 1-3 of the obstruction still
+    # hold: only step 4, Euler's criterion in F5, can refuse the replay
+    real = PrimeField.sqrt_minus_one
+    monkeypatch.setattr(PrimeField, "sqrt_minus_one",
+                        lambda f: None if f.p == 5 else real(f))
+    rep = run_checklist(RunConfig(fields=("F5",)),
+                        only=["ISO-CRIT", "MAIN-B-VERDICT", "ISO-SEARCH"])
+    assert {c.id: c.verdict for c in rep.checks} == {
+        "ISO-CRIT": FAIL, "MAIN-B-VERDICT": FAIL, "ISO-SEARCH": FAIL}
+    assert rep.checks[0].details == [
+        "error: obstruction replay over F5 failed at step 4, b^2 + c^2 = 0 has no "
+        "solution with (b, c) != (0, 0)  [Euler's criterion in F5: (-1)^((q-1)/2) = -1]"]
 
 
 def test_skipped_main_b_verdict_states_only_the_skip_reason():

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import random
 import re
+import signal
 import time
 from pathlib import Path
 
@@ -544,3 +546,95 @@ def test_run_reports_match_golden():
             code = main(rec["argv"])
         assert (code, REPORT_TIMING.sub(r"\1     - ms  ", out.getvalue()), err.getvalue()) == (
             rec["exit"], rec["stdout"], rec["stderr"]), rec["argv"]
+
+
+# -- seeded boundary fuzz ------------------------------------------------------
+
+FUZZ_FIELDS = NINE_FIELDS.split(",") + ["F1000003", "F1000033", "F1000003(i)"]
+FUZZ_BAD_FIELDS = ["F9", "F1", "F0", "F5(i)", "F2(i)", "F 3"]
+FUZZ_CALL_LIMIT_S = 2.0
+
+
+class _CallOverrun(BaseException):
+    """The per-call alarm.  Not an Exception: `run_checklist` turns an
+    Exception inside a check into a FAIL with exit 1, which would hide it."""
+
+
+def _fuzz_field(rng):
+    return rng.choice(FUZZ_BAD_FIELDS if rng.random() < 0.1 else FUZZ_FIELDS)
+
+
+def _fuzz_expr(rng, atoms, depth=4, powers=True):
+    """An expression of at most `depth` nested parentheses over `atoms`, with
+    now and then an atom no scope knows.  A power (exponent 0..3) is never
+    nested inside another, so no request asks for a huge output."""
+    if depth == 0 or rng.random() < 0.25:
+        return "foo" if rng.random() < 0.02 else rng.choice(atoms)
+    if powers and rng.random() < 0.2:
+        return f"({_fuzz_expr(rng, atoms, depth - 1, False)})^{rng.randint(0, 3)}"
+    return (f"({_fuzz_expr(rng, atoms, depth - 1, powers)}) {rng.choice('+-*/')} "
+            f"({_fuzz_expr(rng, atoms, depth - 1, powers)})")
+
+
+def _fuzz_argv(rng):
+    """One `replay` call from the grammar of every subcommand."""
+    kind = rng.choice(("identity", "identity", "stabilizer", "decide", "search",
+                       "parametrize", "run", "run", "subgroups"))
+    field = _fuzz_field(rng)
+    if kind == "identity":
+        atoms = ("x1", "x2", "x3", "x4", "u", "t", "w", "y", "z", "a", "1", "2", "-1", "1/2")
+        lhs = _fuzz_expr(rng, atoms)
+        rhs = lhs if rng.random() < 0.25 else _fuzz_expr(rng, atoms)
+        return ["check-identity", "--field", field, "--lhs", lhs, "--rhs", rhs]
+    if kind == "stabilizer":
+        pool = ["inf", "0", "1", "2", "3", "-1", str(rng.randint(4, 200))]
+        tokens = rng.sample(pool, rng.choice((4, 4, 4, 3, 5)))
+        return ["stabilizer", "--field", field, "--points", ",".join(tokens)]
+    if kind in ("decide", "search"):
+        return ["conic", kind, "--field", field] + (
+            ["--degree-bound", str(rng.randint(-1, 3))] if kind == "search" else [])
+    if kind == "parametrize":
+        argv = ["conic", "parametrize", "--field", field]
+        if rng.random() < 0.5:
+            point = ",".join(_fuzz_expr(rng, ("x", "i", "0", "1", "2", "-1", "1/2"), 2)
+                             for _ in range(3))
+            argv += ["--point", rng.choice(("0,i,1", "0,i/x,1/x", "x,1,1", point))]
+        return argv
+    if kind == "run":
+        fields = [field] + [_fuzz_field(rng) for _ in range(rng.randint(0, 1))]
+        checks = rng.sample(cli.CHECK_IDS + ("NOT-A-CHECK",), rng.randint(1, 3))
+        return ["run", "--fields", ",".join(fields), "--checks", ",".join(checks)]
+    return ["subgroups"]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_seeded_boundary_fuzz_exits_cleanly_and_in_time():
+    # every call exits 0, 1 or 2 with no exception escaping `main` and within
+    # FUZZ_CALL_LIMIT_S; calls run in this process under an interval timer
+    def overrun(_signum, _frame):
+        raise _CallOverrun
+
+    rng = random.Random("cli-boundary-fuzz")
+    bad = []
+    previous = signal.signal(signal.SIGALRM, overrun)
+    try:
+        for _ in range(1000):
+            argv = _fuzz_argv(rng)
+            out, err = io.StringIO(), io.StringIO()
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_CALL_LIMIT_S)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            except _CallOverrun:
+                code = f"over {FUZZ_CALL_LIMIT_S} s"
+            except Exception as exc:
+                code = repr(exc)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            if code not in (0, 1, 2) or "Traceback" in err.getvalue():
+                bad.append((argv, code))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert bad == []

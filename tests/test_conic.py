@@ -291,6 +291,7 @@ def test_search_rejects_infinite_fields():
 @pytest.mark.parametrize("name, isotropic", [
     ("Q", False), ("Q(i)", True), ("F3", False), ("F5", True),
     ("F7", False), ("F101", True), ("F3(i)", True), ("F7(i)", True),
+    ("F1000003", False),
 ])
 def test_isotropy_decision_matches_sqrt_criterion(name, isotropic):
     field = field_by_name(name)
@@ -309,6 +310,8 @@ def test_isotropy_decision_matches_sqrt_criterion(name, isotropic):
         assert "every degree" in rec.render()
         for step in rec.steps[:2]:
             assert step.method == "identity mod x^2 with opaque tails"
+        if field.is_finite:  # one power, whatever q is
+            assert rec.steps[3].method == f"Euler's criterion in {name}: (-1)^((q-1)/2) = -1"
 
 
 def test_isotropy_decision_needs_odd_characteristic():
