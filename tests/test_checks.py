@@ -381,6 +381,11 @@ def test_one_failing_field_outweighs_fields_that_verified_nothing(monkeypatch):
         "F1009: not searched (degree 0 already exceeds the budget)"]
 
 
+_STEP_FOUR_ERROR = (
+    "F5: error: obstruction replay over F5 failed at step 4, b^2 + c^2 = 0 has no "
+    "solution with (b, c) != (0, 0)  [Euler's criterion in F5: (-1)^((q-1)/2) = -1]")
+
+
 def test_step_four_refuses_a_field_whose_square_root_of_minus_one_is_hidden(monkeypatch):
     # with F5's square root of -1 hidden, steps 1-3 of the obstruction still
     # hold: only step 4, Euler's criterion in F5, can refuse the replay
@@ -391,9 +396,35 @@ def test_step_four_refuses_a_field_whose_square_root_of_minus_one_is_hidden(monk
                         only=["ISO-CRIT", "MAIN-B-VERDICT", "ISO-SEARCH"])
     assert {c.id: c.verdict for c in rep.checks} == {
         "ISO-CRIT": FAIL, "MAIN-B-VERDICT": FAIL, "ISO-SEARCH": FAIL}
-    assert rep.checks[0].details == [
-        "error: obstruction replay over F5 failed at step 4, b^2 + c^2 = 0 has no "
-        "solution with (b, c) != (0, 0)  [Euler's criterion in F5: (-1)^((q-1)/2) = -1]"]
+    assert rep.checks[0].details == [_STEP_FOUR_ERROR]
+
+
+def test_a_field_that_raises_keeps_the_lines_of_the_other_fields(monkeypatch):
+    cfg = RunConfig(fields=("F3", "F7", "F5"))
+    clean = run_checklist(cfg, only=["ISO-CRIT"]).checks[0]
+    real = PrimeField.sqrt_minus_one
+    monkeypatch.setattr(PrimeField, "sqrt_minus_one",
+                        lambda f: None if f.p == 5 else real(f))
+    res = run_checklist(cfg, only=["ISO-CRIT"]).checks[0]
+    assert res.verdict == FAIL
+    assert res.details == clean.details[:2] + [_STEP_FOUR_ERROR]
+    assert [line[:4] for line in clean.details[:2]] == ["F3: ", "F7: "]
+
+
+def test_certs_keeps_the_lines_of_the_fields_that_verified(monkeypatch):
+    real = checks._Ctx.verified
+
+    def verified(ctx, name, f):
+        if f.name == "F3":
+            raise ZeroDivisionError("boom")
+        return real(ctx, name, f)
+
+    clean = run_checklist(RunConfig(fields=("Q", "F3")), only=["CERTS"]).checks[0]
+    monkeypatch.setattr(checks._Ctx, "verified", verified)
+    res = run_checklist(RunConfig(fields=("Q", "F3")), only=["CERTS"]).checks[0]
+    assert res.verdict == FAIL
+    assert res.details == [clean.details[0], "F3: internal error: ZeroDivisionError('boom')",
+                           "8 certificate/field instances checked"]
 
 
 def test_skipped_main_b_verdict_states_only_the_skip_reason():
@@ -445,3 +476,22 @@ def test_certs_fails_when_the_perturbed_fixture_breaks_beyond_invariance(monkeyp
     (res,) = run_checklist(RunConfig(), only={"CERTS"}).checks
     assert res.verdict == FAIL
     assert "negate_invert_perturbed UNEXPECTEDLY" in res.details[0]
+
+
+def test_indep_fails_when_u_depends_on_a(monkeypatch):
+    # u = a^2 drops the Jacobian rank over Q to 1, whatever fields are selected
+    mutated = tuple((name, "a^2" if name == "u" else text) for name, text in tables.DERIVED_ODD)
+    monkeypatch.setattr(tables, "DERIVED_ODD", mutated)
+    for fields in (("Q", "F3"), ("Q", "F2")):
+        res = run_checklist(RunConfig(fields=fields), only=["INDEP"]).checks[0]
+        assert res.verdict == FAIL, fields
+        assert res.details[0].startswith("Jacobian of (a, u) in (x1..x4) has rank 1 over Q")
+
+
+def test_indep_draws_nothing_from_the_seed():
+    runs = [run_checklist(RunConfig(seed=seed, fields=("Q", "F2")), only=["INDEP"]).checks[0]
+            for seed in (0, 1, 2)]
+    assert {res.verdict for res in runs} == {ASSUMED}
+    assert runs[0].details == runs[1].details == runs[2].details == [
+        "Jacobian of (a, u) in (x1..x4) has rank 2 over Q (exact, characteristic 0)",
+        "independence in characteristic 2 is used without an independent mechanical proof here"]
