@@ -41,7 +41,7 @@ import functools
 from itertools import product
 
 from .fields import Field, FieldElement, XratioError
-from .poly import MultiPoly, Ring, RingMismatchError, _canonical, strip_monomial_content
+from .poly import MultiPoly, Ring, RingMismatchError, strip_monomial_content
 from .ratfunc import CharacteristicError, RatFunc, rat
 
 
@@ -141,23 +141,16 @@ class TernaryForm:
     def eval_at(self, Y, Z, W, target_ring: Ring) -> MultiPoly:
         """Plug in coordinates: ints, scalars or polynomials of
         `target_ring`, a ring containing this form's variables (a polynomial
-        of another ring raises RingMismatchError).  Every raw triple product
-        c*A*B is summed into one dict, reduced once per monomial at the end."""
-        field = target_ring.field
-        add, mul, add_exps = field.raw_add, field.raw_mul, target_ring.add_exponents
-        vals = {n: _poly(target_ring, v, "a coordinate").terms
-                for n, v in zip("YZW", (Y, Z, W))}
+        of another ring raises RingMismatchError).  Every raw product c*A*B
+        is summed into one dict, reduced once per monomial at the end."""
+        ring = target_ring
+        vals = {n: _poly(ring, v, "a coordinate").terms for n, v in zip("YZW", (Y, Z, W))}
         acc = {}
         for (a, b), c in self.coeffs.items():
-            if not c.terms:
-                continue
-            for e1, c1 in c.embed(target_ring).terms.items():
-                for e2, c2 in vals[a].items():
-                    e12, c12 = add_exps(e1, e2), mul(c1, c2)
-                    for e3, c3 in vals[b].items():
-                        e, t = add_exps(e12, e3), mul(c12, c3)
-                        acc[e] = add(acc[e], t) if e in acc else t
-        return MultiPoly(target_ring, _canonical(field, acc))
+            if c.terms:
+                ca = ring.accumulate_product({}, c.embed(ring).terms, vals[a])
+                ring.accumulate_product(acc, ca, vals[b])
+        return MultiPoly(ring, ring.canonical(acc))
 
     def is_point(self, p: ProjPoint2) -> bool:
         return self.eval_at(*p.coords, p.ring).is_zero()
@@ -373,6 +366,27 @@ def searchable_degree(field: Field, degree_bound: int) -> int:
     return d
 
 
+def _digit_ops(p: int, digits: int):
+    """(w, red, neg) for ints read as `digits` digits of w = p.bit_length() + 2
+    bits each, the lowest first: ``red`` takes every digit below 2p mod p,
+    ``neg`` negates every digit below p mod p.  A digit below 2p < 2^(w-1)
+    never reaches the next one, so the sum of two reduced ints is a valid
+    input of ``red``; each call costs one add, mask, shift, multiply and
+    subtract on the whole int."""
+    w = p.bit_length() + 2
+    ones = sum(1 << w * k for k in range(digits))
+    bias, high, p_all = ((1 << w - 1) - p) * ones, ones << w - 1, p * ones
+
+    def red(v):
+        # digit x + 2^(w-1) - p has bit w - 1 set exactly when x >= p
+        return v - (((v + bias) & high) >> w - 1) * p
+
+    def neg(v):
+        return red(p_all - v)
+
+    return w, red, neg
+
+
 def bounded_point_search(form: TernaryForm, degree_bound: int):
     """First polynomial-coordinate zero, or None after full enumeration.
 
@@ -387,13 +401,20 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
     A table per distinct L maps each exact left-hand side to the least Y index
     >= 1 that attains it.  It is built over every Y, so each (W, Z) pair still
     meets all its candidates and the search stays exhaustive; Y = 0 answers
-    when the (W, Z) part vanishes on its own and (W, Z) != (0, 0).  All lists
-    hold raw payloads, and each coordinate's square and linear parts are
-    built once, outside the (W, Z) loop.  A zero cross coefficient adds
-    nothing, so its list is not built (a zero c_ZW skips the Z W product),
-    and with c_YZ = c_YW = 0 the one table (L = 0) is built before the loop.
-    Every (W, Z) pair is still visited against a table of every Y, so the
-    search stays exhaustive and returns the same least triple.
+    when the (W, Z) part vanishes on its own and (W, Z) != (0, 0).  With
+    c_YZ = 0, L depends on W alone, so its table is fetched once per W.
+
+    Every compared value is a reduced coefficient vector packed into one int
+    (SIMD within a register): coefficient k sits at bit k * width, one digit
+    of p.bit_length() + 2 bits per F_p residue and two per F_p(i) pair.  Two
+    packed vectors add with one int add, no digit reaching the next, and
+    ``red`` takes every digit of such a sum (below 2p) mod p at once, so a
+    packed vector is its own exact, hashable key.  Multiplying by x is a
+    shift by one coefficient width, and in the radix order polys[i] = y0 +
+    x Y' with Y' an earlier entry, so v Y (``times_all``) and v Y^2
+    (``times_squares``) for every Y cost one or two packed adds each: the
+    squares and the linear parts c_YZ Z and c_YW W are built once, c_ZW Z W
+    once per W and L Y once per table, all outside the (W, Z) loop.
     """
     field = form.ring.field
     if not field.is_finite:
@@ -407,74 +428,86 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
                                 f"triples exceed the budget {SEARCH_BUDGET}")
     n_polys = field.order ** (degree_bound + 1)
 
-    # only key() reduces: reduction mod p commutes with raw sums and products
-    add, mul, neg, reduce = field.raw_add, field.raw_mul, field.raw_neg, field.reduce
-    zero = field.raw_zero
+    mul, reduce, zero, q = field.raw_mul, field.reduce, field.raw_zero, field.order
     maxdeg = max(0, *(p.total_degree() for p in form.coeffs.values()))
     cl = {pair: [p.terms.get((k,), zero) for k in range(maxdeg + 1)]
           for pair, p in form.coeffs.items()}
     elems = [e.v for e in field.elements()]
     polys = [tuple(reversed(t)) for t in product(elems, repeat=degree_bound + 1)]
 
-    def lmul(a, b):
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj != zero:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
+    gauss = q != field.characteristic  # F_p(i): two digits per coefficient
+    per = 2 if gauss else 1
+    w, red, neg = _digit_ops(field.characteristic, (maxdeg + 2 * degree_bound + 1) * per)
+    width = per * w
+
+    def pack(a):
+        out = 0
+        for c in reversed(a):
+            c = reduce(c)
+            out = out << width | (c[1] << w | c[0] if gauss else c)
         return out
 
-    def ladd(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, bj in enumerate(b):
-            out[j] = add(out[j], bj)
+    def unpack(v):
+        mask, out = (1 << w) - 1, []
+        while v:
+            out.append((v & mask, v >> w & mask) if gauss else v & mask)
+            v >>= width
         return out
 
-    def key(a):
-        """Exact, hashable canonical payloads with trailing zeros dropped."""
-        out = list(map(reduce, a))
-        while out and out[-1] == zero:
-            out.pop()
-        return tuple(out)
+    # polys[i] = y0 + x Y' with y0 = elems[i % q] and Y' = polys[i // q], an
+    # earlier entry, so each table below is one pass in index order
 
-    sq = [lmul(p, p) for p in polys]
-    # c_YY Y^2, c_ZZ Z^2, c_WW W^2 as keys; linear parts c_YZ Z, c_YW W, c_ZW Z
-    tY, tZ, tW = ([key(lmul(cl[(c, c)], s)) for s in sq] for c in "YZW")
-    lYZ, lYW, lZW = (None if form.coeffs[pair].is_zero() else
-                     [lmul(cl[pair], p) for p in polys] for pair in _PAIRS[3:])
+    def times_all(v, count=n_polys):
+        """v * polys[i] packed, for i < count: v y0 + x (v Y')."""
+        out = [0] * count
+        if any(c != zero for c in v):
+            scaled = [pack([mul(c, y) for c in v]) for y in elems[:count]]
+            for i in range(1, count):
+                out[i] = red(scaled[i % q] + (out[i // q] << width))
+        return out
+
+    def times_squares(v):
+        """v * polys[i]^2 packed, for every i: v y0^2 for the q constants, then
+        v y0^2 + x (2 y0 v Y') + x^2 (v Y'^2)."""
+        out = [pack([mul(c, mul(y, y)) for c in v]) for y in elems]
+        if n_polys > q:
+            two = field.from_int(2).v
+            cross = [times_all([mul(c, mul(two, y)) for c in v], n_polys // q) for y in elems]
+            for i in range(q, n_polys):
+                y, j = i % q, i // q
+                out.append(red(red(out[y] + (cross[y][j] << width)) + (out[j] << 2 * width)))
+        return out
+
+    tY, tZ, tW = (times_squares(cl[(c, c)]) for c in "YZW")
+    lYZ, lYW, lZW = (times_all(cl[pair]) for pair in _PAIRS[3:])
     tables = {}
 
     def y_table(lin):
         """-(c_YY Y^2 + lin Y) -> least Y index >= 1 reaching it."""
-        k = key(lin)
-        table = tables.get(k)
+        table = tables.get(lin)
         if table is None:
             if len(tables) >= n_polys:  # memory stays at n tables of n entries
                 tables.clear()
-            table = {}
-            for iy in range(len(polys) - 1, 0, -1):
-                part = ladd(tY[iy], lmul(k, polys[iy]))
-                table[key(map(neg, part))] = iy
-            tables[k] = table
+            ly = times_all(unpack(lin))
+            # the least index is written last, so it wins a shared key
+            table = tables[lin] = {neg(red(tY[iy] + ly[iy])): iy
+                                   for iy in range(n_polys - 1, 0, -1)}
         return table
 
-    one_table = y_table(()) if lYZ is None and lYW is None else None
-    rng_ = range(len(polys))
+    yz = lYZ if any(lYZ) else None  # without it, L = c_YW W is fixed per W
+    rng_ = range(n_polys)
     for iw in rng_:
+        tw, lw = tW[iw], lYW[iw]
+        table = None if yz else y_table(lw)
+        zw = times_all(unpack(lZW[iw])) if lZW[iw] else None
         for iz in rng_:
-            rest = ladd(tW[iw], tZ[iz])
-            rest = key(rest if lZW is None else ladd(rest, lmul(lZW[iz], polys[iw])))
+            rest = red(tw + tZ[iz])
+            if zw is not None:
+                rest = red(rest + zw[iz])
             if not rest and (iz or iw):
                 iy = 0
-            elif one_table is not None:
-                iy = one_table.get(rest)
             else:
-                iy = y_table(lYW[iw] if lYZ is None else lYZ[iz] if lYW is None
-                             else ladd(lYZ[iz], lYW[iw])).get(rest)
+                iy = (y_table(red(yz[iz] + lw)) if table is None else table).get(rest)
             if iy is not None:
                 coords = []
                 for idx in (iy, iz, iw):
@@ -528,7 +561,7 @@ class ParametrizationMap:
             for e, c in p.terms.items():
                 e, t = e[:-1], mul(c, powers[e[-1]])
                 acc[e] = add(acc[e], t) if e in acc else t
-            coords.append(MultiPoly(base, _canonical(field, acc)))
+            coords.append(MultiPoly(base, base.canonical(acc)))
         if all(c.is_zero() for c in coords):
             raise DegenerateConicError(f"parameter {value} hits the degenerate fiber")
         return ProjPoint2(base, coords)

@@ -14,7 +14,9 @@ Each field exposes one set of payload ops on those raw values: ``raw_add``,
 to the canonical form (one ``% p`` per component over F_p; over Q a
 ``Fraction`` with denominator 1 becomes its ``int`` numerator, so integral
 coefficients, nearly all of them, never pay a ``Fraction`` gcd), and
-``raw_zero``/``raw_one`` are the canonical zero and one.  A payload is never
+``raw_zero``/``raw_one`` are the canonical zero and one.  ``kernel`` spells the
+same three ops as code snippets, from which :mod:`.poly` generates its
+product kernels.  A payload is never
 a ``float``: ``inv`` divides through ``Fraction``, and over k(i) through k's
 inverse of the norm.  ``shows_negative`` says which payloads a polynomial
 prints with a minus sign.  Polynomials store these payloads directly.
@@ -186,9 +188,19 @@ def _pair_neg(a):
     return (-a[0], -a[1])
 
 
+# _pair_mul and _pair_add as kernel snippets
+_PAIR_MUL = "({0}[0] * {1}[0] - {0}[1] * {1}[1], {0}[0] * {1}[1] + {0}[1] * {1}[0])"
+_PAIR_ADD = "({0}[0] + {1}[0], {0}[1] + {1}[1])"
+
+
 class Field:
     """Shared surface; the default payload ops are the scalar ones (Q, F_p),
-    and each field kind supplies its own ``reduce``."""
+    and each field kind supplies its own ``reduce`` and ``kernel``.
+
+    ``kernel`` is (product, sum, canonical form): ``str.format`` templates
+    that spell ``raw_mul``, ``raw_add`` and ``reduce`` inline for the
+    payloads named by their arguments, where ``p`` is the characteristic.
+    An argument is a name or a subscripted name, so it may be repeated."""
 
     name = "?"
     characteristic = 0
@@ -242,6 +254,9 @@ def _rational(x):
 class RationalField(Field):
     name = "Q"
     reduce = staticmethod(_rational)
+    # _rational inline: an int passes untouched, an integral Fraction drops to an int
+    kernel = ("{0} * {1}", "{0} + {1}",
+              "({0} if {0}.__class__ is int else {0}.numerator if {0}.denominator == 1 else {0})")
 
     def _int_payload(self, n):
         return n
@@ -258,6 +273,8 @@ class RationalField(Field):
 class PrimeField(Field):
     """F_p, residues 0..p-1; an inverse is one modular power, so nothing
     grows with p."""
+
+    kernel = ("{0} * {1}", "{0} + {1}", "{0} % p")
 
     def __init__(self, p):
         if not is_prime(p):
@@ -320,6 +337,9 @@ class GaussianField(Field):
         else:
             r = base.reduce
             self.reduce = lambda raw: (r(raw[0]), r(raw[1]))
+        red = base.kernel[2]
+        self.kernel = (_PAIR_MUL, _PAIR_ADD,
+                       f"({red.format('{0}[0]')}, {red.format('{0}[1]')})")
         super().__init__()
 
     def _int_payload(self, n):

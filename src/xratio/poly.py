@@ -6,11 +6,15 @@ coefficient *payloads* (the raw values of :mod:`.fields`: int residues for
 F_p, an ``int`` or a non-integral ``Fraction`` for Q, pairs for Q(i)/F_p(i));
 the zero polynomial is the empty map, so structural equality of the maps is
 mathematical equality.
-Arithmetic sums raw products with the field's payload ops and reduces once
-per output monomial; a product by a single term needs no sums, since its
-shifted exponents stay distinct.  Exponent tuples are added by
-``Ring.add_exponents``, code generated once per arity that returns a tuple
-display of the slot sums; exponents are unbounded ints.
+Arithmetic sums raw products and reduces once per output monomial; a
+product by a single term needs no sums, since its shifted exponents stay
+distinct.  The products run in kernels generated once per arity and payload
+kind from the field's ``kernel`` snippets (:func:`_kernels`): each unpacks
+the exponent tuples, writes the slot sums as one tuple display and the
+payload product, sum and reduction inline, so a term pair costs no call.
+Every :class:`Ring` binds its kernels when it is built, as ``Ring.product``,
+``Ring.monomial_product``, ``Ring.accumulate_product``, ``Ring.accumulate_scaled``
+and ``Ring.canonical``, which act on term dicts.  Exponents are unbounded ints.
 :class:`FieldElement` appears only at the edges: ``Ring.const``/``Ring.poly``
 take ints or elements of the ring's own field (another field raises
 :class:`FieldMismatchError`), and
@@ -42,7 +46,8 @@ class RingMismatchError(XratioError):
 class Ring:
     """Polynomial ring context k[v1, ..., vn]."""
 
-    __slots__ = ("field", "variables", "_index", "zero", "one", "add_exponents")
+    __slots__ = ("field", "variables", "_index", "zero", "one", "product",
+                 "monomial_product", "accumulate_product", "accumulate_scaled", "canonical")
 
     def __init__(self, field: Field, variables):
         variables = tuple(variables)
@@ -51,7 +56,8 @@ class Ring:
         self.field = field
         self.variables = variables
         self._index = {v: k for k, v in enumerate(variables)}
-        self.add_exponents = _exponent_adder(len(variables))
+        (self.product, self.monomial_product, self.accumulate_product,
+         self.accumulate_scaled, self.canonical) = _kernels(len(variables), field)
         # shared by every use: a MultiPoly is never mutated
         self.zero = MultiPoly(self, {})
         self.one = MultiPoly(self, {(0,) * len(variables): field.raw_one})
@@ -101,29 +107,99 @@ class Ring:
         return f"Ring({self.field.name}[{', '.join(self.variables)}])"
 
 
-_ADDERS = {}  # arity -> its exponent adder
+_FACTORIES = {}  # the field's kernel snippets, and (arity, snippets) -> kernel factory
+_KERNELS = {}  # (arity, field) -> its kernel set, shared by every such ring
 
 
-def _exponent_adder(n: int):
-    """(a, b) -> the slot sums of two n-slot exponent tuples: generated code
-    that unpacks both and returns one tuple display, built once per arity."""
-    if n not in _ADDERS:
+def _kernels(n: int, field: Field):
+    """The kernel set of an n-variable ring over `field`, on term dicts:
+
+    * ``product(P, Q)``: the canonical terms of P*Q;
+    * ``monomial_product(P, f, c)``: the same for Q = {f: c}, with no sums;
+    * ``accumulate_product(raw, P, Q)``: P*Q added into ``raw`` unreduced;
+    * ``accumulate_scaled(raw, P, c)``: c*P added into ``raw`` unreduced;
+    * ``canonical(raw)``: each payload reduced once, zeros dropped.
+
+    The code is generated on the first request for its payload kind (fields
+    with the same ``kernel`` snippets share it), the first three once more
+    per arity, and each set closes over its field's characteristic ``p`` and
+    canonical ``zero``.  Raw inputs are allowed wherever a term dict is read,
+    as reduction commutes with sums and products.  Plain loops, not
+    comprehensions: each comprehension is one more function to compile and
+    to call."""
+    key = (n, field)
+    if key not in _KERNELS:
+        snippets = field.kernel
+        if snippets not in _FACTORIES or (n, snippets) not in _FACTORIES:
+            _generate(n, snippets)
+        env = field.characteristic, field.raw_zero
+        _KERNELS[key] = _FACTORIES[n, snippets](*env) + _FACTORIES[snippets](*env)
+    return _KERNELS[key]
+
+
+def _generate(n: int, snippets):
+    mul, add, red = (f.format(*names) for f, names in
+                     zip(snippets, (("c1", "c2"), ("s", "t"), ("t",))))
+    canonical = f"""out = {{}}
+        for e, t in raw.items():
+            r = {red}
+            if r != zero:
+                out[e] = r
+        return out"""
+    if snippets not in _FACTORIES:
+        _FACTORIES[snippets] = _compiled(f"""def make(p, zero):
+    def accumulate_scaled(raw, P, c1):
+        get = raw.get
+        for e, c2 in P.items():
+            t = {mul}
+            s = get(e)
+            raw[e] = t if s is None else {add}
+        return raw
+
+    def canonical(raw):
+        {canonical}
+
+    return accumulate_scaled, canonical""")
+    if (n, snippets) not in _FACTORIES:
         a, b, sums = ("".join(f.format(k) for k in range(n))
                       for f in ("a{}, ", "b{}, ", "a{0} + b{0}, "))
-        namespace = {}
-        exec(f"def add(a, b):\n    [{a}] = a\n    [{b}] = b\n    return ({sums})", namespace)
-        _ADDERS[n] = namespace["add"]
-    return _ADDERS[n]
+        accumulate = f"""get = raw.get
+        for [{a}], c1 in P.items():
+            for [{b}], c2 in Q.items():
+                e = ({sums})
+                t = {mul}
+                s = get(e)
+                raw[e] = t if s is None else {add}"""
+        _FACTORIES[n, snippets] = _compiled(f"""def make(p, zero):
+    def product(P, Q):
+        raw = {{}}
+        {accumulate}
+        {canonical}
+
+    def monomial_product(P, f, c2):
+        [{b}] = f
+        out = {{}}
+        for [{a}], c1 in P.items():
+            t = {mul}
+            out[({sums})] = {red}
+        return out
+
+    def accumulate_product(raw, P, Q):
+        {accumulate}
+        return raw
+
+    return product, monomial_product, accumulate_product""")
+
+
+def _compiled(source: str):
+    """The function `make` that `source` defines."""
+    namespace = {}
+    exec(source, namespace)
+    return namespace["make"]
 
 
 def grlex_key(exps):
     return (sum(exps), exps)
-
-
-def _canonical(field, raw: dict) -> dict:
-    """Reduce each accumulated payload once and drop the zeros."""
-    zero = field.raw_zero
-    return {e: c for e, c in zip(raw, map(field.reduce, raw.values())) if c != zero}
 
 
 class MultiPoly:
@@ -154,7 +230,7 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in o.terms.items():
             out[e] = add(out[e], c) if e in out else c
-        return MultiPoly(self.ring, _canonical(self.ring.field, out))
+        return MultiPoly(self.ring, self.ring.canonical(out))
 
     __radd__ = __add__
 
@@ -175,24 +251,14 @@ class MultiPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        field = self.ring.field
+        ring = self.ring
         p, m = (self, o) if len(o.terms) == 1 else (o, self)
         if len(m.terms) == 1:  # by a monomial: the shifted exponents stay distinct
             (e2, c2), = m.terms.items()
-            if c2 == field.raw_one and not any(e2):
+            if c2 == ring.field.raw_one and not any(e2):
                 return p
-            reduce, mul, add_exps = field.reduce, field.raw_mul, self.ring.add_exponents
-            return MultiPoly(self.ring, {add_exps(e1, e2): reduce(mul(c1, c2))
-                                         for e1, c1 in p.terms.items()})
-        add, mul, add_exps = field.raw_add, field.raw_mul, self.ring.add_exponents
-        out = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = add_exps(e1, e2)
-                s = get(e)
-                out[e] = mul(c1, c2) if s is None else add(s, mul(c1, c2))
-        return MultiPoly(self.ring, _canonical(field, out))
+            return MultiPoly(ring, ring.monomial_product(p.terms, e2, c2))
+        return MultiPoly(ring, ring.product(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -314,7 +380,7 @@ class MultiPoly:
             k = e[idx]
             if k:
                 out[e[:idx] + (k - 1,) + e[idx + 1:]] = field.raw_mul(c, field.from_int(k).v)
-        return MultiPoly(self.ring, _canonical(field, out))
+        return MultiPoly(self.ring, self.ring.canonical(out))
 
     def permute(self, src) -> "MultiPoly":
         """Rename the variables: slot j of each exponent tuple is taken from
@@ -395,8 +461,6 @@ def substitute_cleared(polys, images: dict, target: Ring) -> list:
     each N accumulates its terms into one dict, reduced once per monomial at
     the end.
     """
-    field = target.field
-    add, mul = field.raw_add, field.raw_mul
     one = target.one
     powers = {}  # (variable, 0 for n_v / 1 for d_v, k) -> that image to the k-th power
     dens = {v: d is not None and not d == one for v, (_, d) in images.items()}
@@ -420,9 +484,8 @@ def substitute_cleared(polys, images: dict, target: Ring) -> list:
                     factors.append(power(v, 0, k))
                 if k < deg and dens[v]:
                     factors.append(power(v, 1, deg - k))
-            for e2, c2 in _product(factors, one).terms.items():
-                acc[e2] = add(acc[e2], mul(c, c2)) if e2 in acc else mul(c, c2)
-        out.append((MultiPoly(target, _canonical(field, acc)), D))
+            target.accumulate_scaled(acc, _product(factors, one).terms, c)
+        out.append((MultiPoly(target, target.canonical(acc)), D))
     return out
 
 

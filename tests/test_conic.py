@@ -233,7 +233,7 @@ def _triples(name, d):
 SEARCH_CASES = [
     pytest.param(name, text, d, marks=() if _triples(name, d) <= 2 * 10 ** 4
                  else pytest.mark.slow)
-    for name in ("F2", "F3", "F5", "F7", "F3(i)")
+    for name in ("F2", "F3", "F5", "F7", "F13", "F3(i)", "F7(i)")
     for text in SEARCH_FORMS
     for d in range(7)
     if _triples(name, d) <= 2 * 10 ** 6
@@ -249,6 +249,30 @@ def test_search_matches_reference_triple_loop(name, text, degree):
     assert str(found) == str(expected)
     if found is not None:
         assert form.is_point(found)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 2 ** 31 - 1])
+def test_packed_digit_reduction_at_the_boundaries(p):
+    digits = 5
+    w, red, neg = conic._digit_ops(p, digits)
+    assert w == p.bit_length() + 2
+
+    def packed(xs):
+        return sum(x << w * k for k, x in enumerate(xs))
+
+    top = packed([p - 1] * digits)
+    assert red(top + top) == packed([(2 * p - 2) % p] * digits)  # (p-1) + (p-1)
+    assert red(0 + 0) == 0 and neg(0) == 0
+    assert neg(top) == packed([1] * digits) and red(top + neg(top)) == 0
+    for k in range(digits):  # a full digit sum carries nothing into its neighbours
+        one = packed([p - 1 if j == k else 0 for j in range(digits)])
+        assert red(one + one) == packed([(2 * p - 2) % p if j == k else 0
+                                         for j in range(digits)])
+    rng = random.Random(p)
+    for _ in range(200):
+        xs, ys = ([rng.randrange(p) for _ in range(digits)] for _ in range(2))
+        assert red(packed(xs) + packed(ys)) == packed([(x + y) % p for x, y in zip(xs, ys)])
+        assert neg(packed(xs)) == packed([-x % p for x in xs])
 
 
 def test_searchable_degree():

@@ -1,13 +1,15 @@
 import operator
 import random
 import re
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from xratio.conic import tail_remainder
 from xratio.exprparse import parse_expression
-from xratio.fields import (FieldMismatchError, XratioError, gaussian_rationals,
-                           prime_field, rationals)
+from xratio.fields import (FieldElement, FieldMismatchError, XratioError, field_by_name,
+                           gaussian_rationals, prime_field, rationals)
 from xratio.poly import MultiPoly, Ring, RingMismatchError
 
 
@@ -233,19 +235,6 @@ def test_ring_poly_keeps_well_formed_tuples_and_const_skips_the_check(monkeypatc
     assert str(parse_expression("3*x + 2 - y^2", ring).num) == "4*y^2 + 3*x + 2"
 
 
-@pytest.mark.parametrize("n", range(10))
-def test_exponent_adder_sums_every_slot_for_every_arity(n):
-    ring = Ring(rationals(), tuple(f"v{k}" for k in range(n)))
-    add = ring.add_exponents
-    assert Ring(prime_field(3), ring.variables).add_exponents is add
-    rng = random.Random(n)
-    for _ in range(20):
-        a, b = (tuple(rng.choice((0, 1, 2, 7, 2 ** 64 - 1, 2 ** 64, 3 ** 90))
-                      for _ in range(n)) for _ in range(2))
-        assert add(a, b) == tuple(map(operator.add, a, b))
-        assert type(add(a, b)) is tuple
-
-
 def test_huge_exponents_stay_exact():
     ring = Ring(rationals(), ("x1", "x2"))
     x1, x2 = ring.vars()
@@ -261,6 +250,68 @@ def _schoolbook(p, q):
             e = tuple(map(operator.add, e1, e2))
             out[e] = out[e] + c1 * c2 if e in out else c1 * c2
     return p.ring.poly(out)
+
+
+KERNEL_FIELDS = ("Q", "Q(i)", "F2", "F5", "F101", "F3(i)", "F7(i)")
+
+
+def _random_scalar(field, rng):
+    """A random nonzero element; over Q a third of the parts are fractions
+    with denominator 2 or 3, whose pairwise products are often integral."""
+    def part():
+        return (Fraction(rng.randint(-9, 9), rng.choice((2, 3))) if rng.random() < 0.3
+                else rng.randint(-9, 9))
+
+    while True:
+        if field.characteristic:
+            c = rng.choice(list(islice(field.elements(), 200)))
+        else:
+            c = FieldElement(field, field.reduce((part(), part()) if field.name == "Q(i)"
+                                                 else part()))
+        if not c.is_zero():
+            return c
+
+
+def _random_poly(ring, rng, terms):
+    n = len(ring.variables)
+    return ring.poly({tuple(rng.choice((0, 0, 1, 2, 3, 2 ** 64)) for _ in range(n)):
+                      _random_scalar(ring.field, rng) for _ in range(terms)})
+
+
+def _typed(terms):
+    # repr tells the canonical int 1 from Fraction(1, 1), which compare equal
+    return {e: repr(c) for e, c in terms.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("name", KERNEL_FIELDS)
+def test_kernels_match_the_schoolbook_product(name, n):
+    ring = Ring(field_by_name(name), tuple(f"v{k}" for k in range(n)))
+    rng = random.Random(f"{name}-{n}")
+    for _ in range(25):
+        p, q = (_random_poly(ring, rng, rng.randint(2, 6)) for _ in range(2))
+        want = _typed(_schoolbook(p, q).terms)
+        assert _typed((p * q).terms) == want
+        raw = ring.accumulate_product({}, p.terms, q.terms)
+        assert _typed(ring.canonical(raw)) == want
+        # raw sums that cancel to zero: p*q - p*q, accumulated unreduced
+        assert ring.canonical(ring.accumulate_product(raw, (-p).terms, q.terms)) == {}
+        m = _random_poly(ring, rng, 1)
+        assert len(m.terms) == 1  # the monomial branch, from either side
+        want = _typed(_schoolbook(p, m).terms)
+        assert _typed((p * m).terms) == want == _typed((m * p).terms)
+        (c,) = m.terms.values()
+        scaled = ring.canonical(ring.accumulate_scaled({}, p.terms, c))
+        assert _typed(scaled) == _typed(_schoolbook(p, ring.const(FieldElement(ring.field, c))).terms)
+        assert p * ring.one is p and p * 1 is p
+        # one * p is p too, unless p is a monomial: then one is the operand
+        # that takes the general side of the monomial branch
+        assert (ring.one * p is p) == (len(p.terms) > 1) and ring.one * p == p
+    # terms that cancel: (v0 + v1)(v0 - v1) has no v0*v1 term, or at arity 1
+    # (v0 + 1)(v0 - 1) none in v0
+    v = ring.vars() + (ring.one,)
+    s, d = v[0] + v[1], v[0] - v[1]
+    assert (s * d).terms == _schoolbook(s, d).terms == (v[0] * v[0] - v[1] * v[1]).terms
 
 
 @pytest.mark.parametrize("field", [rationals(), prime_field(7), gaussian_rationals()],
