@@ -387,6 +387,75 @@ def _digit_ops(p: int, digits: int):
     return w, red, neg
 
 
+class _PackedPolys:
+    """Every polynomial over F_q of degree <= d, and reduced coefficient
+    vectors packed into ints (SIMD within a register): coefficient k sits at
+    bit k * width, one digit of w bits per F_p residue and two (re, im) per
+    F_p(i) pair, as ``_digit_ops`` reads them.  Two packed vectors add with
+    one int add and ``red``; a shift by ``width`` multiplies by x.
+
+    ``polys`` lists the coefficient tuples radix-style, constant coefficient
+    fastest, so polys[i] = y0 + x Y' with y0 = elems[i % q] and Y' =
+    polys[i // q], an earlier entry: v Y and v Y^2 for every Y are then one
+    pass in index order, one or two packed adds each.  `length` bounds the
+    number of coefficients of every packed vector."""
+
+    __slots__ = ("field", "elems", "polys", "w", "width", "red", "neg", "gauss")
+
+    def __init__(self, field: Field, d: int, length: int):
+        self.field = field
+        self.elems = [e.v for e in field.elements()]
+        self.polys = [tuple(reversed(t)) for t in product(self.elems, repeat=d + 1)]
+        self.gauss = field.order != field.characteristic
+        per = 2 if self.gauss else 1
+        self.w, self.red, self.neg = _digit_ops(field.characteristic, length * per)
+        self.width = per * self.w
+
+    def pack(self, a) -> int:
+        """A vector of raw payloads, reduced and packed."""
+        reduce, w, width, gauss = self.field.reduce, self.w, self.width, self.gauss
+        out = 0
+        for c in reversed(a):
+            c = reduce(c)
+            out = out << width | (c[1] << w | c[0] if gauss else c)
+        return out
+
+    def unpack(self, v: int) -> list:
+        """The canonical payloads of a packed vector, trailing zeros dropped."""
+        w, width, gauss = self.w, self.width, self.gauss
+        mask, out = (1 << w) - 1, []
+        while v:
+            out.append((v & mask, v >> w & mask) if gauss else v & mask)
+            v >>= width
+        return out
+
+    def times_all(self, v, count=None) -> list:
+        """v * polys[i] packed, for i < count (default all): v y0 + x (v Y')."""
+        field, elems, red, width = self.field, self.elems, self.red, self.width
+        count = len(self.polys) if count is None else count
+        out = [0] * count
+        if any(c != field.raw_zero for c in v):
+            q, mul = field.order, field.raw_mul
+            scaled = [self.pack([mul(c, y) for c in v]) for y in elems[:count]]
+            for i in range(1, count):
+                out[i] = red(scaled[i % q] + (out[i // q] << width))
+        return out
+
+    def times_squares(self, v) -> list:
+        """v * polys[i]^2 packed, for every i: v y0^2 for the q constants, then
+        v y0^2 + x (2 y0 v Y') + x^2 (v Y'^2)."""
+        field, elems, red, width = self.field, self.elems, self.red, self.width
+        q, n, mul = field.order, len(self.polys), field.raw_mul
+        out = [self.pack([mul(c, mul(y, y)) for c in v]) for y in elems]
+        if n > q:
+            two = field.from_int(2).v
+            cross = [self.times_all([mul(c, mul(two, y)) for c in v], n // q) for y in elems]
+            for i in range(q, n):
+                y, j = i % q, i // q
+                out.append(red(red(out[y] + (cross[y][j] << width)) + (out[j] << 2 * width)))
+        return out
+
+
 def bounded_point_search(form: TernaryForm, degree_bound: int):
     """First polynomial-coordinate zero, or None after full enumeration.
 
@@ -405,16 +474,10 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
     c_YZ = 0, L depends on W alone, so its table is fetched once per W.
 
     Every compared value is a reduced coefficient vector packed into one int
-    (SIMD within a register): coefficient k sits at bit k * width, one digit
-    of p.bit_length() + 2 bits per F_p residue and two per F_p(i) pair.  Two
-    packed vectors add with one int add, no digit reaching the next, and
-    ``red`` takes every digit of such a sum (below 2p) mod p at once, so a
-    packed vector is its own exact, hashable key.  Multiplying by x is a
-    shift by one coefficient width, and in the radix order polys[i] = y0 +
-    x Y' with Y' an earlier entry, so v Y (``times_all``) and v Y^2
-    (``times_squares``) for every Y cost one or two packed adds each: the
+    (:class:`_PackedPolys`), which is its own exact, hashable key: the
     squares and the linear parts c_YZ Z and c_YW W are built once, c_ZW Z W
-    once per W and L Y once per table, all outside the (W, Z) loop.
+    once per W and L Y once per table, all outside the (W, Z) loop, which
+    adds and reduces whole vectors in a few int operations.
     """
     field = form.ring.field
     if not field.is_finite:
@@ -426,60 +489,14 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
     if searchable_degree(field, degree_bound) < degree_bound:
         raise SearchBudgetError(f"{field.order}^{3 * (degree_bound + 1)} candidate "
                                 f"triples exceed the budget {SEARCH_BUDGET}")
-    n_polys = field.order ** (degree_bound + 1)
-
-    mul, reduce, zero, q = field.raw_mul, field.reduce, field.raw_zero, field.order
     maxdeg = max(0, *(p.total_degree() for p in form.coeffs.values()))
-    cl = {pair: [p.terms.get((k,), zero) for k in range(maxdeg + 1)]
+    cl = {pair: [p.terms.get((k,), field.raw_zero) for k in range(maxdeg + 1)]
           for pair, p in form.coeffs.items()}
-    elems = [e.v for e in field.elements()]
-    polys = [tuple(reversed(t)) for t in product(elems, repeat=degree_bound + 1)]
-
-    gauss = q != field.characteristic  # F_p(i): two digits per coefficient
-    per = 2 if gauss else 1
-    w, red, neg = _digit_ops(field.characteristic, (maxdeg + 2 * degree_bound + 1) * per)
-    width = per * w
-
-    def pack(a):
-        out = 0
-        for c in reversed(a):
-            c = reduce(c)
-            out = out << width | (c[1] << w | c[0] if gauss else c)
-        return out
-
-    def unpack(v):
-        mask, out = (1 << w) - 1, []
-        while v:
-            out.append((v & mask, v >> w & mask) if gauss else v & mask)
-            v >>= width
-        return out
-
-    # polys[i] = y0 + x Y' with y0 = elems[i % q] and Y' = polys[i // q], an
-    # earlier entry, so each table below is one pass in index order
-
-    def times_all(v, count=n_polys):
-        """v * polys[i] packed, for i < count: v y0 + x (v Y')."""
-        out = [0] * count
-        if any(c != zero for c in v):
-            scaled = [pack([mul(c, y) for c in v]) for y in elems[:count]]
-            for i in range(1, count):
-                out[i] = red(scaled[i % q] + (out[i // q] << width))
-        return out
-
-    def times_squares(v):
-        """v * polys[i]^2 packed, for every i: v y0^2 for the q constants, then
-        v y0^2 + x (2 y0 v Y') + x^2 (v Y'^2)."""
-        out = [pack([mul(c, mul(y, y)) for c in v]) for y in elems]
-        if n_polys > q:
-            two = field.from_int(2).v
-            cross = [times_all([mul(c, mul(two, y)) for c in v], n_polys // q) for y in elems]
-            for i in range(q, n_polys):
-                y, j = i % q, i // q
-                out.append(red(red(out[y] + (cross[y][j] << width)) + (out[j] << 2 * width)))
-        return out
-
-    tY, tZ, tW = (times_squares(cl[(c, c)]) for c in "YZW")
-    lYZ, lYW, lZW = (times_all(cl[pair]) for pair in _PAIRS[3:])
+    packed = _PackedPolys(field, degree_bound, maxdeg + 2 * degree_bound + 1)
+    polys, red, neg = packed.polys, packed.red, packed.neg
+    n_polys = len(polys)
+    tY, tZ, tW = (packed.times_squares(cl[(c, c)]) for c in "YZW")
+    lYZ, lYW, lZW = (packed.times_all(cl[pair]) for pair in _PAIRS[3:])
     tables = {}
 
     def y_table(lin):
@@ -488,7 +505,7 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
         if table is None:
             if len(tables) >= n_polys:  # memory stays at n tables of n entries
                 tables.clear()
-            ly = times_all(unpack(lin))
+            ly = packed.times_all(packed.unpack(lin))
             # the least index is written last, so it wins a shared key
             table = tables[lin] = {neg(red(tY[iy] + ly[iy])): iy
                                    for iy in range(n_polys - 1, 0, -1)}
@@ -499,7 +516,7 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
     for iw in rng_:
         tw, lw = tW[iw], lYW[iw]
         table = None if yz else y_table(lw)
-        zw = times_all(unpack(lZW[iw])) if lZW[iw] else None
+        zw = packed.times_all(packed.unpack(lZW[iw])) if lZW[iw] else None
         for iz in rng_:
             rest = red(tw + tZ[iz])
             if zw is not None:

@@ -12,7 +12,7 @@ from xratio.conic import (SEARCH_BUDGET, DegenerateConicError, ObstructionRecord
                           searchable_degree, standard_form, tail_remainder,
                           valuation_obstruction)
 from xratio.exprparse import parse_expression
-from xratio.fields import (FieldMismatchError, XratioError, field_by_name,
+from xratio.fields import (FieldElement, FieldMismatchError, XratioError, field_by_name,
                            prime_field, rationals)
 from xratio.poly import MultiPoly, Ring, RingMismatchError
 from xratio.ratfunc import CharacteristicError, RatFunc, rf_eq, rvar
@@ -273,6 +273,31 @@ def test_packed_digit_reduction_at_the_boundaries(p):
         xs, ys = ([rng.randrange(p) for _ in range(digits)] for _ in range(2))
         assert red(packed(xs) + packed(ys)) == packed([(x + y) % p for x, y in zip(xs, ys)])
         assert neg(packed(xs)) == packed([-x % p for x in xs])
+
+
+@pytest.mark.parametrize("name, d", [("F2", 3), ("F3", 2), ("F7", 1), ("F13", 1),
+                                     ("F3(i)", 1), ("F7(i)", 1)])
+def test_packed_products_match_polynomial_products(name, d):
+    field = field_by_name(name)
+    ring = conic.base_ring(field)
+    packed = conic._PackedPolys(field, d, 2 * d + 3)
+    rng = random.Random(name)
+    elems = list(field.elements())
+    assert [e.v for e in elems] == packed.elems
+    Y = [ring.poly({(k,): FieldElement(field, c) for k, c in enumerate(t)})
+         for t in packed.polys]
+
+    def packed_poly(f):
+        coeffs = [f.terms.get((k,), field.raw_zero) for k in range(f.total_degree() + 1)]
+        assert packed.unpack(packed.pack(coeffs)) == coeffs
+        return packed.pack(coeffs)
+
+    for v in ([field.raw_zero], [field.raw_one], [field.raw_zero, field.raw_one],
+              [rng.choice(elems).v for _ in range(3)]):
+        f = ring.poly({(k,): FieldElement(field, c) for k, c in enumerate(v)})
+        assert packed.times_all(v) == [packed_poly(f * y) for y in Y]
+        assert packed.times_squares(v) == [packed_poly(f * y * y) for y in Y]
+        assert packed.times_all(v, 5) == packed.times_all(v)[:5]
 
 
 def test_searchable_degree():

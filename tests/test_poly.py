@@ -256,11 +256,11 @@ KERNEL_FIELDS = ("Q", "Q(i)", "F2", "F5", "F101", "F3(i)", "F7(i)")
 
 
 def _random_scalar(field, rng):
-    """A random nonzero element; over Q a third of the parts are fractions
-    with denominator 2 or 3, whose pairwise products are often integral."""
+    """A random nonzero element; over Q about half the parts are fractions
+    like 3/2 and 4/3, whose pairwise products are often integral."""
     def part():
-        return (Fraction(rng.randint(-9, 9), rng.choice((2, 3))) if rng.random() < 0.3
-                else rng.randint(-9, 9))
+        return (Fraction(rng.choice((-3, -2, 2, 3, 4, 9)), rng.choice((2, 3)))
+                if rng.random() < 0.5 else rng.randint(-9, 9))
 
     while True:
         if field.characteristic:
