@@ -235,6 +235,26 @@ def test_ring_poly_keeps_well_formed_tuples_and_const_skips_the_check(monkeypatc
     assert str(parse_expression("3*x + 2 - y^2", ring).num) == "4*y^2 + 3*x + 2"
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_exponent_adder_sums_every_slot_for_every_arity(n):
+    # the exponent sums now live inside the generated product kernels; every
+    # ring of one arity and field shares one kernel set, and fields of one
+    # payload kind share its code
+    names = tuple(f"v{k}" for k in range(n))
+    ring = Ring(rationals(), names)
+    assert Ring(rationals(), names).product is ring.product
+    assert (Ring(prime_field(3), names).product.__code__
+            is Ring(prime_field(5), names).product.__code__)
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = (tuple(rng.choice((0, 1, 2, 7, 2 ** 64 - 1, 2 ** 64, 3 ** 90))
+                      for _ in range(n)) for _ in range(2))
+        (e,) = ring.monomial_product({a: 2}, b, 3)
+        (f,) = ring.product({a: 2}, {b: 3})
+        (g,) = ring.accumulate_product({}, {a: 2}, {b: 3})
+        assert e == f == g == tuple(map(operator.add, a, b)) and type(e) is tuple
+
+
 def test_huge_exponents_stay_exact():
     ring = Ring(rationals(), ("x1", "x2"))
     x1, x2 = ring.vars()
