@@ -2,9 +2,11 @@
 
 An :class:`Automorphism` stores one RatFunc image per ring variable and acts
 on rational functions by substitution, which is automatically a field
-homomorphism fixing k.  A renaming, whose images are distinct bare variables
-(every permutation action), is detected once at construction and applied by
-permuting exponent tuples instead: the same map, with no products.  Nothing
+homomorphism fixing k.  A renaming, whose images are distinct bare variables,
+is detected once at construction and applied by permuting exponent tuples
+instead: the same map, with no products.  :func:`perm_automorphism` knows its
+source slots from the permutation: it detects nothing, and builds its images
+only when they are asked for (composition, ``is_identity``, ``repr``).  Nothing
 at construction time guarantees the map is invertible;
 :meth:`Automorphism.identity_power` finds the first power of the map that is
 the identity, composing at most a given number of times, and a
@@ -26,15 +28,25 @@ from .ratfunc import RatFunc, rat, rvar
 class Automorphism:
     """Substitution endomorphism of the fraction field of `ring`."""
 
-    __slots__ = ("ring", "images", "_src")
+    __slots__ = ("ring", "_images", "_src")
 
     def __init__(self, ring: Ring, images: dict):
         missing = [v for v in ring.variables if v not in images]
         if missing:
             raise XratioError(f"no image given for variables {missing}")
         self.ring = ring
-        self.images = {v: rat(ring, images[v]) for v in ring.variables}
-        self._src = _renaming_sources(ring, self.images)
+        self._images = {v: rat(ring, images[v]) for v in ring.variables}
+        self._src = _renaming_sources(ring, self._images)
+
+    @property
+    def images(self) -> dict:
+        """The RatFunc image of each ring variable, in ring order; a map made
+        by :func:`perm_automorphism` builds them on first use."""
+        if self._images is None:
+            vs = self.ring.variables
+            slots = sorted((i, j) for j, i in enumerate(self._src))  # (source, target)
+            self._images = {vs[i]: rvar(self.ring, vs[j]) for i, j in slots}
+        return self._images
 
     def apply(self, f) -> RatFunc:
         f = rat(self.ring, f)
@@ -96,9 +108,12 @@ def perm_automorphism(ring: Ring, p) -> Automorphism:
     """v_k -> v_{p(k)} for the image tuple p (p[k-1] is the image of k).
 
     The convention is index-to-index: the image of the k-th ring variable is
-    the p(k)-th ring variable.
+    the p(k)-th ring variable, so exponent slot p(k) is taken from slot k.
     """
     p, vs = tuple(p), ring.variables
     if sorted(p) != list(range(1, len(vs) + 1)):
         raise XratioError(f"not a permutation of 1..{len(vs)}: {p}")
-    return Automorphism(ring, {v: rvar(ring, vs[p[k] - 1]) for k, v in enumerate(vs)})
+    s = Automorphism.__new__(Automorphism)
+    s.ring, s._images = ring, None
+    s._src = tuple(p.index(j) for j in range(1, len(vs) + 1))
+    return s

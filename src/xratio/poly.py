@@ -20,7 +20,10 @@ take ints or elements of the ring's own field (another field raises
 :class:`FieldMismatchError`), and
 ``constant_value``, ``leading`` and ``coefficients`` return elements.
 :func:`substitute_cleared` is the one substitution loop, shared with
-:mod:`.ratfunc`; a renaming of the variables needs no products and is
+:mod:`.ratfunc`; it clears each distinct image denominator once, for all the
+variables that share it, and gives images only to the variables that occur.
+Its products stay :class:`MultiPoly` products, each started from its first
+factor.  A renaming of the variables needs no products and is
 :meth:`MultiPoly.permute`, which only reorders exponent tuples, as does an
 embedding into a larger ring, :meth:`MultiPoly.embed`.  The
 canonical term order (serialization, leading term) is graded lexicographic:
@@ -368,7 +371,8 @@ class MultiPoly:
                 img = target.const(img)
             elif img.ring != target:
                 raise RingMismatchError(f"image of {name!r} lives in the wrong ring")
-            images[name] = (img, None)
+            if deg:
+                images[name] = (img, None)
         return substitute_cleared((self,), images, target)[0][0]
 
     def derivative(self, name: str) -> "MultiPoly":
@@ -454,46 +458,58 @@ def substitute_cleared(polys, images: dict, target: Ring) -> list:
     """Each p in `polys` with v -> n_v/d_v, denominators cleared: [(N, D)].
 
     `images` maps every variable occurring in the polys to (n_v, d_v) in the
-    target ring, d_v None (or one) for a polynomial image.  p(..) = N/D with
-    D = prod d_v^deg_v(p), and each term is multiplied by d_v^(deg_v - e_v),
-    so no rational arithmetic happens.  Each power n_v^k, d_v^r is built once
-    per call, by repeated squaring, so a huge exponent costs its logarithm;
-    each N accumulates its terms into one dict, reduced once per monomial at
-    the end.
+    target ring, d_v None (or one) for a polynomial image.  Variables whose
+    denominators are equal term dicts form a group g with one denominator
+    d_g, cleared once: p(..) = N/D with D = prod d_g^D_g, where D_g is the
+    largest sum s_g(e) of the group's exponents over p's terms, and each term
+    is multiplied by d_g^(D_g - s_g(e)), so no rational arithmetic happens.
+    Each power n_v^k, d_g^r is built once per call, by repeated squaring, so
+    a huge exponent costs its logarithm; each product starts from its first
+    factor, and each N accumulates its terms into one dict, reduced once per
+    monomial at the end.
     """
     one = target.one
-    powers = {}  # (variable, 0 for n_v / 1 for d_v, k) -> that image to the k-th power
-    dens = {v: d is not None and not d == one for v, (_, d) in images.items()}
+    powers = {}  # (v or group index, k) -> its base to the k-th power
+    dens, group = {}, {}  # each distinct d_g's terms -> g; v -> the g of its d_v
+    for v, (n, d) in images.items():
+        powers[v, 1] = n
+        if d is not None and d.terms != one.terms:
+            g = group[v] = dens.setdefault(frozenset(d.terms.items()), len(dens))
+            powers.setdefault((g, 1), d)
 
-    def power(v, which, k):
-        key = (v, which, k)
-        if key not in powers:
-            powers[key] = images[v][which] ** k
-        return powers[key]
+    def cofactor(keys):
+        """The product of the powers that `keys` name, started from the first."""
+        out = None
+        for key in keys:
+            f = powers.get(key)
+            if f is None:
+                f = powers[key] = powers[key[0], 1] ** key[1]
+            out = f if out is None else out * f
+        return one if out is None else out
 
     out = []
     for p in polys:
-        names, degs = p.ring.variables, p.degrees()
-        D = _product([power(v, 1, deg) for v, deg in zip(names, degs)
-                      if deg and dens[v]], one)
-        acc = {}
+        slots = [(i, v, group.get(v)) for i, v in enumerate(p.ring.variables) if v in images]
+        rows, top = [], [0] * len(dens)  # each term's keys of n_v^e_v and sums s_g(e); D_g
         for e, c in p.terms.items():
-            factors = []
-            for v, k, deg in zip(names, e, degs):
+            keys, s = [], [0] * len(dens)
+            for i, v, g in slots:
+                k = e[i]
                 if k:
-                    factors.append(power(v, 0, k))
-                if k < deg and dens[v]:
-                    factors.append(power(v, 1, deg - k))
-            target.accumulate_scaled(acc, _product(factors, one).terms, c)
-        out.append((MultiPoly(target, target.canonical(acc)), D))
+                    keys.append((v, k))
+                    if g is not None:
+                        s[g] += k
+            rows.append((keys, s, c))
+            if dens:
+                top = list(map(max, top, s))
+        acc = {}
+        for keys, s, c in rows:
+            if dens:
+                keys += [(g, t - k) for g, (t, k) in enumerate(zip(top, s)) if t > k]
+            target.accumulate_scaled(acc, cofactor(keys).terms, c)
+        out.append((MultiPoly(target, target.canonical(acc)),
+                    cofactor([(g, t) for g, t in enumerate(top) if t])))
     return out
-
-
-def _product(factors, empty):
-    out = None
-    for f in factors:
-        out = f if out is None else out * f
-    return empty if out is None else out
 
 
 def _wrap_scalar(s: str) -> str:

@@ -9,10 +9,11 @@ semantic, by cross-multiplication in the fraction field:
 That identity is sound because polynomial rings over a field are integral
 domains.  Over one denominator it reduces to n1 == n2, since d is nonzero,
 so equal denominators are compared by their numerators alone.  Substitution
-clears denominators term by term (one :func:`.poly.substitute_cleared` call
-covers numerator and denominator) and flags substitutions that make a
-denominator vanish identically (the pair is unreduced, so a vanishing
-denominator is never silently "cancelled").
+clears denominators term by term, each distinct image denominator once (one
+:func:`.poly.substitute_cleared` call covers numerator and denominator, and
+images such as u = w/y and t = z/y share y), keeps the coefficient field, and
+flags substitutions that make a denominator vanish identically (the pair is
+unreduced, so a vanishing denominator is never silently "cancelled").
 
 Two polynomials (both denominators one) add and multiply without products
 by one, which give the same terms in the same order.
@@ -147,11 +148,14 @@ class RatFunc:
     def substitute(self, assignment: dict, target_ring: Ring = None) -> "RatFunc":
         """Field homomorphism v -> assignment[v] (RatFunc images).
 
-        Unassigned variables must exist in the target ring.  Raises
-        DegenerateSubstitutionError when the substituted denominator is
-        semantically zero.
+        Unassigned variables that occur must exist in the target ring, and
+        every image must live in it, occurring or not; a target over another
+        field raises RingMismatchError.  Raises DegenerateSubstitutionError
+        when the substituted denominator is semantically zero.
         """
         target = target_ring or self.ring
+        if target.field != self.ring.field:
+            raise RingMismatchError("substitution cannot change the coefficient field")
         for key in assignment:
             if key not in self.ring._index:
                 raise XratioError(f"{key!r} is not a variable of {self.ring!r}")
@@ -159,13 +163,12 @@ class RatFunc:
         occurs = map(max, self.num.degrees(), self.den.degrees())
         for name, deg in zip(self.ring.variables, occurs):
             g = assignment.get(name)
-            if g is None:
-                if not deg:
-                    continue
+            if g is not None:
+                g = rat(target, g)  # every image is checked, even one not used
+                if deg:
+                    imgs[name] = (g.num, g.den)
+            elif deg:
                 imgs[name] = (target.var(name), target.one)
-            else:
-                g = rat(target, g)
-                imgs[name] = (g.num, g.den)
         (nn, nd), (dn, dd) = substitute_cleared((self.num, self.den), imgs, target)
         if dn.is_zero():
             raise DegenerateSubstitutionError(

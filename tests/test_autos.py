@@ -7,6 +7,7 @@ from xratio.exprparse import parse_expression
 from xratio.fields import XratioError, field_by_name, rationals
 from xratio.perms import all_perms, compose, parse_perm
 from xratio.poly import Ring
+from xratio.tables import derived_values, point_ring
 from xratio.ratfunc import DegenerateSubstitutionError, RatFunc, rf_eq, rvar
 
 NINE_FIELDS = ("Q", "Q(i)", "F2", "F3", "F5", "F7", "F3(i)", "F7(i)", "F101")
@@ -43,6 +44,41 @@ def test_perm_automorphism_is_homomorphism(ring):
 def test_perm_automorphism_refuses_a_non_permutation(ring):
     with pytest.raises(XratioError, match=r"not a permutation of 1\.\.4: \(1, 1, 2, 3\)"):
         perm_automorphism(ring, (1, 1, 2, 3))
+    for p in ((1, 2, 3), (0, 1, 2, 3), (2, 3, 4, 5), (1, 2, 3, 4, 5)):
+        with pytest.raises(XratioError, match="not a permutation"):
+            perm_automorphism(ring, p)
+
+
+def _same(f, g):
+    return f.num == g.num and f.den == g.den
+
+
+@pytest.mark.parametrize("name", ("Q", "F2", "F7(i)"))
+def test_perm_automorphism_matches_the_generic_map(name):
+    """The map built from its source slots agrees with the Automorphism built
+    from the same images: sources, images (built on first use) and action."""
+    field = field_by_name(name)
+    ring = point_ring(field)
+    values = derived_values(field)
+    quantities = [values[n] for n in ("w", "y", "z", "a")]
+    vs = ring.variables
+    autos = {}
+    for p in all_perms():
+        s = autos[p] = perm_automorphism(ring, p)
+        generic = Automorphism(ring, {v: rvar(ring, vs[p[k] - 1]) for k, v in enumerate(vs)})
+        assert s._src == generic._src
+        for f in quantities:
+            assert _same(s.apply(f), generic.apply(f))
+        assert s._images is None  # applying the map built no images
+        assert list(s.images) == list(vs)
+        assert all(_same(s.images[v], generic.images[v]) for v in vs)
+        assert repr(s) == repr(generic)
+        assert s.is_identity() == (p == (1, 2, 3, 4))
+    for p in all_perms():
+        for q in all_perms():
+            product = autos[p] * autos[q]
+            assert product._src == autos[compose(p, q)]._src
+            assert all(_same(product.images[v], autos[compose(p, q)].images[v]) for v in vs)
 
 
 def test_orders(ring):

@@ -1,7 +1,8 @@
 import pytest
 
-from xratio.fields import XratioError, gaussian_rationals, prime_field, rationals
-from xratio.poly import Ring
+from xratio.fields import (XratioError, field_by_name, gaussian_rationals, prime_field,
+                           rationals)
+from xratio.poly import Ring, RingMismatchError
 from xratio.ratfunc import (DegenerateSubstitutionError, RatFunc,
                             ZeroDenominatorError, jacobian_rank, rat, rf_eq,
                             rvar)
@@ -85,6 +86,21 @@ def test_substitute_unused_vars_and_unknown_keys(ring):
     assert rf_eq((x / (x + 1)).substitute({"x": 3}, target), rat(target, 3) / 4)
     with pytest.raises(XratioError):
         x.substitute({"q": 1})
+    # "y" does not occur, but its image must still live in the target ring
+    other = Ring(rationals(), ("s", "r"))
+    for image in (rvar(other, "r"), other.var("r"), prime_field(5).from_int(3)):
+        with pytest.raises(XratioError):
+            (x / (x + 1)).substitute({"x": 3, "y": image}, target)
+
+
+@pytest.mark.parametrize("name", ["F5", "Q(i)"])
+def test_substitute_refuses_another_coefficient_field(ring, rvars, name):
+    x, y = rvars(ring)
+    target = Ring(field_by_name(name), ("x", "y"))
+    with pytest.raises(RingMismatchError, match="cannot change the coefficient field"):
+        (x / 2 + y).substitute({}, target)
+    with pytest.raises(RingMismatchError):
+        (x / 2 + y).substitute({"x": rvar(target, "y")}, target)
 
 
 def test_display_normalized(ring, rvars):
