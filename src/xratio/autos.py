@@ -2,20 +2,21 @@
 
 An :class:`Automorphism` stores one RatFunc image per ring variable and acts
 on rational functions by substitution, which is automatically a field
-homomorphism fixing k.  A renaming, whose images are distinct bare variables,
-is detected once at construction and applied by permuting exponent tuples
-instead: the same map, with no products.  :func:`perm_automorphism` knows its
-source slots from the permutation: it detects nothing, and builds its images
-only when they are asked for (composition, ``is_identity``, ``repr``).  Nothing
-at construction time guarantees the map is invertible;
+homomorphism fixing k.  A permutation map, made by :func:`perm_automorphism`
+from the permutation's source slots, is applied by permuting exponent tuples
+instead: the same map, with no products.  It builds its images only when
+they are asked for (a product with a generic map, ``is_identity``, ``repr``),
+and two permutation maps compose by their slots into a third.  Nothing at
+construction time guarantees the map is invertible;
 :meth:`Automorphism.identity_power` finds the first power of the map that is
 the identity, composing at most a given number of times, and a
 non-invertible image map never reaches the identity instead of being
 rejected up front.
 
 Composition is (s*t)(f) = s(t(f)), so the images of s*t are s applied to
-the images of t.  With the permutation convention p: v_k -> v_{p(k)} the map
-perm_automorphism is a group homomorphism for this composition.
+the images of t, and slot j of s*t is taken from slot t_src[s_src[j]].  With
+the permutation convention p: v_k -> v_{p(k)} the map perm_automorphism is a
+group homomorphism for this composition.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ class Automorphism:
             raise XratioError(f"no image given for variables {missing}")
         self.ring = ring
         self._images = {v: rat(ring, images[v]) for v in ring.variables}
-        self._src = _renaming_sources(ring, self._images)
+        self._src = None
 
     @property
     def images(self) -> dict:
-        """The RatFunc image of each ring variable, in ring order; a map made
-        by :func:`perm_automorphism` builds them on first use."""
+        """The RatFunc image of each ring variable, in ring order; a
+        permutation map builds them on first use."""
         if self._images is None:
             vs = self.ring.variables
             slots = sorted((i, j) for j, i in enumerate(self._src))  # (source, target)
@@ -61,6 +62,8 @@ class Automorphism:
         """(self*other)(f) = self(other(f))."""
         if other.ring != self.ring:
             raise XratioError("automorphisms of different rings")
+        if self._src is not None and other._src is not None:
+            return _renaming(self.ring, tuple(other._src[i] for i in self._src))
         return Automorphism(self.ring, {v: self.apply(g) for v, g in other.images.items()})
 
     def is_identity(self) -> bool:
@@ -88,20 +91,11 @@ class Automorphism:
         return f"Automorphism({body})"
 
 
-def _renaming_sources(ring: Ring, images: dict):
-    """The source slot of each target slot when every image is a distinct bare
-    variable (coefficient one, denominator one), else None."""
-    src = [None] * len(ring.variables)
-    for i, v in enumerate(ring.variables):
-        g = images[v]
-        if len(g.num.terms) != 1 or not g.den == ring.one:
-            return None
-        (e, c), = g.num.terms.items()
-        j = e.index(1) if sum(e) == 1 else None
-        if c != ring.field.raw_one or j is None or src[j] is not None:
-            return None
-        src[j] = i
-    return tuple(src)
+def _renaming(ring: Ring, src) -> Automorphism:
+    """The renaming taking exponent slot j from slot src[j], images unbuilt."""
+    s = Automorphism.__new__(Automorphism)
+    s.ring, s._images, s._src = ring, None, src
+    return s
 
 
 def perm_automorphism(ring: Ring, p) -> Automorphism:
@@ -113,7 +107,4 @@ def perm_automorphism(ring: Ring, p) -> Automorphism:
     p, vs = tuple(p), ring.variables
     if sorted(p) != list(range(1, len(vs) + 1)):
         raise XratioError(f"not a permutation of 1..{len(vs)}: {p}")
-    s = Automorphism.__new__(Automorphism)
-    s.ring, s._images = ring, None
-    s._src = tuple(p.index(j) for j in range(1, len(vs) + 1))
-    return s
+    return _renaming(ring, tuple(p.index(j) for j in range(1, len(vs) + 1)))

@@ -41,7 +41,7 @@ import functools
 from itertools import product
 
 from .fields import Field, FieldElement, XratioError
-from .poly import MultiPoly, Ring, RingMismatchError, strip_monomial_content
+from .poly import MultiPoly, Ring, as_poly, strip_monomial_content
 from .ratfunc import CharacteristicError, RatFunc, rat
 
 
@@ -76,16 +76,6 @@ def _clear_denominators(rfs) -> list:
     return out
 
 
-def _poly(ring: Ring, c, what: str) -> MultiPoly:
-    """An int, a scalar or a polynomial of `ring`, as a polynomial of `ring`."""
-    if isinstance(c, MultiPoly) and c.ring == ring:
-        return c
-    if isinstance(c, (int, FieldElement)):
-        return ring.const(c)
-    error = RingMismatchError if isinstance(c, MultiPoly) else XratioError
-    raise error(f"{what} must be a polynomial of {ring!r}, not {c!r}")
-
-
 class ProjPoint2:
     """Point of P^2 over k(x): a nonzero triple of polynomials in k[x].
     Rational input is scaled by its denominators (the same point)."""
@@ -98,7 +88,7 @@ class ProjPoint2:
             raise XratioError("a plane point needs exactly 3 coordinates")
         if any(isinstance(c, RatFunc) for c in coords):
             coords = _clear_denominators([rat(ring, c) for c in coords])
-        coords = tuple(_poly(ring, c, "a point coordinate") for c in coords)
+        coords = tuple(as_poly(ring, c, "a point coordinate") for c in coords)
         if all(c.is_zero() for c in coords):
             raise XratioError("(0 : 0 : 0) is not a projective point")
         self.ring = ring
@@ -131,7 +121,7 @@ class TernaryForm:
                 raise XratioError(f"coefficient key {key!r} is also given as {pair!r}")
             given[pair] = c
         self.ring = ring
-        self.coeffs = {pair: _poly(ring, given.get(pair, 0), "coefficient " + "".join(pair))
+        self.coeffs = {pair: as_poly(ring, given.get(pair, 0), "coefficient " + "".join(pair))
                        for pair in _PAIRS}
 
     def coeff(self, a: str, b: str) -> MultiPoly:
@@ -144,7 +134,7 @@ class TernaryForm:
         of another ring raises RingMismatchError).  Every raw product c*A*B
         is summed into one dict, reduced once per monomial at the end."""
         ring = target_ring
-        vals = {n: _poly(ring, v, "a coordinate").terms for n, v in zip("YZW", (Y, Z, W))}
+        vals = {n: as_poly(ring, v, "a coordinate").terms for n, v in zip("YZW", (Y, Z, W))}
         acc = {}
         for (a, b), c in self.coeffs.items():
             if c.terms:

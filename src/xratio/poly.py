@@ -19,10 +19,12 @@ and ``Ring.canonical``, which act on term dicts.  Exponents are unbounded ints.
 take ints or elements of the ring's own field (another field raises
 :class:`FieldMismatchError`), and
 ``constant_value``, ``leading`` and ``coefficients`` return elements.
-:func:`substitute_cleared` is the one substitution loop, shared with
-:mod:`.ratfunc`; it clears each distinct image denominator once, for all the
-variables that share it, and gives images only to the variables that occur.
-Its products stay :class:`MultiPoly` products, each started from its first
+:func:`substitute_cleared` is the one substitution loop and image check,
+shared with :mod:`.ratfunc` (:func:`as_poly`, shared with :mod:`.conic`,
+coerces polynomial images); it clears each distinct image denominator once,
+for all the variables sharing it and all the polynomials given, and gives
+images only to the variables that occur.  Its products stay
+:class:`MultiPoly` products, each started from its first
 factor.  A renaming of the variables needs no products and is
 :meth:`MultiPoly.permute`, which only reorders exponent tuples, as does an
 embedding into a larger ring, :meth:`MultiPoly.embed`.  The
@@ -352,28 +354,12 @@ class MultiPoly:
     # -- maps ---------------------------------------------------------------
 
     def substitute(self, assignment: dict, target_ring: Ring = None) -> "MultiPoly":
-        """Ring map v -> assignment[v]; unassigned variables that actually
-        occur must exist by name in the target ring (default: this ring)."""
+        """Ring map v -> assignment[v], each image an int, a scalar or a
+        polynomial of the target ring (default: this ring); unassigned
+        variables that actually occur must exist by name in the target ring."""
         target = target_ring or self.ring
-        if target.field != self.ring.field:
-            raise RingMismatchError("substitution cannot change the coefficient field")
-        for key in assignment:
-            if key not in self.ring._index:
-                raise XratioError(f"{key!r} is not a variable of {self.ring!r}")
-        images = {}
-        for name, deg in zip(self.ring.variables, self.degrees()):
-            img = assignment.get(name)
-            if img is None:
-                if not deg:
-                    continue
-                img = target.var(name)  # raises if absent from target
-            elif isinstance(img, (int, FieldElement)):
-                img = target.const(img)
-            elif img.ring != target:
-                raise RingMismatchError(f"image of {name!r} lives in the wrong ring")
-            if deg:
-                images[name] = (img, None)
-        return substitute_cleared((self,), images, target)[0][0]
+        return substitute_cleared((self,), assignment, target,
+                                  lambda g: (as_poly(target, g, "an image"), target.one))[0]
 
     def derivative(self, name: str) -> "MultiPoly":
         """Formal partial derivative; exponent multiples reduce mod char."""
@@ -454,26 +440,56 @@ def strip_monomial_content(polys) -> list:
     return polys
 
 
-def substitute_cleared(polys, images: dict, target: Ring) -> list:
-    """Each p in `polys` with v -> n_v/d_v, denominators cleared: [(N, D)].
+def as_poly(ring: Ring, c, what: str) -> MultiPoly:
+    """An int, a scalar or a polynomial of `ring`, as a polynomial of `ring`;
+    else RingMismatchError (another ring's polynomial) or XratioError."""
+    if isinstance(c, MultiPoly) and c.ring == ring:
+        return c
+    if isinstance(c, (int, FieldElement)):
+        return ring.const(c)
+    error = RingMismatchError if isinstance(c, MultiPoly) else XratioError
+    raise error(f"{what} must be a polynomial of {ring!r}, not {c!r}")
 
-    `images` maps every variable occurring in the polys to (n_v, d_v) in the
-    target ring, d_v None (or one) for a polynomial image.  Variables whose
-    denominators are equal term dicts form a group g with one denominator
-    d_g, cleared once: p(..) = N/D with D = prod d_g^D_g, where D_g is the
-    largest sum s_g(e) of the group's exponents over p's terms, and each term
-    is multiplied by d_g^(D_g - s_g(e)), so no rational arithmetic happens.
-    Each power n_v^k, d_g^r is built once per call, by repeated squaring, so
-    a huge exponent costs its logarithm; each product starts from its first
-    factor, and each N accumulates its terms into one dict, reduced once per
-    monomial at the end.
+
+def substitute_cleared(polys, assignment: dict, target: Ring, image) -> list:
+    """The polys (of one ring) with v -> n_v/d_v, each as a numerator N_p over
+    one shared cleared denominator, which is not built: [N_p].
+
+    The keys must be variables of the polys' ring; ``image(g) -> (n, d)``
+    coerces every assigned value into the target ring, used or not (d one
+    for a polynomial), and an unassigned variable that occurs maps to
+    the target variable of its name.  Variables whose denominators are equal
+    term dicts form a group g with one denominator d_g: D_g is the largest
+    sum s_g(e) of the group's exponents over the terms of all the polys, and
+    each term is multiplied by d_g^(D_g - s_g(e)), so p(..) = N_p / prod
+    d_g^D_g with no rational arithmetic, and a quotient of two polys is the
+    quotient of their N_p.  Each power n_v^k, d_g^r is built once per call,
+    by repeated squaring, so a huge exponent costs its logarithm; each
+    product starts from its first factor, and each N_p accumulates its terms
+    into one dict, reduced once per monomial at the end.
     """
-    one = target.one
+    ring = polys[0].ring
+    if target.field != ring.field:
+        raise RingMismatchError("substitution cannot change the coefficient field")
+    for key in assignment:
+        if key not in ring._index:
+            raise XratioError(f"{key!r} is not a variable of {ring!r}")
+    exps = [e for p in polys for e in p.terms] + [(0,) * len(ring.variables)]
+    occurs = map(any, zip(*exps))
+    one, images = target.one, {}
+    for v, k in zip(ring.variables, occurs):
+        g = assignment.get(v)
+        if g is not None:
+            g = image(g)  # every image is checked, even one not used
+            if k:
+                images[v] = g
+        elif k:
+            images[v] = (target.var(v), one)  # raises if absent from target
     powers = {}  # (v or group index, k) -> its base to the k-th power
     dens, group = {}, {}  # each distinct d_g's terms -> g; v -> the g of its d_v
     for v, (n, d) in images.items():
         powers[v, 1] = n
-        if d is not None and d.terms != one.terms:
+        if d.terms != one.terms:
             g = group[v] = dens.setdefault(frozenset(d.terms.items()), len(dens))
             powers.setdefault((g, 1), d)
 
@@ -487,10 +503,9 @@ def substitute_cleared(polys, images: dict, target: Ring) -> list:
             out = f if out is None else out * f
         return one if out is None else out
 
-    out = []
-    for p in polys:
-        slots = [(i, v, group.get(v)) for i, v in enumerate(p.ring.variables) if v in images]
-        rows, top = [], [0] * len(dens)  # each term's keys of n_v^e_v and sums s_g(e); D_g
+    slots = [(i, v, group.get(v)) for i, v in enumerate(ring.variables) if v in images]
+    rows, top = [], [0] * len(dens)  # each term's poly, keys of n_v^e_v, sums s_g(e); D_g
+    for j, p in enumerate(polys):
         for e, c in p.terms.items():
             keys, s = [], [0] * len(dens)
             for i, v, g in slots:
@@ -499,17 +514,15 @@ def substitute_cleared(polys, images: dict, target: Ring) -> list:
                     keys.append((v, k))
                     if g is not None:
                         s[g] += k
-            rows.append((keys, s, c))
+            rows.append((j, keys, s, c))
             if dens:
                 top = list(map(max, top, s))
-        acc = {}
-        for keys, s, c in rows:
-            if dens:
-                keys += [(g, t - k) for g, (t, k) in enumerate(zip(top, s)) if t > k]
-            target.accumulate_scaled(acc, cofactor(keys).terms, c)
-        out.append((MultiPoly(target, target.canonical(acc)),
-                    cofactor([(g, t) for g, t in enumerate(top) if t])))
-    return out
+    accs = [{} for _ in polys]
+    for j, keys, s, c in rows:
+        if dens:
+            keys += [(g, t - k) for g, (t, k) in enumerate(zip(top, s)) if t > k]
+        target.accumulate_scaled(accs[j], cofactor(keys).terms, c)
+    return [MultiPoly(target, target.canonical(acc)) for acc in accs]
 
 
 def _wrap_scalar(s: str) -> str:

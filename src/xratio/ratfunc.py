@@ -11,16 +11,17 @@ domains.  Over one denominator it reduces to n1 == n2, since d is nonzero,
 so equal denominators are compared by their numerators alone.  Substitution
 clears denominators term by term, each distinct image denominator once (one
 :func:`.poly.substitute_cleared` call covers numerator and denominator, and
-images such as u = w/y and t = z/y share y), keeps the coefficient field, and
-flags substitutions that make a denominator vanish identically (the pair is
+images such as u = w/y and t = z/y share y, so both sides are cleared over
+one product and -t/u becomes -z/w), keeps the coefficient field, and flags
+substitutions that make a denominator vanish identically (the pair is
 unreduced, so a vanishing denominator is never silently "cancelled").
 
 Two polynomials (both denominators one) add and multiply without products
 by one, which give the same terms in the same order.
 
 Display applies an optional cosmetic normalization (strip common monomial
-content, make the denominator's leading coefficient 1); arithmetic never
-normalizes.
+content, make the denominator's leading coefficient 1, show c*den as c);
+arithmetic never normalizes.
 """
 
 from __future__ import annotations
@@ -154,31 +155,18 @@ class RatFunc:
         when the substituted denominator is semantically zero.
         """
         target = target_ring or self.ring
-        if target.field != self.ring.field:
-            raise RingMismatchError("substitution cannot change the coefficient field")
-        for key in assignment:
-            if key not in self.ring._index:
-                raise XratioError(f"{key!r} is not a variable of {self.ring!r}")
-        imgs = {}
-        occurs = map(max, self.num.degrees(), self.den.degrees())
-        for name, deg in zip(self.ring.variables, occurs):
-            g = assignment.get(name)
-            if g is not None:
-                g = rat(target, g)  # every image is checked, even one not used
-                if deg:
-                    imgs[name] = (g.num, g.den)
-            elif deg:
-                imgs[name] = (target.var(name), target.one)
-        (nn, nd), (dn, dd) = substitute_cleared((self.num, self.den), imgs, target)
-        if dn.is_zero():
+        num, den = substitute_cleared((self.num, self.den), assignment, target,
+                                      lambda g: ((r := rat(target, g)).num, r.den))
+        if den.is_zero():
             raise DegenerateSubstitutionError(
                 "substitution sends the denominator to zero")
-        return RatFunc(target, nn * dd, nd * dn)
+        return RatFunc(target, num, den)
 
     # -- display ------------------------------------------------------------
 
     def display_normalized(self) -> "RatFunc":
-        """Cosmetic only: strip shared monomial content, monic denominator."""
+        """Cosmetic only: strip shared monomial content, monic denominator,
+        and a constant c for c times the denominator."""
         if self.num.is_zero():
             return RatFunc(self.ring, self.ring.zero, self.ring.one)
         num, den = strip_monomial_content([self.num, self.den])
@@ -187,6 +175,10 @@ class RatFunc:
             inv = self.ring.field.one / lc
             num = num * inv
             den = den * inv
+        if num.terms.keys() == den.terms.keys():
+            _, c = num.leading()  # the c of num = c*den, as den is monic
+            if num == den * c:
+                return RatFunc(self.ring, self.ring.const(c))
         return RatFunc(self.ring, num, den)
 
     def __str__(self):

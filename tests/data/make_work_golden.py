@@ -14,7 +14,8 @@ and the calls of the other layer functions named in ``CALLS``.
 With a run name as its only argument the script prints that run's counts as
 JSON instead; `tests/test_work_golden.py` compares those with the file.  A
 change that moves the work on purpose regenerates the file, and its diff is
-reviewed with that change.
+reviewed with that change: on a rewrite the script prints each run's counts
+as ``old -> new (+x.x %)`` against the file it replaces.
 """
 
 import importlib.util
@@ -76,6 +77,12 @@ def main():
         return
     golden = {run: measure_fresh(run) for run in RUNS}
     path = Path(__file__).with_name("work_golden.json")
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    for run, counts in golden.items():
+        for name, new in counts.items():
+            was = old.get(run, {}).get(name)
+            change = f" ({100 * (new - was) / was:+.1f} %)" if was else ""
+            print(f"{run} {name}: {was} -> {new}{change}")
     path.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(golden)} runs to {path}", file=sys.stderr)
 

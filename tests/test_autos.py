@@ -56,17 +56,19 @@ def _same(f, g):
 @pytest.mark.parametrize("name", ("Q", "F2", "F7(i)"))
 def test_perm_automorphism_matches_the_generic_map(name):
     """The map built from its source slots agrees with the Automorphism built
-    from the same images: sources, images (built on first use) and action."""
+    from the same images: images (built on first use) and action.  A product
+    of two such maps is again one, with no images built; a product with a
+    generic map, on either side, acts as the composed map."""
     field = field_by_name(name)
     ring = point_ring(field)
     values = derived_values(field)
     quantities = [values[n] for n in ("w", "y", "z", "a")]
     vs = ring.variables
-    autos = {}
+    autos, generics = {}, {}
     for p in all_perms():
         s = autos[p] = perm_automorphism(ring, p)
-        generic = Automorphism(ring, {v: rvar(ring, vs[p[k] - 1]) for k, v in enumerate(vs)})
-        assert s._src == generic._src
+        generic = generics[p] = Automorphism(
+            ring, {v: rvar(ring, vs[p[k] - 1]) for k, v in enumerate(vs)})
         for f in quantities:
             assert _same(s.apply(f), generic.apply(f))
         assert s._images is None  # applying the map built no images
@@ -76,9 +78,11 @@ def test_perm_automorphism_matches_the_generic_map(name):
         assert s.is_identity() == (p == (1, 2, 3, 4))
     for p in all_perms():
         for q in all_perms():
-            product = autos[p] * autos[q]
-            assert product._src == autos[compose(p, q)]._src
-            assert all(_same(product.images[v], autos[compose(p, q)].images[v]) for v in vs)
+            product, composed = autos[p] * autos[q], autos[compose(p, q)]
+            assert product._images is None and product._src == composed._src
+            assert all(_same(product.images[v], composed.images[v]) for v in vs)
+            for mixed in (autos[p] * generics[q], generics[p] * autos[q]):
+                assert all(_same(mixed.apply(f), composed.apply(f)) for f in quantities)
 
 
 def test_orders(ring):

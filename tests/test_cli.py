@@ -111,6 +111,16 @@ def test_check_identity_not_equal_exact_output(capsys):
         "  rhs = (x1 - x2 + x3 - x4)/(x1 - x2 - x3 + x4)\n")
 
 
+@pytest.mark.parametrize("field, lhs, shown", [
+    ("Q", "(1 - a)*u^2 - t^2 + a + 1", "1"),  # a 25-term fraction equal to 1
+    ("F5", "2*u/u", "2"),
+])
+def test_check_identity_shows_a_constant_side_as_its_value(capsys, field, lhs, shown):
+    assert main(["check-identity", "--field", field, "--lhs", lhs, "--rhs", "0"]) == 1
+    assert capsys.readouterr().out == (
+        f"NOT EQUAL over {field}: {lhs}  vs  0\n  lhs = {shown}\n  rhs = 0\n")
+
+
 @pytest.mark.parametrize("lhs, rhs", [("foo", "t"), ("foo", "u + bar")])
 def test_check_identity_unknown_name_exits_2(capsys, lhs, rhs):
     assert main(["check-identity", "--field", "Q", "--lhs", lhs, "--rhs", rhs]) == 2

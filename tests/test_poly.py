@@ -11,6 +11,7 @@ from xratio.exprparse import parse_expression
 from xratio.fields import (FieldElement, FieldMismatchError, XratioError, field_by_name,
                            gaussian_rationals, prime_field, rationals)
 from xratio.poly import MultiPoly, Ring, RingMismatchError
+from xratio.ratfunc import RatFunc
 
 
 @pytest.fixture
@@ -105,6 +106,19 @@ def test_substitute_int_and_element_images(qring):
     f = x * y + y
     val = f.substitute({"x": 2, "y": rationals().from_int(3)})
     assert val == qring.const(9)
+
+
+@pytest.mark.parametrize("var", ["x", "z"])  # x occurs in f, z does not
+def test_substitute_refuses_images_that_are_not_polynomials_of_the_target(qring, var):
+    x, y, _ = qring.vars()
+    f = x * y + 1
+    other = Ring(rationals(), ("x", "y", "z", "w"))
+    with pytest.raises(RingMismatchError, match="an image must be a polynomial"):
+        f.substitute({var: other.var("x")})
+    for image in (RatFunc(qring, y, y + 1), "y", 0.5):
+        with pytest.raises(XratioError, match=re.escape(f"not {image!r}")) as caught:
+            f.substitute({var: image})
+        assert type(caught.value) is XratioError
 
 
 def test_derivative_leibniz_spot(qring):

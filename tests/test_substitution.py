@@ -1,12 +1,13 @@
 """Grouped denominator clearing against per-variable clearing.
 
 `substitute_cleared` clears each distinct image denominator once, to the
-largest total exponent of the variables that share it.  The reference below
-is the clearing it replaced, kept here as an oracle: each variable's
-denominator d_v is cleared on its own, to the variable's degree, so
-D = prod d_v^deg_v.  Both give the same fraction; grouped clearing never
-gives a denominator of larger total degree, and the same substitutions make
-a denominator vanish.
+largest total exponent of the variables that share it over a numerator and
+its denominator together.  The reference below is an older clearing, kept
+here as an oracle: each variable's denominator d_v is cleared on its own, to
+the variable's degree, so D = prod d_v^deg_v, for each side separately, and
+the sides are cross-multiplied.  Both give the same fraction; grouped
+clearing never gives a denominator of larger total degree, and the same
+substitutions make a denominator vanish.
 """
 
 import random
@@ -139,3 +140,19 @@ def test_a_shared_denominator_is_cleared_once():
                        target)
     assert got.den == y ** 2
     assert got.num == 3 * w * w - z * z + y * y
+
+
+def test_numerator_and_denominator_share_one_clearing():
+    """With u = w/y and t = z/y, -t/u clears y once for both sides: the
+    result is -z/w with no factor y, where clearing each side on its own and
+    cross-multiplying gives (-z*y)/(y*w)."""
+    field = field_by_name("Q")
+    source, target = Ring(field, ("u", "t")), Ring(field, ("w", "y", "z"))
+    w, y, z = target.vars()
+    u, t = source.vars()
+    images = {"u": RatFunc(target, w, y), "t": RatFunc(target, z, y)}
+    got = RatFunc(source, -t, u).substitute(images, target)
+    assert got.num == -z and got.den == w
+    # the numerator reaches D_y = 2, the denominator only 1: both sit over y^2
+    got = RatFunc(source, u * u + 1, t).substitute(images, target)
+    assert got.num == w * w + y * y and got.den == z * y
