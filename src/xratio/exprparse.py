@@ -7,11 +7,12 @@ Grammar (recursive descent, one token of lookahead):
     factor := base ('^' nat)?
     base   := number | 'i' | identifier | '(' expr ')'
 
-Numbers are nonnegative integers (rationals are spelled with '/'), 'i' is
-the field's canonical square root of -1 and is rejected with a position
-when the field has none, identifiers must be ring variables.  The result is
-a RatFunc, so '/' is exact division in the fraction field; dividing by a
-semantically zero subexpression is a parse-time error with a position.
+Numbers are nonnegative integers in ASCII digits (rationals are spelled
+with '/'), 'i' is the field's canonical square root of -1 and is rejected
+with a position when the field has none, identifiers must be ring
+variables.  The result is a RatFunc, so '/' is exact division in the
+fraction field; dividing by a semantically zero subexpression is a
+parse-time error with a position.
 Parentheses nest at most MAX_NESTING levels deep; a deeper '(' is a parse
 error at its position, well before the recursion runs out of stack.
 
@@ -37,7 +38,8 @@ class ParseError(XratioError):
 
 MAX_NESTING = 100  # each level costs the recursive descent four frames
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
+# [0-9], not \d, which would also match any Unicode decimal digit
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
 
 
 def tokenize(text: str):

@@ -130,10 +130,14 @@ def test_check_identity_unknown_name_exits_2(capsys, lhs, rhs):
 
 
 def test_check_identity_parse_error(capsys):
-    for lhs, pos in (("u +", 3), ("", 0), ("x1 +", 4)):
+    for lhs, error in (("u +", "unexpected end of expression (position 3)"),
+                       ("", "unexpected end of expression (position 0)"),
+                       ("x1 +", "unexpected end of expression (position 4)"),
+                       # the Arabic-Indic digit five is not the number 5
+                       ("x1*٥", "unexpected character '٥' (position 3)")):
         assert main(["check-identity", "--field", "Q", "--lhs", lhs, "--rhs", "t"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: unexpected end of expression (position {pos})\n"
+        assert captured.err == f"error: {error}\n"
         assert captured.out == ""
 
 

@@ -55,8 +55,10 @@ def test_syntax_errors_carry_positions(points):
             parse_expression(text, points)
     with pytest.raises(ParseError, match=r"position \d+"):
         parse_expression("(x1", points)
-    with pytest.raises(ParseError, match=r"unexpected character '@' \(position 3\)"):
-        parse_expression("x1 @ x2", points)
+    # numbers take ASCII digits only: not the Arabic-Indic five and two
+    for text in ("x1 @ x2", "x1*٥", "x1^٢"):
+        with pytest.raises(ParseError, match=rf"unexpected character '{text[3]}' \(position 3\)$"):
+            parse_expression(text, points)
 
 
 def test_unknown_identifier(points):
