@@ -60,7 +60,7 @@ class Automorphism:
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
         """(self*other)(f) = self(other(f))."""
-        if other.ring != self.ring:
+        if other.ring is not self.ring:
             raise XratioError("automorphisms of different rings")
         if self._src is not None and other._src is not None:
             return _renaming(self.ring, tuple(other._src[i] for i in self._src))

@@ -324,16 +324,18 @@ _cache = {}
 
 
 def shipped_certificates() -> dict:
-    """Parse and cache the certificates bundled under data/."""
-    if _cache:
-        return dict(_cache)
-    root = os.path.join(os.path.dirname(__file__), "data")
-    for entry in sorted(os.listdir(root)):
-        if not entry.endswith(".cert"):
-            continue
-        with open(os.path.join(root, entry), encoding="utf-8") as fh:
-            cert = parse_certificate(fh.read(), name=entry[: -len(".cert")])
-        _cache[cert.name] = cert
+    """Parse the certificates bundled under data/, cached only once every one
+    has parsed, so a malformed file is refused on every call."""
+    if not _cache:
+        root = os.path.join(os.path.dirname(__file__), "data")
+        parsed = {}
+        for entry in sorted(os.listdir(root)):
+            if not entry.endswith(".cert"):
+                continue
+            with open(os.path.join(root, entry), encoding="utf-8") as fh:
+                cert = parse_certificate(fh.read(), name=entry[: -len(".cert")])
+            parsed[cert.name] = cert
+        _cache.update(parsed)
     return dict(_cache)
 
 

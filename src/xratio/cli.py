@@ -57,9 +57,8 @@ def _cmd_check_identity(args) -> int:
     equal = rf_eq(lhs, rhs)
     word = "EQUAL" if equal else "NOT EQUAL"
     print(f"{word} over {field.name}: {args.lhs}  vs  {args.rhs}")
-    if not equal:
-        print(f"  lhs = {lhs.display_normalized()}")
-        print(f"  rhs = {rhs.display_normalized()}")
+    if not equal:  # str() shows the display normalization
+        print(f"  lhs = {lhs}\n  rhs = {rhs}")
     return 0 if equal else 1
 
 
@@ -137,9 +136,9 @@ def _cmd_stabilizer(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `replay` parser, built on first use and shared by later calls
-    (each parse still starts from a fresh namespace of defaults).  No option
-    may be abbreviated, as `_join_values` matches option names exactly."""
+    """The `replay` parser, built once (each parse starts from fresh defaults);
+    ``commands`` maps each command name to its own parser.  No option may be
+    abbreviated, as `_join_values` matches option names exactly."""
     parser = argparse.ArgumentParser(
         prog="replay", allow_abbrev=False,
         description="re-verify the cross-ratio rationality computations")
@@ -190,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--points", required=True,
                       help="comma-separated values, integers or 'inf'")
     p_st.set_defaults(func=_cmd_stabilizer)
+    parser.commands = sub.choices
     return parser
 
 
@@ -210,7 +210,12 @@ def _join_values(argv) -> list:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_values(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    # a known command parses in its own parser alone; no arguments, -h or an
+    # unknown command in the top-level parser
+    command = parser.commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         return args.func(args)
     except (XratioError, ValueError) as exc:

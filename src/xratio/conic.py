@@ -37,7 +37,6 @@ inverse (the one rational map here) recovers the parameter.
 
 from __future__ import annotations
 
-import functools
 from itertools import product
 
 from .fields import Field, FieldElement, XratioError
@@ -179,9 +178,8 @@ class TernaryForm:
     __repr__ = __str__
 
 
-@functools.cache
 def base_ring(field: Field) -> Ring:
-    """k[x], one shared ring per field."""
+    """k[x]."""
     return Ring(field, ("x",))
 
 

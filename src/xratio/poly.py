@@ -12,12 +12,12 @@ distinct.  The products run in kernels generated once per arity and payload
 kind from the field's ``kernel`` snippets (:func:`_kernels`): each unpacks
 the exponent tuples, writes the slot sums as one tuple display and the
 payload product, sum and reduction inline, so a term pair costs no call.
-Every :class:`Ring` binds its kernels when it is built, as ``Ring.product``,
-``Ring.monomial_product``, ``Ring.accumulate_product``, ``Ring.accumulate_scaled``
-and ``Ring.canonical``, which act on term dicts.  Exponents are unbounded ints.
-:class:`FieldElement` appears only at the edges: ``Ring.const``/``Ring.poly``
-take ints or elements of the ring's own field (another field raises
-:class:`FieldMismatchError`), and
+Each :class:`Ring`, one per field and variable tuple, binds its kernels as
+``Ring.product``, ``Ring.monomial_product``, ``Ring.accumulate_product``,
+``Ring.accumulate_scaled`` and ``Ring.canonical``, which act on term dicts.
+Exponents are unbounded ints.  :class:`FieldElement` appears only at the
+edges: ``Ring.const``/``Ring.poly`` take ints or elements of the ring's own
+field (another field raises :class:`FieldMismatchError`), and
 ``constant_value``, ``leading`` and ``coefficients`` return elements.
 :func:`substitute_cleared` is the one substitution loop and image check,
 shared with :mod:`.ratfunc` (:func:`as_poly`, shared with :mod:`.conic`,
@@ -49,23 +49,29 @@ class RingMismatchError(XratioError):
 
 
 class Ring:
-    """Polynomial ring context k[v1, ..., vn]."""
+    """Polynomial ring context k[v1, ..., vn], one instance per field name (as
+    fields compare by name) and variable tuple, so rings compare by identity."""
 
     __slots__ = ("field", "variables", "_index", "zero", "one", "product",
                  "monomial_product", "accumulate_product", "accumulate_scaled", "canonical")
 
-    def __init__(self, field: Field, variables):
+    def __new__(cls, field: Field, variables):
         variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise XratioError(f"duplicate ring variables: {variables}")
-        self.field = field
-        self.variables = variables
-        self._index = {v: k for k, v in enumerate(variables)}
-        (self.product, self.monomial_product, self.accumulate_product,
-         self.accumulate_scaled, self.canonical) = _kernels(len(variables), field)
-        # shared by every use: a MultiPoly is never mutated
-        self.zero = MultiPoly(self, {})
-        self.one = MultiPoly(self, {(0,) * len(variables): field.raw_one})
+        self = _RINGS.get((field.name, variables))
+        if self is None:
+            if len(set(variables)) != len(variables):
+                raise XratioError(f"duplicate ring variables: {variables}")
+            self = object.__new__(cls)
+            self.field = field
+            self.variables = variables
+            self._index = {v: k for k, v in enumerate(variables)}
+            (self.product, self.monomial_product, self.accumulate_product,
+             self.accumulate_scaled, self.canonical) = _kernels(len(variables), field)
+            # shared by every use: a MultiPoly is never mutated
+            self.zero = MultiPoly(self, {})
+            self.one = MultiPoly(self, {(0,) * len(variables): field.raw_one})
+            _RINGS[field.name, variables] = self
+        return self
 
     def var(self, name: str) -> "MultiPoly":
         k = self._index.get(name)
@@ -101,19 +107,12 @@ class Ring:
                 out[tuple(e)] = c.v
         return MultiPoly(self, out)
 
-    def __eq__(self, other):
-        return other is self or (isinstance(other, Ring) and other.field == self.field
-                                 and other.variables == self.variables)
-
-    def __hash__(self):
-        return hash((self.field.name, self.variables))
-
     def __repr__(self):
         return f"Ring({self.field.name}[{', '.join(self.variables)}])"
 
 
 _FACTORIES = {}  # the field's kernel snippets, and (arity, snippets) -> kernel factory
-_KERNELS = {}  # (arity, field) -> its kernel set, shared by every such ring
+_RINGS = {}  # (field name, variables) -> the one ring of that field and variable tuple
 
 
 def _kernels(n: int, field: Field):
@@ -132,14 +131,11 @@ def _kernels(n: int, field: Field):
     as reduction commutes with sums and products.  Plain loops, not
     comprehensions: each comprehension is one more function to compile and
     to call."""
-    key = (n, field)
-    if key not in _KERNELS:
-        snippets = field.kernel
-        if snippets not in _FACTORIES or (n, snippets) not in _FACTORIES:
-            _generate(n, snippets)
-        env = field.characteristic, field.raw_zero
-        _KERNELS[key] = _FACTORIES[n, snippets](*env) + _FACTORIES[snippets](*env)
-    return _KERNELS[key]
+    snippets = field.kernel
+    if snippets not in _FACTORIES or (n, snippets) not in _FACTORIES:
+        _generate(n, snippets)
+    env = field.characteristic, field.raw_zero
+    return _FACTORIES[n, snippets](*env) + _FACTORIES[snippets](*env)
 
 
 def _generate(n: int, snippets):
@@ -220,7 +216,7 @@ class MultiPoly:
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise RingMismatchError(f"mixed rings: {self.ring!r} vs {other.ring!r}")
             return other
         if isinstance(other, (int, FieldElement)):
@@ -284,7 +280,7 @@ class MultiPoly:
             if isinstance(other, FieldElement) and other.field != self.ring.field:
                 return False
             other = self.ring.const(other)
-        return (isinstance(other, MultiPoly) and other.ring == self.ring
+        return (isinstance(other, MultiPoly) and other.ring is self.ring
                 and other.terms == self.terms)
 
     __hash__ = None
@@ -385,7 +381,7 @@ class MultiPoly:
         """Rename-free embedding into a ring that has every variable occurring
         here: target slot j takes the slot of the same name, or 0.  Like
         :meth:`permute`, it keeps every coefficient and forms no products."""
-        if target_ring == self.ring:
+        if target_ring is self.ring:
             return self
         if target_ring.field != self.ring.field:
             raise RingMismatchError("substitution cannot change the coefficient field")
@@ -443,7 +439,7 @@ def strip_monomial_content(polys) -> list:
 def as_poly(ring: Ring, c, what: str) -> MultiPoly:
     """An int, a scalar or a polynomial of `ring`, as a polynomial of `ring`;
     else RingMismatchError (another ring's polynomial) or XratioError."""
-    if isinstance(c, MultiPoly) and c.ring == ring:
+    if isinstance(c, MultiPoly) and c.ring is ring:
         return c
     if isinstance(c, (int, FieldElement)):
         return ring.const(c)

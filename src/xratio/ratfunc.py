@@ -51,8 +51,7 @@ class RatFunc:
     def __init__(self, ring: Ring, num: MultiPoly, den: MultiPoly = None):
         if den is None:
             den = ring.one
-        if (num.ring is not ring and num.ring != ring
-                or den.ring is not ring and den.ring != ring):
+        if num.ring is not ring or den.ring is not ring:
             raise RingMismatchError("num/den must live in the declared ring")
         if den.is_zero():
             raise ZeroDenominatorError("zero denominator")
@@ -64,7 +63,7 @@ class RatFunc:
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise RingMismatchError("mixed rings")
             return other
         if isinstance(other, MultiPoly):
@@ -194,7 +193,7 @@ class RatFunc:
 def rat(ring: Ring, x) -> RatFunc:
     """Coerce an int, FieldElement, MultiPoly, or RatFunc into ring's fraction field."""
     if isinstance(x, RatFunc):
-        if x.ring != ring:
+        if x.ring is not ring:
             raise RingMismatchError("mixed rings")
         return x
     if isinstance(x, MultiPoly):
@@ -227,7 +226,7 @@ def jacobian_rank(funcs, names) -> int:
             "jacobian rank is only meaningful here in characteristic 0")
     rows = []
     for f in funcs:
-        if f.ring != ring:
+        if f.ring is not ring:
             raise RingMismatchError("mixed rings")
         n, d = f.num, f.den
         rows.append([n.derivative(v) * d - n * d.derivative(v) for v in names])

@@ -103,9 +103,8 @@ CONIC_ODD_TEXT = "(1 - a)*u^2 - t^2 + a"
 CONIC_CHAR2_TEXT = "a*u^2 + a*u + t^2 + t"
 
 
-@functools.cache
 def point_ring(field: Field) -> Ring:
-    """k[x1..x4], one shared ring per field."""
+    """k[x1..x4]."""
     return Ring(field, POINT_VARS)
 
 

@@ -25,6 +25,25 @@ def test_shipped_inventory():
         shipped_certificate("no_such_cert")
 
 
+def test_a_certificate_that_fails_to_parse_fails_every_call(monkeypatch):
+    # nothing is cached until every file has parsed, so a later call cannot
+    # answer with the certificates read before the broken one
+    real = certs.parse_certificate
+
+    def broken(text, name):
+        if name == "negate_invert_perturbed":
+            raise CertFormatError("broken on purpose")
+        return real(text, name=name)
+
+    monkeypatch.setattr(certs, "_cache", {})
+    monkeypatch.setattr(certs, "parse_certificate", broken)
+    for _ in range(2):
+        with pytest.raises(CertFormatError, match="broken on purpose"):
+            shipped_certificates()
+    monkeypatch.setattr(certs, "parse_certificate", real)
+    assert len(shipped_certificates()) == 7
+
+
 def test_loading_the_certificates_imports_neither_json_nor_importlib_resources():
     # without `site`, nothing preloads either module, so this sees what the
     # package itself imports up to its first parsed certificate

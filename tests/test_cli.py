@@ -309,6 +309,11 @@ def test_a_missing_option_value_exits_2(capsys, argv, option):
     (["check-identity", "--lh", "-x1", "--rhs", "x1"],
      "the following arguments are required: --lhs"),
     (["run", "--check", "SPLIT"], "unrecognized arguments: --check SPLIT"),
+    # a known command parses in its own parser, which names what it refused
+    (["check-identity", "--lhs", "x1", "--rhs", "x1", "--fiel", "F5"],
+     "replay check-identity: error: unrecognized arguments: --fiel F5"),
+    (["conic", "decide", "--fie", "F5"],
+     "replay conic: error: unrecognized arguments: --fie F5"),
 ])
 def test_an_abbreviated_option_is_refused(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
@@ -431,6 +436,21 @@ def test_missing_subcommand_exits_2():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, code, shown", [
+    ([], 2, "replay: error: the following arguments are required: command"),
+    (["-h"], 0, "{run,check-identity,subgroups,conic,stabilizer}"),
+    (["bogus"], 2, "replay: error: argument command: invalid choice: 'bogus'"),
+])
+def test_an_argv_without_a_known_command_answers_from_the_top_level_parser(
+        capsys, argv, code, shown):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == code
+    captured = capsys.readouterr()
+    assert shown in captured.out + captured.err
+    assert (captured.out + captured.err).startswith("usage: replay [-h] {")
+
+
 def test_bad_format_choice_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["run", "--format", "yaml"])
@@ -454,8 +474,10 @@ def test_parser_built_once_and_each_call_starts_from_defaults(monkeypatch):
     cli.build_parser.cache_clear()
     assert main(["run", "--seed", "5", "--samples", "7", "--checks", "SPLIT"]) == 0
     assert main(["run"]) == 0
+    with pytest.raises(SystemExit):  # the top-level parser is the same one
+        main(["bogus"])
     info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 2)
     assert seen == [(5, 7, ["SPLIT"]), (0, 100, None)]
 
 

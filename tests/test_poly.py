@@ -8,8 +8,8 @@ import pytest
 
 from xratio.conic import tail_remainder
 from xratio.exprparse import parse_expression
-from xratio.fields import (FieldElement, FieldMismatchError, XratioError, field_by_name,
-                           gaussian_rationals, prime_field, rationals)
+from xratio.fields import (FieldElement, FieldMismatchError, PrimeField, XratioError,
+                           field_by_name, gaussian_rationals, prime_field, rationals)
 from xratio.poly import MultiPoly, Ring, RingMismatchError
 from xratio.ratfunc import RatFunc
 
@@ -173,6 +173,24 @@ def test_ring_mismatch_rejected(qring):
     other = Ring(rationals(), ("x",))
     with pytest.raises(RingMismatchError):
         qring.var("x") + other.var("x")
+
+
+def test_rings_are_interned_per_field_name_and_variables():
+    f5 = prime_field(5)
+    ring = Ring(f5, ("x", "y"))
+    assert Ring(f5, ("x", "y")) is ring
+    assert Ring(f5, ["x", "y"]) is ring
+    # fields compare by name, so a separately built F5 gives the same ring
+    assert PrimeField(5) is not f5
+    assert Ring(PrimeField(5), ("x", "y")) is ring
+    assert Ring(f5, ("y", "x")) is not ring
+    assert Ring(prime_field(7), ("x", "y")) is not ring
+    with pytest.raises(XratioError, match="duplicate ring variables"):
+        Ring(f5, ("x", "y", "x"))
+    with pytest.raises(RingMismatchError):
+        ring.var("x") * Ring(f5, ("x", "z")).var("x")
+    with pytest.raises(RingMismatchError):
+        RatFunc(ring, Ring(f5, ("x",)).var("x"))
 
 
 def test_pow(qring):
