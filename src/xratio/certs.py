@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import os
-from operator import attrgetter
 
 from .autos import Automorphism
 from .exprparse import parse_expression
@@ -55,12 +54,6 @@ class Certificate:
         self.generators = [] if generators is None else generators
         self.primitive, self.relation = primitive, relation
         self.expressions = [] if expressions is None else expressions
-
-    def __eq__(self, other):  # verify_certificate's parse-cache guard compares all fields
-        if type(other) is not type(self):
-            return NotImplemented
-        values = attrgetter(*self.__slots__)
-        return values(self) == values(other)
 
     def applies_to(self, field: Field) -> bool:
         c = self.characteristic
@@ -214,15 +207,14 @@ def _substitute(rf: RatFunc, values: dict, ring: Ring) -> RatFunc:
 def verify_certificate(cert: Certificate, field: Field) -> CertVerification:
     """Run the four conditions of `cert` over the given coefficient field.
 
-    A shipped certificate's texts are parsed once per process, keyed by the
-    field and its contents as they stand (any other is parsed on every call);
-    all four conditions are computed on every call."""
+    A certificate's texts are parsed once per process, keyed by the field
+    and every text as it stands; all four conditions are computed on every
+    call."""
     if not cert.applies_to(field):
         raise XratioError(
             f"certificate {cert.name} does not apply over {field.name} "
             f"(characteristic constraint {cert.characteristic})")
-    parse = _parse if _cache.get(cert.name) == cert else _parse.__wrapped__
-    ring, sigma, gen_values, (prim_name, theta), rel_coeffs, exprs = parse(
+    ring, sigma, gen_values, (prim_name, theta), rel_coeffs, exprs = _parse(
         field, cert.variables, tuple(cert.auto_images), tuple(cert.generators),
         cert.primitive, cert.relation, tuple(cert.expressions))
     results = []

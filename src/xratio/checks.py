@@ -47,9 +47,9 @@ from .report import (ASSUMED, EVIDENCE, FAIL, PASS, SKIPPED, CheckResult,
 class _Ctx:
     __slots__ = ("config", "fields", "memo")
 
-    def __init__(self, config, fields, memo=None):
+    def __init__(self, config, fields):
         self.config, self.fields = config, fields
-        self.memo = {} if memo is None else memo  # shared objects, one run only
+        self.memo = {}  # shared objects, one run only
 
     def _once(self, key, make):
         if key not in self.memo:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import conic, tables
@@ -30,6 +31,13 @@ from .report import DEFAULT_FIELDS, RunConfig
 
 def _split_csv(text: str) -> list:
     return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _integer(token: str) -> int:
+    """`token` in ASCII digits with an optional minus (int() reads far more)."""
+    if re.fullmatch(r"-?[0-9]+", token) is None:
+        raise argparse.ArgumentTypeError(f"{token!r} is not an integer")
+    return int(token)
 
 
 def _cmd_run(args) -> int:
@@ -122,8 +130,8 @@ def _cmd_stabilizer(args) -> int:
             pts.append(ProjPoint1.infinity(field))
             continue
         try:
-            value = int(token)
-        except ValueError:
+            value = _integer(token)
+        except argparse.ArgumentTypeError:
             raise XratioError(f"--points: {token!r} is not an integer or 'inf'") from None
         pts.append(ProjPoint1.affine(field, field.from_int(value)))
     stab = borel_stabilizer(pts, field)
@@ -152,10 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--fields", default=None,
                        help="comma-separated field names "
                             f"(default: {','.join(DEFAULT_FIELDS)})")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--degree-bound", type=int, default=2,
+    p_run.add_argument("--seed", type=_integer, default=0)
+    p_run.add_argument("--degree-bound", type=_integer, default=2,
                        help="polynomial degree bound for the conic point search")
-    p_run.add_argument("--samples", type=int, default=100,
+    p_run.add_argument("--samples", type=_integer, default=100,
                        help="sample count for the randomized evidence checks")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.add_argument("--out", default=None, help="write the report to a file")
@@ -177,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "presentation conics")
     p_con.add_argument("action", choices=("decide", "search", "parametrize"))
     p_con.add_argument("--field", default="Q")
-    p_con.add_argument("--degree-bound", type=int, default=None,
+    p_con.add_argument("--degree-bound", type=_integer, default=None,
                        help="polynomial degree bound, 'search' only (default 2)")
     p_con.add_argument("--point", default=None,
                        help="Y,Z,W coordinates (expressions in x), 'parametrize' only")

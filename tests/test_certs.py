@@ -63,16 +63,6 @@ def test_each_certificate_starts_with_its_own_lists():
         assert getattr(second, section) == []
 
 
-def test_certificates_are_equal_exactly_when_every_field_is():
-    # verify_certificate reuses a parse only for a certificate equal to the
-    # shipped one of its name
-    cert = shipped_certificate("negate_invert_full")
-    assert _rebuilt(cert) == cert
-    for name in Certificate.__slots__:
-        assert _rebuilt(cert, **{name: "changed"}) != cert, name
-    assert cert != cert.name
-
-
 def test_applies_to_characteristic_gate():
     f2 = prime_field(2)
     q = rationals()

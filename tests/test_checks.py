@@ -334,6 +334,7 @@ def test_a_warm_run_compares_every_claim(monkeypatch):
 
 
 def test_a_replaced_certificate_or_table_after_a_warm_run_is_parsed_afresh(monkeypatch):
+    certs._parse.cache_clear()
     run_checklist(RunConfig(fields=("Q",)))
     q = field_by_name("Q")
     cert = certs.shipped_certificate("negate_invert_full")

@@ -1,8 +1,8 @@
 import contextlib
+import importlib.util
 import io
 import json
 import random
-import re
 import signal
 import time
 from pathlib import Path
@@ -16,8 +16,6 @@ from xratio.fields import MILLER_RABIN_BOUND
 
 DATA = Path(__file__).parent / "data"
 NINE_FIELDS = "Q,Q(i),F2,F3,F5,F7,F3(i),F7(i),F101"
-# the "<ms> ms" column of a text report check line (tests/data/make_report_golden.py)
-REPORT_TIMING = re.compile(r"^(\S.{33}) *\d+ ms  ", re.M)
 
 
 def test_run_single_check_json_to_file(tmp_path):
@@ -254,10 +252,25 @@ def test_stabilizer_over_a_gaussian_field(capsys):
 def test_stabilizer_validation_errors(capsys):
     assert main(["stabilizer", "--field", "F7", "--points", "0,1,2"]) == 2
     assert "error:" in capsys.readouterr().err
-    assert main(["stabilizer", "--field", "F7",
-                 "--points", "0,1,2,x"]) == 2
-    assert capsys.readouterr().err == (
-        "error: --points: 'x' is not an integer or 'inf'\n")
+    # only ASCII digits with an optional minus: int() would read the Arabic-
+    # Indic and full-width three, 1_0 as ten and +3 as three
+    for token in ("x", "٣", "３", "1_0", "+3"):
+        assert main(["stabilizer", "--field", "F101",
+                     "--points", f"0,1,2,{token}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --points: {token!r} is not an integer or 'inf'\n")
+
+
+@pytest.mark.parametrize("argv", [["run", "--seed"], ["run", "--samples"],
+                                  ["run", "--degree-bound"], ["conic", "search", "--degree-bound"]])
+@pytest.mark.parametrize("token", ["٣", "３", "1_0", "+3", " 3", "3.0", ""])
+def test_an_integer_option_takes_ascii_digits_only(capsys, argv, token):
+    with pytest.raises(SystemExit) as info:
+        main(argv + [token])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {argv[-1]}: {token!r} is not an integer\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -481,21 +494,12 @@ def test_parser_built_once_and_each_call_starts_from_defaults(monkeypatch):
     assert seen == [(5, 7, ["SPLIT"]), (0, 100, None)]
 
 
-# Reports written by `replay run --format json` before the run-scoped memo and
-# the table-lookup point search; both changes must leave every byte as it was.
-# A change to the report schema regenerates these files.
-@pytest.mark.parametrize("golden, argv", [
-    ("report_default.json", []),
-    ("report_F2.json", ["--fields", "F2"]),
-    ("report_Q_F7i.json", ["--fields", "Q,F7(i)"]),
-    ("report_nine_fields.json", ["--fields", NINE_FIELDS]),
-    ("report_nine_fields_iso_search.json",
-     ["--fields", NINE_FIELDS, "--checks", "ISO-SEARCH"]),
-])
-def test_run_json_matches_golden_report(tmp_path, golden, argv):
+def test_run_out_writes_the_bytes_run_prints(capsys, tmp_path):
     out = tmp_path / "report.json"
-    main(["run", "--format", "json", "--out", str(out)] + argv)
-    assert out.read_bytes() == (DATA / golden).read_bytes()
+    assert main(["run", "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["run", "--format", "json"]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
 
 @pytest.mark.parametrize("target", ["missing/report.txt", "."])
@@ -522,65 +526,25 @@ def test_check_identity_big_exponent_squares_its_powers(capsys, monkeypatch):
     assert calls < 1000
 
 
-def test_check_identity_output_matches_golden():
-    # exit code, stdout and stderr of ~120 fixed queries, recorded before the
-    # process-wide derived-value cache; tests/data/make_check_identity_golden.py
-    # holds the query list and rewrites the file
-    records = json.loads((DATA / "check_identity_golden.json").read_text(encoding="utf-8"))
-    assert len(records) == 120
+def _golden_maker():
+    spec = importlib.util.spec_from_file_location("make_cli_goldens",
+                                                  DATA / "make_cli_goldens.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN_MAKER = _golden_maker()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MAKER.GOLDENS))
+def test_replay_output_matches_golden(name):
+    # the file holds exactly the calls tests/data/make_cli_goldens.py lists,
+    # and each call's exit code, stdout and stderr replay to its record
+    records = json.loads((DATA / name).read_text(encoding="utf-8"))
+    assert [rec["argv"] for rec in records] == GOLDEN_MAKER.GOLDENS[name]()
     for rec in records:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
-            code = main(["check-identity", "--field", rec["field"],
-                         "--lhs", rec["lhs"], "--rhs", rec["rhs"]])
-        assert (code, out.getvalue(), err.getvalue()) == (
-            rec["exit"], rec["stdout"], rec["stderr"]), rec
-
-
-def test_conic_output_matches_golden():
-    # exit code, stdout and stderr of `conic decide`, `conic parametrize` and
-    # `conic search` over the nine fields, recorded before the conic kernels
-    # moved to raw payloads; tests/data/make_conic_golden.py holds the
-    # argument lists and rewrites the file
-    records = json.loads((DATA / "conic_golden.json").read_text(encoding="utf-8"))
-    assert len(records) == 47
-    for rec in records:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
-            code = main(rec["argv"])
-        assert (code, out.getvalue(), err.getvalue()) == (
-            rec["exit"], rec["stdout"], rec["stderr"]), rec
-
-
-def test_enumerative_output_matches_golden():
-    # exit code, stdout and stderr of `subgroups`, `stabilizer` (two refused
-    # inputs among them) and `run` of GENFREE, SPLIT, FIX-EQ and SUBGRP-COUNT
-    # as JSON for seeds 1-5, recorded before `perms` and `projline` moved to
-    # image tuples and raw payloads; tests/data/make_enum_golden.py holds the
-    # argument lists and rewrites the file
-    records = json.loads((DATA / "enum_golden.json").read_text(encoding="utf-8"))
-    assert len(records) == 16
-    for rec in records:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
-            code = main(rec["argv"])
-        assert (code, out.getvalue(), err.getvalue()) == (
-            rec["exit"], rec["stdout"], rec["stderr"]), rec
-
-
-def test_run_reports_match_golden():
-    # exit code, stdout and stderr of `run` as text on the default fields, on
-    # all nine fields and on each field alone, and as JSON on each field
-    # alone; the text's per-check ms column is replaced by "- ms" on both
-    # sides.  tests/data/make_report_golden.py holds the argument lists and
-    # rewrites the file
-    records = json.loads((DATA / "report_golden.json").read_text(encoding="utf-8"))
-    assert len(records) == 20
-    for rec in records:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
-            code = main(rec["argv"])
-        assert (code, REPORT_TIMING.sub(r"\1     - ms  ", out.getvalue()), err.getvalue()) == (
+        assert GOLDEN_MAKER.run_call(rec["argv"]) == (
             rec["exit"], rec["stdout"], rec["stderr"]), rec["argv"]
 
 
