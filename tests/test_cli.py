@@ -494,14 +494,6 @@ def test_parser_built_once_and_each_call_starts_from_defaults(monkeypatch):
     assert seen == [(5, 7, ["SPLIT"]), (0, 100, None)]
 
 
-def test_run_out_writes_the_bytes_run_prints(capsys, tmp_path):
-    out = tmp_path / "report.json"
-    assert main(["run", "--format", "json", "--out", str(out)]) == 0
-    assert capsys.readouterr().out == ""
-    assert main(["run", "--format", "json"]) == 0
-    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
-
-
 @pytest.mark.parametrize("target", ["missing/report.txt", "."])
 def test_run_out_to_an_unwritable_path_exits_2(capsys, tmp_path, target):
     path = str(tmp_path / target)
@@ -537,15 +529,47 @@ def _golden_maker():
 GOLDEN_MAKER = _golden_maker()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_MAKER.GOLDENS))
-def test_replay_output_matches_golden(name):
+def _golden_records(name):
+    return json.loads((DATA / name).read_text(encoding="utf-8"))
+
+
+def _assert_replays(name):
     # the file holds exactly the calls tests/data/make_cli_goldens.py lists,
     # and each call's exit code, stdout and stderr replay to its record
-    records = json.loads((DATA / name).read_text(encoding="utf-8"))
+    records = _golden_records(name)
     assert [rec["argv"] for rec in records] == GOLDEN_MAKER.GOLDENS[name]()
     for rec in records:
         assert GOLDEN_MAKER.run_call(rec["argv"]) == (
             rec["exit"], rec["stdout"], rec["stderr"]), rec["argv"]
+
+
+@pytest.mark.parametrize("name", sorted(set(GOLDEN_MAKER.GOLDENS) - {"report_golden.json"}))
+def test_replay_output_matches_golden(name):
+    _assert_replays(name)
+
+
+def test_run_reports_match_golden():
+    _assert_replays("report_golden.json")
+
+
+# `run --format json --out FILE` writes nothing to stdout and exactly the
+# bytes of the `run ... --format json` record in report_golden.json; the first
+# parameter names the report file that record replaced
+@pytest.mark.parametrize("golden, argv", [
+    ("report_default.json", []),
+    ("report_F2.json", ["--fields", "F2"]),
+    ("report_Q_F7i.json", ["--fields", "Q,F7(i)"]),
+    ("report_nine_fields.json", ["--fields", NINE_FIELDS]),
+    ("report_nine_fields_iso_search.json",
+     ["--fields", NINE_FIELDS, "--checks", "ISO-SEARCH"]),
+])
+def test_run_json_matches_golden_report(capsys, tmp_path, golden, argv):
+    record, = [rec for rec in _golden_records("report_golden.json")
+               if rec["argv"] == ["run"] + argv + ["--format", "json"]]
+    out = tmp_path / "report.json"
+    assert main(["run", "--format", "json", "--out", str(out)] + argv) == record["exit"] == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == record["stdout"].encode("utf-8")
 
 
 # -- seeded boundary fuzz ------------------------------------------------------
