@@ -31,7 +31,7 @@ from .autos import Automorphism
 from .exprparse import parse_expression
 from .fields import Field, XratioError
 from .poly import Ring
-from .ratfunc import DegenerateSubstitutionError, RatFunc, rat, rvar
+from .ratfunc import DegenerateSubstitutionError, RatFunc, rvar
 
 
 class CertFormatError(XratioError):
@@ -133,26 +133,6 @@ def parse_certificate(text: str, name: str = "") -> Certificate:
     )
 
 
-def _monic_in_T(text: str, coeff_ring: Ring):
-    """Parse a monic polynomial in T with rational coefficients over coeff_ring;
-    returns the coefficient list [c0, ..., cm]."""
-    big = Ring(coeff_ring.field, coeff_ring.variables + ("T",))
-    rf = parse_expression(text, big)
-    if rf.den.degree_in("T"):
-        raise CertFormatError("relation denominator must not involve T")
-    m = rf.num.degree_in("T")
-    if m < 1:
-        raise CertFormatError("relation must actually involve T")
-    den = rf.den.embed(coeff_ring)
-    coeffs = []
-    for k in range(m + 1):
-        ck = rf.num.coefficient_of("T", k).embed(coeff_ring)
-        coeffs.append(RatFunc(coeff_ring, ck, den))
-    if not (coeffs[m] == rat(coeff_ring, 1)):
-        raise CertFormatError("relation must be monic in T")
-    return coeffs
-
-
 # -- verification ------------------------------------------------------------
 
 
@@ -214,7 +194,7 @@ def verify_certificate(cert: Certificate, field: Field) -> CertVerification:
         raise XratioError(
             f"certificate {cert.name} does not apply over {field.name} "
             f"(characteristic constraint {cert.characteristic})")
-    ring, sigma, gen_values, (prim_name, theta), rel_coeffs, exprs = _parse(
+    ring, sigma, gen_values, (prim_name, theta), (relation, m), exprs = _parse(
         field, cert.variables, tuple(cert.auto_images), tuple(cert.generators),
         cert.primitive, cert.relation, tuple(cert.expressions))
     results = []
@@ -231,13 +211,8 @@ def verify_certificate(cert: Certificate, field: Field) -> CertVerification:
             bad.append(f"{n} (its image has a zero denominator)")
     push(1, not bad, "" if not bad else f"moved by the action: {', '.join(sorted(bad))}")
 
-    m = len(rel_coeffs) - 1
-    acc = None
-    for c in reversed(rel_coeffs):
-        cv = _substitute(c, gen_values, ring)
-        acc = cv if acc is None else acc * theta + cv
-    push(2, acc.is_zero(),
-         "" if acc.is_zero() else f"relation evaluates to {acc}")
+    value = _substitute(relation, {**gen_values, "T": theta}, ring)
+    push(2, value.is_zero(), "" if value.is_zero() else f"relation evaluates to {value}")
 
     expr_values = {**gen_values, prim_name: theta}
     covered = set()
@@ -289,13 +264,20 @@ def _parse(field, variables, auto_images, generators, primitive, relation,
     if prim_name in gen_values:
         raise CertFormatError("primitive name clashes with a generator name")
     theta = parse_expression(prim_txt, ring)
-    rel_coeffs = _monic_in_T(relation, Ring(field, tuple(gen_values)))
+    rel = parse_expression(relation, Ring(field, tuple(gen_values) + ("T",)))
+    if rel.den.degree_in("T"):
+        raise CertFormatError("relation denominator must not involve T")
+    m = rel.num.degree_in("T")
+    if m < 1:
+        raise CertFormatError("relation must actually involve T")
+    if rel.num.coefficient_of("T", m) != rel.den:
+        raise CertFormatError("relation must be monic in T")
     for n, _ in expressions:
         if n not in ring.variables:
             raise CertFormatError(f"[expressions] names unknown generator {n!r}")
     expr_ring = Ring(field, tuple(gen_values) + (prim_name,))
     exprs = tuple((n, parse_expression(txt, expr_ring)) for n, txt in expressions)
-    return ring, sigma, gen_values, (prim_name, theta), rel_coeffs, exprs
+    return ring, sigma, gen_values, (prim_name, theta), (rel, m), exprs
 
 
 # -- shipped certificates ----------------------------------------------------

@@ -39,7 +39,8 @@ from .perms import (all_perms, cyclic_order4_subgroups, has_fixed_point,
                     klein_group, klein_part, perm_str, splits,
                     subgroup_conjugacy_classes, subgroup_str, subgroups)
 from .projline import ProjPoint1, borel_stabilizer
-from .ratfunc import jacobian_rank, rf_eq
+from .poly import Ring
+from .ratfunc import RatFunc, jacobian_rank, rf_eq
 from .report import (ASSUMED, EVIDENCE, FAIL, PASS, SKIPPED, CheckResult,
                      Report, RunConfig)
 
@@ -71,24 +72,14 @@ class _Ctx:
         return self._once(("param", f.name),
                           lambda: conic.parametrize(*conic.known_point(f)))
 
-    @property
-    def odd_fields(self):
-        return [f for f in self.fields if f.characteristic != 2]
 
-    @property
-    def char2_fields(self):
-        return [f for f in self.fields if f.characteristic == 2]
-
-    @property
-    def finite_fields(self):
-        return [f for f in self.fields if f.is_finite]
-
-
-# the reason a check scoped to a _Ctx field list is SKIPPED when it is empty
-_SKIP_REASONS = {
-    "odd_fields": "no field of characteristic != 2 selected",
-    "char2_fields": "no field of characteristic 2 selected",
-    "finite_fields": "no finite field selected",
+# scope -> (whether it covers a field, why a check is SKIPPED when no selected
+# field is covered)
+_SCOPES = {
+    "fields": (lambda f: True, "no field selected"),
+    "odd_fields": (lambda f: f.characteristic != 2, "no field of characteristic != 2 selected"),
+    "char2_fields": (lambda f: f.characteristic == 2, "no field of characteristic 2 selected"),
+    "finite_fields": (lambda f: f.is_finite, "no finite field selected"),
 }
 
 
@@ -98,16 +89,18 @@ def _error_line(exc: Exception) -> str:
 
 
 def _per_field(scope, body):
-    """The check that runs a body `(ctx, f) -> (ok, lines)` over the fields of
-    the _Ctx list `scope`, prefixing each line with the field name.  `ok` is
-    True, False, or None for "verified nothing": the check FAILs if any field
-    returns False or raises, is SKIPPED if the scope is empty or every field
-    returns None, and PASSes otherwise.  A field that raises costs only its
-    own lines, which become the error."""
+    """The check that runs a body `(ctx, f) -> (ok, lines)` over the selected
+    fields its _SCOPES entry `scope` covers, prefixing each line with the field
+    name.  `ok` is True, False, or None for "verified nothing": the check FAILs
+    if any field returns False or raises, is SKIPPED if no field is covered or
+    every field returns None, and PASSes otherwise.  A field that raises costs
+    only its own lines, which become the error."""
+    covers, reason = _SCOPES[scope]
+
     def run(ctx):
-        fields = getattr(ctx, scope)
+        fields = [f for f in ctx.fields if covers(f)]
         if not fields:
-            return SKIPPED, [_SKIP_REASONS[scope]]
+            return SKIPPED, [reason]
         oks, details = [], []
         for f in fields:
             try:
@@ -135,7 +128,7 @@ CHECKS = []  # in declaration order; a tuple once the last check is declared
 def check(check_id, anchor, scope=None):
     """Declare the decorated body the check `check_id` of the claim `anchor`.
     With a `scope` the body verifies one field and :func:`_per_field` runs it
-    over that _Ctx field list; without one it is the whole check."""
+    over the fields in that _SCOPES entry; without one it is the whole check."""
     def declare(body):
         CHECKS.append(CheckSpec(check_id, anchor,
                                 body if scope is None else _per_field(scope, body)))
@@ -226,11 +219,11 @@ def _run_lem_a_rel(ctx, f):
                      f"{name} relation kills the primitive, generators recovered, "
                      f"action order matches degree {ver.degree}")
     # the criterion form at (y : z : 1), with x set to the generator x
-    form = conic.criterion_form(f)
+    ring = Ring(f, ("x", "Y", "Z", "W"))
+    q = conic.criterion_form(f).eval_at(*ring.vars()[1:], ring)
     g = ctx.verified("negate_invert_full", f).generators
-    x, at = g["x"], {"Y": g["y"], "Z": g["z"], "W": 1}
-    conic_rel = sum(x ** e * k * at[a] * at[b] for (a, b), c in form.coeffs.items()
-                    for (e,), k in c.coefficients()).is_zero()
+    conic_rel = RatFunc(ring, q).substitute(
+        {"x": g["x"], "Y": g["y"], "Z": g["z"], "W": 1}, g["x"].ring).is_zero()
     lines.append("y^2 - x*z^2 - x " + ("= 0 holds among the generators" if conic_rel
                                        else "does NOT vanish on the generators"))
     return ok and conic_rel, lines
@@ -447,7 +440,7 @@ def _run_indep(ctx):
     ok0 = rank == 2
     details = [f"Jacobian of (a, u) in (x1..x4) has rank {rank} over Q "
                "(exact, characteristic 0)"]
-    if not ctx.char2_fields:
+    if not any(f.characteristic == 2 for f in ctx.fields):
         return (PASS if ok0 else FAIL), details
     details.append("independence in characteristic 2 is used without an "
                    "independent mechanical proof here")

@@ -224,6 +224,9 @@ def test_extension_header_is_refused():
     ("v = u^2\n", "v = u^2\nv = u^4\n", "duplicate generator name 'v'"),
     ("theta = u\n", "v = u\n", "primitive name clashes with a generator name"),
     ("u = theta\n", "w = theta\n", "[expressions] names unknown generator 'w'"),
+    ("T^2 - v\n", "T - v/T\n", "relation denominator must not involve T"),
+    ("T^2 - v\n", "v\n", "relation must actually involve T"),
+    ("T^2 - v\n", "2*T^2 - v\n", "relation must be monic in T"),
 ])
 def test_a_malformed_certificate_is_refused_on_every_call(monkeypatch, old, new, message):
     # shipped as it stands, so its texts go through the process-wide cache
@@ -234,6 +237,26 @@ def test_a_malformed_certificate_is_refused_on_every_call(monkeypatch, old, new,
         with pytest.raises(CertFormatError) as info:
             verify_certificate(cert, rationals())
         assert str(info.value) == message
+
+
+def test_a_relation_whose_denominator_vanishes_at_the_generators_is_refused():
+    text = (TINY.replace("v = u^2\n", "v = u^2\nw = u^4\n")
+            .replace("T^2 - v\n", "T^2 - v + 1/(w - v^2)\n"))
+    with pytest.raises(CertFormatError, match="^expression denominator collapses to zero$"):
+        verify_certificate(parse_certificate(text), rationals())
+
+
+@pytest.mark.parametrize("relation, detail", [
+    ("T^2 - v - 1", "relation evaluates to -1"),
+    # the relation is substituted as one fraction, so the value keeps the
+    # relation's own denominator v + 1
+    ("T^2 - v/(v+1)", "relation evaluates to (u^4)/(u^2 + 1)"),
+])
+def test_a_relation_that_does_not_kill_the_primitive_fails_condition_2(relation, detail):
+    ver = verify_certificate(parse_certificate(TINY.replace("T^2 - v\n", relation + "\n")),
+                             rationals())
+    assert [c.ok for c in ver.conditions] == [True, False, True, True]
+    assert ver.conditions[1].detail == detail
 
 
 def _rebuilt(cert, **changes):
