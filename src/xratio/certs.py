@@ -263,6 +263,8 @@ def _parse(field, variables, auto_images, generators, primitive, relation,
     prim_name, prim_txt = primitive
     if prim_name in gen_values:
         raise CertFormatError("primitive name clashes with a generator name")
+    if "T" in gen_values:
+        raise CertFormatError("generator name 'T' clashes with the relation variable T")
     theta = parse_expression(prim_txt, ring)
     rel = parse_expression(relation, Ring(field, tuple(gen_values) + ("T",)))
     if rel.den.degree_in("T"):

@@ -38,29 +38,24 @@ class ParseError(XratioError):
 
 MAX_NESTING = 100  # each level costs the recursive descent four frames
 
-# [0-9], not \d, which would also match any Unicode decimal digit
-_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
+# [0-9], not \d, which would also match any Unicode decimal digit; (\S) takes
+# every other non-whitespace character, so finditer passes over whitespace only
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()])|(\S))")
 
 
 def tokenize(text: str):
     """List of (kind, value, pos); kinds: num, ident, op, end."""
     out = []
-    k = 0
-    while k < len(text):
-        m = _TOKEN_RE.match(text, k)
-        if not m or m.end() == m.start():
-            stripped = text[k:].lstrip()
-            if not stripped:
-                break
-            pos = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group(1):
-            out.append(("num", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            out.append(("ident", m.group(2), m.start(2)))
+    for m in _TOKEN_RE.finditer(text):
+        num, ident, op, bad = m.groups()
+        if num:
+            out.append(("num", int(num), m.start(1)))
+        elif ident:
+            out.append(("ident", ident, m.start(2)))
+        elif op:
+            out.append(("op", op, m.start(3)))
         else:
-            out.append(("op", m.group(3), m.start(3)))
-        k = m.end()
+            raise ParseError(f"unexpected character {bad!r}", m.start(4))
     out.append(("end", None, len(text)))
     return out
 
@@ -72,70 +67,58 @@ class _Parser:
         self.k = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.k]
-
     def take(self):
         t = self.tokens[self.k]
         self.k += 1
         return t
 
-    def expect_op(self, op):
-        kind, v, pos = self.take()
-        if kind != "op" or v != op:
-            raise ParseError(f"expected {op!r}", pos)
+    def op(self, ops):
+        """Take the next token if it is an operator in `ops`: (it or None, pos)."""
+        kind, v, pos = self.tokens[self.k]
+        if kind == "op" and v in ops:
+            self.k += 1
+            return v, pos
+        return None, pos
 
     def parse(self) -> RatFunc:
         f = self.expr()
-        kind, v, pos = self.peek()
+        kind, v, pos = self.take()
         if kind != "end":
             raise ParseError(f"unexpected token {v!r}", pos)
         return f
 
     def expr(self) -> RatFunc:
-        negate = False
-        kind, v, _ = self.peek()
-        if kind == "op" and v == "-":
-            self.take()
-            negate = True
+        negate, _ = self.op("-")
         acc = self.term()
         if negate:
             acc = -acc
-        while True:
-            kind, v, _ = self.peek()
-            if kind == "op" and v in "+-":
-                self.take()
-                t = self.term()
-                acc = acc + t if v == "+" else acc - t
-            else:
-                return acc
+        while v := self.op("+-")[0]:
+            t = self.term()
+            acc = acc + t if v == "+" else acc - t
+        return acc
 
     def term(self) -> RatFunc:
         acc = self.factor()
         while True:
-            kind, v, pos = self.peek()
-            if kind == "op" and v in "*/":
-                self.take()
-                f = self.factor()
-                if v == "*":
-                    acc = acc * f
-                else:
-                    if f.is_zero():
-                        raise ParseError("division by a zero expression", pos)
-                    acc = acc / f
-            else:
+            v, pos = self.op("*/")
+            if v is None:
                 return acc
+            f = self.factor()
+            if v == "*":
+                acc = acc * f
+            elif f.is_zero():
+                raise ParseError("division by a zero expression", pos)
+            else:
+                acc = acc / f
 
     def factor(self) -> RatFunc:
         b = self.base()
-        kind, v, pos = self.peek()
-        if kind == "op" and v == "^":
-            self.take()
-            kind, n, pos = self.take()
-            if kind != "num":
-                raise ParseError("exponent must be a nonnegative integer", pos)
-            return b ** n
-        return b
+        if self.op("^")[0] is None:
+            return b
+        kind, n, pos = self.take()
+        if kind != "num":
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        return b ** n
 
     def base(self) -> RatFunc:
         kind, v, pos = self.take()
@@ -156,7 +139,9 @@ class _Parser:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", pos)
             self.depth += 1
             f = self.expr()
-            self.expect_op(")")
+            close, pos = self.op(")")
+            if close is None:
+                raise ParseError("expected ')'", pos)
             self.depth -= 1
             return f
         if kind == "end":

@@ -28,7 +28,10 @@ _POINTS = (1, 2, 3, 4)
 
 IDENTITY = _POINTS
 
+_LETTERS = {str(p): p for p in _POINTS}  # ASCII only, unlike int()
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_NOTATION_RE = re.compile(r"(?:\s*\([^()]*\))+\s*")
 
 
 def parse_perm(text: str) -> tuple:
@@ -36,15 +39,13 @@ def parse_perm(text: str) -> tuple:
     text = text.strip()
     if text in ("id", "()", ""):
         return IDENTITY
-    bodies = _CYCLE_RE.findall(text)
-    rebuilt = "".join(f"({b})" for b in bodies)
-    if "".join(text.split()) != "".join(rebuilt.split()):
+    if not _NOTATION_RE.fullmatch(text):
         raise XratioError(f"bad cycle notation: {text!r}")
     imgs = list(_POINTS)
     seen = set()
-    for body in bodies:
-        pts = [int(tok) for tok in body.replace(",", " ").split()]
-        if not pts or any(p not in _POINTS for p in pts) or len(set(pts)) != len(pts):
+    for body in _CYCLE_RE.findall(text):
+        pts = [_LETTERS.get(tok) for tok in body.replace(",", " ").split()]
+        if not pts or None in pts or len(set(pts)) != len(pts):
             raise XratioError(f"bad cycle {body!r}")
         if seen & set(pts):
             raise XratioError(f"cycles are not disjoint in {text!r}")

@@ -280,8 +280,9 @@ class MultiPoly:
             if isinstance(other, FieldElement) and other.field != self.ring.field:
                 return False
             other = self.ring.const(other)
-        return (isinstance(other, MultiPoly) and other.ring is self.ring
-                and other.terms == self.terms)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented  # lets a RatFunc on the right answer
+        return other.ring is self.ring and other.terms == self.terms
 
     __hash__ = None
 

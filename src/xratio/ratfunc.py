@@ -129,7 +129,10 @@ class RatFunc:
         return RatFunc(self.ring, base.num ** abs(n), base.den ** abs(n))
 
     def __eq__(self, other):
-        if isinstance(other, FieldElement) and other.field != self.ring.field:
+        if isinstance(other, (RatFunc, MultiPoly)):
+            if other.ring is not self.ring:
+                return False
+        elif isinstance(other, FieldElement) and other.field != self.ring.field:
             return False
         o = self._coerce(other)
         if o is NotImplemented:

@@ -223,6 +223,7 @@ def test_extension_header_is_refused():
     ("u -> -u\n", "w -> -u\n", "[auto] names unknown generator 'w'"),
     ("v = u^2\n", "v = u^2\nv = u^4\n", "duplicate generator name 'v'"),
     ("theta = u\n", "v = u\n", "primitive name clashes with a generator name"),
+    ("v = u^2\n", "T = u^2\n", "generator name 'T' clashes with the relation variable T"),
     ("u = theta\n", "w = theta\n", "[expressions] names unknown generator 'w'"),
     ("T^2 - v\n", "T - v/T\n", "relation denominator must not involve T"),
     ("T^2 - v\n", "v\n", "relation must actually involve T"),

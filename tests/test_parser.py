@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from xratio.exprparse import MAX_NESTING, ParseError, parse_expression
+from xratio.exprparse import MAX_NESTING, ParseError, parse_expression, tokenize
 from xratio.fields import field_by_name, prime_field, rationals
 from xratio.poly import Ring
 from xratio.ratfunc import rf_eq
@@ -53,12 +55,44 @@ def test_syntax_errors_carry_positions(points):
         with pytest.raises(ParseError, match=rf"^unexpected end of expression "
                                              rf"\(position {pos}\)$"):
             parse_expression(text, points)
-    with pytest.raises(ParseError, match=r"position \d+"):
-        parse_expression("(x1", points)
     # numbers take ASCII digits only: not the Arabic-Indic five and two
     for text in ("x1 @ x2", "x1*٥", "x1^٢"):
         with pytest.raises(ParseError, match=rf"unexpected character '{text[3]}' \(position 3\)$"):
             parse_expression(text, points)
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("(x1", "expected ')'", 3),
+    ("x1 x2", "unexpected token 'x2'", 3),
+    ("x1 ^ -2", "exponent must be a nonnegative integer", 5),
+    ("x1 / (x2 - x2)", "division by a zero expression", 3),
+    ("x1 + x9", "unknown variable 'x9'", 5),
+    ("x1 + i", "'i' is undefined: Q has no square root of -1", 5),
+    ("x1 +   ", "unexpected end of expression", 7),
+    ("x1\u00a0+ $", "unexpected character '$'", 5),
+    ("x1 \x00", "unexpected character '\\x00'", 3),
+])
+def test_each_error_names_its_exact_message_and_position(points, text, message, pos):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text, points)
+    assert str(info.value) == f"{message} (position {pos})"
+    assert info.value.pos == pos
+
+
+def test_token_positions_point_into_the_text():
+    rng = random.Random("token positions")
+    alphabet = ["0", "7", "12", "x", "x1", "_b", "+", "-", "*", "/", "^", "(", ")",
+                " ", "  ", "\t"]
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        tokens = tokenize(text)
+        positions = [pos for _, _, pos in tokens]
+        assert positions == sorted(set(positions)), text
+        assert tokens[-1] == ("end", None, len(text))
+        for kind, value, pos in tokens[:-1]:
+            assert not text[pos].isspace(), text
+            if kind in ("op", "ident"):
+                assert text[pos:pos + len(value)] == value, text
 
 
 def test_unknown_identifier(points):

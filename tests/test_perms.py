@@ -28,6 +28,9 @@ def test_parse_rejects_garbage():
         parse_perm("(1 2 5)")
     with pytest.raises(XratioError):
         parse_perm("(1 1)")
+    for text in ("(1 \u0662)", "(1 +2)", "(12)"):  # ASCII letters 1-4 only
+        with pytest.raises(XratioError, match="^bad cycle "):
+            parse_perm(text)
 
 
 def test_composition_applies_right_factor_first():

@@ -156,3 +156,17 @@ def test_a_fraction_plus_a_polynomial_keeps_its_denominator(rvars):
     assert got.num == ring.var("x1") + 2 * ring.var("x2")
     assert got.den == ring.const(2)
     assert str(got) == "1/2*x1 + x2"
+
+
+def test_a_polynomial_and_a_fraction_compare_the_same_either_way_round():
+    R = Ring(rationals(), ("x",))
+    x = R.var("x")
+    assert x == rat(R, x) and rat(R, x) == x
+    assert x != rat(R, x) + 1 and rat(R, x) + 1 != x
+    S = Ring(rationals(), ("x", "y"))
+    for a, b in ((x, rat(S, S.var("x"))), (rat(R, x), S.var("x")),
+                 (rat(R, x), rat(S, S.var("x")))):
+        assert a != b and b != a
+        assert not a == b and not b == a
+    with pytest.raises(RingMismatchError):
+        rat(R, x) + S.var("x")
