@@ -26,7 +26,6 @@ LEM-A-* are re-run wholesale by CERTS); redundancy is the point.
 
 from __future__ import annotations
 
-import random
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -406,6 +405,7 @@ def _run_subgrp_count(ctx):
 @check("GENFREE", "randomly sampled 4-subsets of the affine line over F101 generically have "
        "trivial upper-triangular stabilizer")
 def _run_genfree(ctx):
+    import random  # GENFREE is the one sampled check
     rng = random.Random(f"{ctx.config.seed}-GENFREE")
     f101 = prime_field(101)
     n = ctx.config.samples
@@ -498,10 +498,12 @@ def run_checklist(config: RunConfig, only=None) -> Report:
     if only is not None:
         if not only:
             raise XratioError("no check ids given")
-        unknown = sorted(set(only) - set(CHECK_IDS))
+        wanted = set(only)
+        if len(wanted) != len(only):
+            raise XratioError(f"duplicate check ids in {','.join(only)}")
+        unknown = sorted(wanted - set(CHECK_IDS))
         if unknown:
             raise XratioError(f"unknown check ids: {', '.join(unknown)}")
-        wanted = set(only)
         selected = [spec for spec in CHECKS if spec.id in wanted]
     else:
         selected = list(CHECKS)

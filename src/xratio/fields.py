@@ -16,9 +16,10 @@ to the canonical form (one ``% p`` per component over F_p; over Q a
 coefficients, nearly all of them, never pay a ``Fraction`` gcd), and
 ``raw_zero``/``raw_one`` are the canonical zero and one.  ``kernel`` spells the
 same three ops as code snippets, from which :mod:`.poly` generates its
-product kernels.  A payload is never
-a ``float``: ``inv`` divides through ``Fraction``, and over k(i) through k's
-inverse of the norm.  ``shows_negative`` says which payloads a polynomial
+product kernels.  A payload is never a ``float``: ``inv`` divides through
+``Fraction``, and over k(i) through k's inverse of the norm.  ``inv`` imports
+``Fraction`` on first use, so a process that never inverts over Q never loads
+:mod:`fractions`.  ``shows_negative`` says which payloads a polynomial
 prints with a minus sign.  Polynomials store these payloads directly.
 :class:`FieldElement` wraps one payload for the API edges and supports
 ``+ - * / **`` by delegating to the payload ops, and structural equality
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
 from functools import cache
 
 
@@ -248,7 +248,7 @@ class Field:
 
 def _rational(x):
     """Canonical Q payload: the ``int`` numerator of an integral ``Fraction``."""
-    return x.numerator if x.__class__ is Fraction and x.denominator == 1 else x
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
 
 
 class RationalField(Field):
@@ -264,6 +264,7 @@ class RationalField(Field):
     def inv(self, a):
         if a.v == 0:
             raise ZeroDivisionError("division by zero in Q")
+        from fractions import Fraction  # only an inverse over Q builds one
         return FieldElement(self, _rational(Fraction(1) / a.v))
 
     def shows_negative(self, v):

@@ -51,6 +51,16 @@ def test_run_unknown_check_id_is_usage_error(capsys):
     assert "unknown check ids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("CR-INV,CR-INV", "duplicate check ids in CR-INV,CR-INV"),
+    # a repeat is refused before an unknown id is looked up
+    ("SPLIT, NOT-A-CHECK,SPLIT", "duplicate check ids in SPLIT,NOT-A-CHECK,SPLIT"),
+])
+def test_run_repeated_check_ids_exit_2(capsys, value, message):
+    assert main(["run", "--fields", "Q", "--checks", value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_run_unknown_field_is_usage_error(capsys):
     code = main(["run", "--fields", "F4"])
     assert code == 2
