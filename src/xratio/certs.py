@@ -12,10 +12,16 @@ Verification checks, mechanically:
      G and theta, so F = k(G)(theta);
   4. sigma has order exactly m = deg R.
 
-Together with the fixed-field degree axiom (stated, not proved here: a
-finite automorphism group H of a field F satisfies [F : F^H] = |H|), the
-four conditions force F^H = k(G): the tower k(G) <= F^H <= F has
-[F : k(G)] <= m by (2)+(3) and [F : F^H] = m by (4), so [F^H : k(G)] = 1.
+The four conditions prove F^H = k(G), with nothing assumed, by the
+elementary half of Artin's theorem (Lang, Algebra, ch. VI, sec. 1).  By (1)
+k(G) <= F^H, and by (2)+(3) F = k(G)(theta) with [F : k(G)] <= m.  For
+0 < j < m, sigma^j theta != theta, or sigma^j would fix k(G) and theta,
+hence F, against (4); applying sigma^-i, the m conjugates sigma^i theta are
+distinct.  The minimal polynomial of theta over F^H has sigma-fixed
+coefficients, so all m conjugates are its roots and [F : F^H] >= m.  Then
+m >= [F : k(G)] = [F : F^H][F^H : k(G)] >= m [F^H : k(G)], so F^H = k(G)
+and R is the minimal polynomial of theta.  Condition (4) carries the
+argument: with an identity action (1)-(3) can all pass while F^H = F.
 
 Certificates live in small text files (see data/*.cert) so they can be
 read, diffed, and deliberately broken; one shipped fixture is broken on

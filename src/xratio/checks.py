@@ -267,7 +267,7 @@ def _run_param(ctx, f):
     pm = ctx.param(f)
     # a spot check of the identities: every element of F_q up to q = 101
     values = (islice(f.elements(), 101) if f.is_finite
-              else [f.from_int(k) for k in (-3, -1, 0, 1, 2, 5)])
+              else (-3, -1, 0, 1, 2, 5))
     good = total = 0
     for v in values:
         try:
@@ -412,10 +412,10 @@ def _run_genfree(ctx):
     trivial = 0
     for _ in range(n):
         raw = rng.sample(range(101), 4)
-        pts = [ProjPoint1.affine(f101, f101.from_int(v)) for v in raw]
+        pts = [ProjPoint1.affine(f101, v) for v in raw]
         if len(borel_stabilizer(pts, f101)) == 1:
             trivial += 1
-    special = [ProjPoint1.affine(f101, f101.from_int(v)) for v in (0, 1, 2)]
+    special = [ProjPoint1.affine(f101, v) for v in (0, 1, 2)]
     special.append(ProjPoint1.infinity(f101))
     special_stab = borel_stabilizer(special, f101)
     details = [

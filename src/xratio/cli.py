@@ -133,7 +133,7 @@ def _cmd_stabilizer(args) -> int:
             value = _integer(token)
         except argparse.ArgumentTypeError:
             raise XratioError(f"--points: {token!r} is not an integer or 'inf'") from None
-        pts.append(ProjPoint1.affine(field, field.from_int(value)))
+        pts.append(ProjPoint1.affine(field, value))
     stab = borel_stabilizer(pts, field)
     print(f"points {{{', '.join(str(p) for p in pts)}}} over {field.name}")
     for m in stab:

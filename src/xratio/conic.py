@@ -14,9 +14,10 @@ if the field has a square root s of -1 then (0 : s : 1) is a point; if it
 has none, the x = 0 valuation argument shows there is no point at all, and
 :func:`valuation_obstruction` replays that argument mechanically at every
 degree: one identity mod x^2 in which each coordinate's tail past its first
-coefficients is an opaque variable (plus Euler's criterion, one power in
-F_q, that b^2 + c^2 = 0 has no nonzero solution).  :func:`known_point` names
-the point of each family the other routes start from.
+coefficients is an opaque variable (plus Euler's criterion, one payload
+power ``raw_pow`` in F_q, that b^2 + c^2 = 0 has no nonzero solution).
+:func:`known_point` names the point of each family the other routes start
+from.
 
 :func:`bounded_point_search` is the independent cross-check: exhaustive
 enumeration of polynomial coordinate triples up to a degree bound, in a
@@ -27,7 +28,7 @@ and finds the least matching Y by exact table lookup instead of a third
 loop; every table holds every Y, so the search is still exhaustive, with
 O(n^2) lookups for n polynomials per coordinate instead of O(n^3) sums.  It
 works on raw coefficient payloads (:mod:`.fields`), reduced once per compared
-value, and builds field elements only for the point it returns.
+value, and builds the point it returns from those payloads too.
 
 :func:`parametrize` builds the standard line-pencil parametrization through
 a given point, homogeneously in k[x, s], and verifies, symbolically and
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .fields import Field, FieldElement, XratioError
+from .fields import Field, XratioError
 from .poly import MultiPoly, Ring, as_poly, strip_monomial_content
 from .ratfunc import CharacteristicError, RatFunc, rat
 
@@ -302,7 +303,8 @@ def valuation_obstruction(field: Field) -> ObstructionRecord:
         "bookkeeping on a minimal counterexample", True))
 
     if field.is_finite:
-        ok = (-field.one) ** ((field.order - 1) // 2) == -field.one
+        minus_one = field.reduce(field.raw_neg(field.raw_one))
+        ok = field.raw_pow(minus_one, (field.order - 1) // 2) == minus_one
         rec.steps.append(ObstructionStep(
             "b^2 + c^2 = 0 has no solution with (b, c) != (0, 0); such a "
             "solution would make b/c a square root of -1, i.e. a primitive "
@@ -436,7 +438,7 @@ class _PackedPolys:
         q, n, mul = field.order, len(self.polys), field.raw_mul
         out = [self.pack([mul(c, mul(y, y)) for c in v]) for y in elems]
         if n > q:
-            two = field.from_int(2).v
+            two = field.int_payload(2)
             cross = [self.times_all([mul(c, mul(two, y)) for c in v], n // q) for y in elems]
             for i in range(q, n):
                 y, j = i % q, i // q
@@ -514,11 +516,9 @@ def bounded_point_search(form: TernaryForm, degree_bound: int):
             else:
                 iy = (y_table(red(yz[iz] + lw)) if table is None else table).get(rest)
             if iy is not None:
-                coords = []
-                for idx in (iy, iz, iw):
-                    terms = {(k,): FieldElement(field, c) for k, c in enumerate(polys[idx])}
-                    coords.append(form.ring.poly(terms))
-                return ProjPoint2(form.ring, coords)
+                return ProjPoint2(form.ring, [MultiPoly(form.ring, {
+                    (k,): c for k, c in enumerate(polys[idx]) if c != field.raw_zero})
+                    for idx in (iy, iz, iw)])
     return None
 
 
@@ -550,16 +550,16 @@ class ParametrizationMap:
         self.inverse = inverse
 
     def point_at(self, value) -> ProjPoint2:
-        """Specialize s (the last slot of `param_ring`) to a field element:
-        each term's payload times value^k, its s slot dropped, in one pass
-        over each forward polynomial.  A scalar of another field raises
-        FieldMismatchError; a zero image raises DegenerateConicError."""
+        """Specialize s (the last slot of `param_ring`) to an int or a field
+        element: each term's payload times value^k, its s slot dropped, in
+        one pass over each forward polynomial.  A scalar of another field
+        raises FieldMismatchError; a zero image raises DegenerateConicError."""
         base = self.form.ring
-        value = base.const(value).constant_value()  # an int, or a scalar of this field
         field, add, mul = base.field, base.field.raw_add, base.field.raw_mul
+        value = field.payload(value)
         powers = [field.raw_one]
         for _ in range(max((e[-1] for p in self.forward for e in p.terms), default=0)):
-            powers.append(field.reduce(mul(powers[-1], value.v)))
+            powers.append(field.reduce(mul(powers[-1], value)))
         coords = []
         for p in self.forward:
             acc = {}
@@ -568,7 +568,8 @@ class ParametrizationMap:
                 acc[e] = add(acc[e], t) if e in acc else t
             coords.append(MultiPoly(base, base.canonical(acc)))
         if all(c.is_zero() for c in coords):
-            raise DegenerateConicError(f"parameter {value} hits the degenerate fiber")
+            raise DegenerateConicError(
+                f"parameter {field.render(value)} hits the degenerate fiber")
         return ProjPoint2(base, coords)
 
     def describe(self) -> str:

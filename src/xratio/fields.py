@@ -14,17 +14,19 @@ Each field exposes one set of payload ops on those raw values: ``raw_add``,
 to the canonical form (one ``% p`` per component over F_p; over Q a
 ``Fraction`` with denominator 1 becomes its ``int`` numerator, so integral
 coefficients, nearly all of them, never pay a ``Fraction`` gcd), and
-``raw_zero``/``raw_one`` are the canonical zero and one.  ``kernel`` spells the
-same three ops as code snippets, from which :mod:`.poly` generates its
-product kernels.  A payload is never a ``float``: ``inv`` divides through
-``Fraction``, and over k(i) through k's inverse of the norm.  ``inv`` imports
-``Fraction`` on first use, so a process that never inverts over Q never loads
-:mod:`fractions`.  ``shows_negative`` says which payloads a polynomial
-prints with a minus sign.  Polynomials store these payloads directly.
-:class:`FieldElement` wraps one payload for the API edges and supports
-``+ - * / **`` by delegating to the payload ops, and structural equality
-with elements of the same field only (never with a plain ``int``).
-Mixing elements of two different fields raises :class:`FieldMismatchError`.
+``raw_zero``/``raw_one``, ``int_payload``, ``raw_inv`` and ``raw_pow`` give
+canonical payloads.  ``kernel`` spells the first three ops as code snippets,
+from which :mod:`.poly` generates its product kernels.  A payload is never a
+``float``: ``raw_inv`` divides through ``Fraction``, imported on first use
+(so a process that never inverts over Q never loads :mod:`fractions`), and
+over k(i) through k's inverse of the norm.  ``shows_negative`` says which
+payloads a polynomial prints with a minus sign.  Polynomials, points and maps
+store payloads; ``payload`` is the one scalar rule at their edges, taking an
+``int`` or an element of the field and raising :class:`FieldMismatchError`
+for anything else.  :class:`FieldElement` wraps one payload for a value
+handed out of the package and supports ``+ - * / **`` by delegating to the
+payload ops, and structural equality with elements of the same field only
+(never with a plain ``int``).
 """
 
 from __future__ import annotations
@@ -91,13 +93,8 @@ class FieldElement:
         self.v = v
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot combine elements of {self.field.name} and {other.field.name}")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
+        if isinstance(other, (int, FieldElement)):
+            return self.field.payload(other)
         return NotImplemented
 
     def _made(self, raw):
@@ -106,35 +103,35 @@ class FieldElement:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else self._made(self.field.raw_add(self.v, o.v))
+        return o if o is NotImplemented else self._made(self.field.raw_add(self.v, o))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
         return o if o is NotImplemented else self._made(
-            self.field.raw_add(self.v, self.field.raw_neg(o.v)))
+            self.field.raw_add(self.v, self.field.raw_neg(o)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         return o if o is NotImplemented else self._made(
-            self.field.raw_add(o.v, self.field.raw_neg(self.v)))
+            self.field.raw_add(o, self.field.raw_neg(self.v)))
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else self._made(self.field.raw_mul(self.v, o.v))
+        return o if o is NotImplemented else self._made(self.field.raw_mul(self.v, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
         return o if o is NotImplemented else self._made(
-            self.field.raw_mul(self.v, self.field.inv(o).v))
+            self.field.raw_mul(self.v, self.field.raw_inv(o)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         return o if o is NotImplemented else self._made(
-            self.field.raw_mul(o.v, self.field.inv(self).v))
+            self.field.raw_mul(o, self.field.raw_inv(self.v)))
 
     def __neg__(self):
         return self._made(self.field.raw_neg(self.v))
@@ -142,15 +139,7 @@ class FieldElement:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        f = self.field
-        base = (self if n >= 0 else f.inv(self)).v
-        out, k = f.raw_one, abs(n)
-        while k:
-            if k & 1:
-                out = f.reduce(f.raw_mul(out, base))
-            base = f.reduce(f.raw_mul(base, base))
-            k >>= 1
-        return FieldElement(f, out)
+        return FieldElement(self.field, self.field.raw_pow(self.v, n))
 
     def __eq__(self, other):
         # equal only to an element of the same field, so equality agrees with
@@ -195,7 +184,8 @@ _PAIR_ADD = "({0}[0] + {1}[0], {0}[1] + {1}[1])"
 
 class Field:
     """Shared surface; the default payload ops are the scalar ones (Q, F_p),
-    and each field kind supplies its own ``reduce`` and ``kernel``.
+    and each field kind supplies its own ``reduce``, ``kernel``,
+    ``int_payload`` and ``raw_inv``.
 
     ``kernel`` is (product, sum, canonical form): ``str.format`` templates
     that spell ``raw_mul``, ``raw_add`` and ``reduce`` inline for the
@@ -210,13 +200,33 @@ class Field:
     raw_neg = staticmethod(operator.neg)
 
     def __init__(self):
-        self.raw_zero = self._int_payload(0)
-        self.raw_one = self._int_payload(1)
+        self.raw_zero = self.int_payload(0)
+        self.raw_one = self.int_payload(1)
         self.zero = FieldElement(self, self.raw_zero)
         self.one = FieldElement(self, self.raw_one)
 
     def from_int(self, n: int) -> FieldElement:
-        return FieldElement(self, self._int_payload(n))
+        return FieldElement(self, self.int_payload(n))
+
+    def payload(self, x):
+        """The canonical payload of an int or of an element of this field."""
+        if isinstance(x, int):
+            return self.int_payload(x)
+        if isinstance(x, FieldElement) and x.field == self:
+            return x.v
+        raise FieldMismatchError(f"{x!r} is not a scalar of {self.name}")
+
+    def raw_pow(self, v, n: int):
+        """v^n by square and multiply, v canonical; a negative n inverts v."""
+        if n < 0:
+            v = self.raw_inv(v)
+        out, k = self.raw_one, abs(n)
+        while k:
+            if k & 1:
+                out = self.reduce(self.raw_mul(out, v))
+            v = self.reduce(self.raw_mul(v, v))
+            k >>= 1
+        return out
 
     @property
     def is_finite(self):
@@ -258,14 +268,14 @@ class RationalField(Field):
     kernel = ("{0} * {1}", "{0} + {1}",
               "({0} if {0}.__class__ is int else {0}.numerator if {0}.denominator == 1 else {0})")
 
-    def _int_payload(self, n):
+    def int_payload(self, n):
         return n
 
-    def inv(self, a):
-        if a.v == 0:
+    def raw_inv(self, v):
+        if v == 0:
             raise ZeroDivisionError("division by zero in Q")
         from fractions import Fraction  # only an inverse over Q builds one
-        return FieldElement(self, _rational(Fraction(1) / a.v))
+        return _rational(Fraction(1) / v)
 
     def shows_negative(self, v):
         return v < 0
@@ -286,16 +296,16 @@ class PrimeField(Field):
         self.order = p
         super().__init__()
 
-    def _int_payload(self, n):
+    def int_payload(self, n):
         return n % self.p
 
     def reduce(self, raw):
         return raw % self.p
 
-    def inv(self, a):
-        if a.v == 0:
+    def raw_inv(self, v):
+        if v == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
-        return FieldElement(self, pow(a.v, -1, self.p))
+        return pow(v, -1, self.p)
 
     def sqrt_minus_one(self):
         p = self.p
@@ -343,17 +353,17 @@ class GaussianField(Field):
                        f"({red.format('{0}[0]')}, {red.format('{0}[1]')})")
         super().__init__()
 
-    def _int_payload(self, n):
-        return (self.base._int_payload(n), self.base.raw_zero)
+    def int_payload(self, n):
+        return (self.base.int_payload(n), self.base.raw_zero)
 
-    def inv(self, a):
-        x, y = a.v
+    def raw_inv(self, v):
+        x, y = v
         base = self.base
         n = base.reduce(x * x + y * y)
         if n == base.raw_zero:  # x^2 + y^2 = 0 only at 0, as -1 is not a square
             raise ZeroDivisionError(f"division by zero in {self.name}")
-        m = base.inv(FieldElement(base, n)).v
-        return FieldElement(self, self.reduce((x * m, -y * m)))
+        m = base.raw_inv(n)
+        return self.reduce((x * m, -y * m))
 
     def sqrt_minus_one(self):
         return FieldElement(self, (self.base.raw_zero, self.base.raw_one))
@@ -365,8 +375,8 @@ class GaussianField(Field):
     def elements(self):
         if not self.is_finite:
             return super().elements()
-        parts = self.base.elements  # lazily: no list of the base's p payloads
-        return (FieldElement(self, (re_.v, im_.v)) for re_ in parts() for im_ in parts())
+        parts = range(self.base.order)  # the base's payloads, lazily
+        return (FieldElement(self, (re_, im_)) for re_ in parts for im_ in parts)
 
     def render(self, v):
         p, q = v

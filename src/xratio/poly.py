@@ -17,8 +17,8 @@ Each :class:`Ring`, one per field and variable tuple, binds its kernels as
 ``Ring.accumulate_scaled`` and ``Ring.canonical``, which act on term dicts.
 Exponents are unbounded ints.  :class:`FieldElement` appears only at the
 edges: ``Ring.const``/``Ring.poly`` take ints or elements of the ring's own
-field (another field raises :class:`FieldMismatchError`), and
-``constant_value``, ``leading`` and ``coefficients`` return elements.
+field, through ``Field.payload`` (another field raises
+:class:`FieldMismatchError`), and ``leading`` returns an element.
 :func:`substitute_cleared` is the one substitution loop and image check,
 shared with :mod:`.ratfunc` (:func:`as_poly`, shared with :mod:`.conic`,
 coerces polynomial images); it clears each distinct image denominator once,
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from operator import itemgetter, sub as _isub
 
-from .fields import Field, FieldElement, FieldMismatchError, XratioError
+from .fields import Field, FieldElement, XratioError
 
 
 class RingMismatchError(XratioError):
@@ -97,14 +97,11 @@ class Ring:
         return self._poly(terms)
 
     def _poly(self, terms: dict) -> "MultiPoly":
-        field, out = self.field, {}
+        payload, zero, out = self.field.payload, self.field.raw_zero, {}
         for e, c in terms.items():
-            if isinstance(c, int):
-                c = field.from_int(c)
-            elif not (isinstance(c, FieldElement) and c.field == field):
-                raise FieldMismatchError(f"{c!r} is not a scalar of {field.name}")
-            if not c.is_zero():
-                out[tuple(e)] = c.v
+            c = payload(c)
+            if c != zero:
+                out[tuple(e)] = c
         return MultiPoly(self, out)
 
     def __repr__(self):
@@ -291,16 +288,6 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> FieldElement:
-        if not self.is_constant():
-            raise XratioError("polynomial is not constant")
-        field = self.ring.field
-        zero_exp = (0,) * len(self.ring.variables)
-        return FieldElement(field, self.terms.get(zero_exp, field.raw_zero))
-
     def total_degree(self):
         """Max total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
@@ -312,11 +299,6 @@ class MultiPoly:
     def degrees(self) -> tuple:
         """Per-variable degrees, in ring variable order."""
         return tuple(map(max, zip(*self.terms))) or (0,) * len(self.ring.variables)
-
-    def coefficients(self):
-        """(exponents, FieldElement) for every term."""
-        field = self.ring.field
-        return [(e, FieldElement(field, c)) for e, c in self.terms.items()]
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
@@ -366,7 +348,7 @@ class MultiPoly:
         for e, c in self.terms.items():
             k = e[idx]
             if k:
-                out[e[:idx] + (k - 1,) + e[idx + 1:]] = field.raw_mul(c, field.from_int(k).v)
+                out[e[:idx] + (k - 1,) + e[idx + 1:]] = field.raw_mul(c, field.int_payload(k))
         return MultiPoly(self.ring, self.ring.canonical(out))
 
     def permute(self, src) -> "MultiPoly":

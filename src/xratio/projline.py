@@ -1,22 +1,23 @@
 """The projective line over an exact field, and stabilizers in the affine group.
 
-Points are canonical: affine (s : 1) carrying the field element s, or the
-single infinite point (1 : 0).
+Points are canonical: affine (s : 1) carrying the canonical payload of s,
+or the single infinite point (1 : 0).
 
 The upper-triangular subgroup B of the projective linear group is exactly
 the stabilizer of the infinite point; its q*(q-1) elements are the affine
 maps s -> alpha*s + beta with alpha != 0.  Stabilizers of unordered 4-sets
 in B are exhaustive via at most 12 two-point candidates (see
 ``borel_stabilizer``), so the work does not grow with q.  The candidates are
-computed on raw payloads; points and maps wrap field elements only at the API
-edges.
+computed on raw payloads, and points and maps hold canonical payloads too:
+their constructors take an int or an element of their field, through
+``Field.payload``, and print with ``Field.render``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .fields import Field, FieldElement, XratioError
+from .fields import Field, XratioError
 from .poly import _wrap_scalar
 
 class ProjPoint1:
@@ -27,12 +28,7 @@ class ProjPoint1:
     def __init__(self, field: Field, value, infinite=False):
         self.field = field
         self.infinite = bool(infinite)
-        if self.infinite:
-            self.value = None
-        else:
-            if isinstance(value, int):
-                value = field.from_int(value)
-            self.value = value
+        self.value = None if self.infinite else field.payload(value)
 
     @classmethod
     def affine(cls, field, value):
@@ -47,10 +43,10 @@ class ProjPoint1:
                 and other.infinite == self.infinite and other.value == self.value)
 
     def __hash__(self):
-        return hash((self.field.name, "inf" if self.infinite else self.value.v))
+        return hash((self.field.name, self.value))
 
     def __str__(self):
-        return "inf" if self.infinite else str(self.value)
+        return "inf" if self.infinite else self.field.render(self.value)
 
     __repr__ = __str__
 
@@ -61,19 +57,21 @@ class AffineMap:
     __slots__ = ("field", "alpha", "beta")
 
     def __init__(self, field: Field, alpha, beta):
-        alpha, beta = (field.from_int(x) if isinstance(x, int) else x for x in (alpha, beta))
-        if alpha.is_zero():
+        self.field, self.alpha, self.beta = field, field.payload(alpha), field.payload(beta)
+        if self.alpha == field.raw_zero:
             raise XratioError("alpha = 0 is not an affine map")
-        self.field = field
-        self.alpha, self.beta = alpha, beta
+
+    @classmethod
+    def _of_payloads(cls, field, alpha, beta):
+        """The map of canonical payloads alpha != 0 and beta, unchecked."""
+        m = object.__new__(cls)
+        m.field, m.alpha, m.beta = field, alpha, beta
+        return m
 
     def __str__(self):
-        alpha = _wrap_scalar(str(self.alpha))
-        if self.beta.is_zero():
-            return f"s -> {alpha}*s" if not self.alpha.is_one() else "s -> s"
-        if self.alpha.is_one():
-            return f"s -> s + {self.beta}"
-        return f"s -> {alpha}*s + {self.beta}"
+        f = self.field
+        s = "s" if self.alpha == f.raw_one else f"{_wrap_scalar(f.render(self.alpha))}*s"
+        return f"s -> {s}" if self.beta == f.raw_zero else f"s -> {s} + {f.render(self.beta)}"
 
     __repr__ = __str__
 
@@ -108,10 +106,10 @@ def borel_stabilizer(points, field: Field):
         raise XratioError("the stabilizer is computed over a finite field only")
     add, mul, neg, red = field.raw_add, field.raw_mul, field.raw_neg, field.reduce
     # payload order, so the work done does not vary with set iteration order
-    vals = sorted(p.value.v for p in pts if not p.infinite)
+    vals = sorted(p.value for p in pts if not p.infinite)
     targets = frozenset(vals)
     s0 = vals[0]
-    inv_ds = field.inv(FieldElement(field, red(add(vals[1], neg(s0))))).v
+    inv_ds = field.raw_inv(red(add(vals[1], neg(s0))))
     kept = []
     for t0, t1 in permutations(vals, 2):
         # unreduced: each image is reduced before the membership test
@@ -123,5 +121,4 @@ def borel_stabilizer(points, field: Field):
         else:
             kept.append((red(alpha), red(beta)))
     # distinct (t0, t1) give distinct maps; an AffineMap only for a kept one
-    return [AffineMap(field, FieldElement(field, alpha), FieldElement(field, beta))
-            for alpha, beta in sorted(kept)]
+    return [AffineMap._of_payloads(field, alpha, beta) for alpha, beta in sorted(kept)]

@@ -34,10 +34,6 @@ VERDICTS = (PASS, FAIL, EVIDENCE, ASSUMED, SKIPPED)
 
 DEFAULT_FIELDS = ("Q", "Q(i)", "F2", "F3", "F5")
 
-AXIOM_LINE = ("axiom (fixed-field degree): a finite group H of field "
-              "automorphisms of F satisfies [F : F^H] = |H|")
-
-
 class RunConfig:
     __slots__ = ("seed", "fields", "degree_bound", "samples")
 
@@ -101,7 +97,6 @@ class Report:
         lines = [
             f"replay {VERSION}  seed={cfg.seed}  fields={','.join(cfg.fields)}  "
             f"degree-bound={cfg.degree_bound}  samples={cfg.samples}",
-            AXIOM_LINE,
             "",
         ]
         for c in self.checks:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import xratio.cli  # noqa: F401  (the tracer wraps names in every xratio module)
 from xratio.checks import CHECK_IDS, run_checklist
+from xratio.fields import FieldElement
 from xratio.report import RunConfig
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -72,3 +73,20 @@ def test_a_traced_default_run_records_one_span_per_check():
     calls, _, _ = tracer.totals()
     assert {name: n for name, n in calls.items() if name.startswith("checks.")} == \
         {f"checks.{check_id}": 1 for check_id in CHECK_IDS}
+
+
+def test_every_counted_field_element_operator_is_defined_and_rebound():
+    tracing = _load_tracer()
+    before = dict(vars(FieldElement))
+    for name in tracing.ELEM_OPS:
+        assert name in before, (
+            f"FieldElement.{name} is counted as fields.elem_ops by bench/tracer.py: "
+            "the operator stays until a benchmark change retires fields.elem_ops")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        rebound = [name for name in tracing.ELEM_OPS
+                   if vars(FieldElement)[name] is not before[name]]
+    finally:
+        tracer.uninstall()
+    assert rebound == list(tracing.ELEM_OPS)

@@ -323,3 +323,15 @@ def test_condition_4_names_the_power_that_breaks_it():
     ver = verify_certificate(parse_certificate(TINY.replace("u -> -u", "u -> u + 1")),
                              rationals())
     assert ver.conditions[3].detail == "sigma^2 is not the identity (relation degree 2)"
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F5"])
+def test_an_identity_action_fails_condition_4_alone(field_name):
+    # the load-bearing case of the fixed-field argument in certs.py: with
+    # sigma the identity, F^H = F is larger than k(G), yet (1)-(3) all hold
+    cert = shipped_certificate("negate_invert_full")
+    identity = [(name, name) for name, _ in cert.auto_images]
+    assert [name for name, _ in identity] == ["b", "u"]
+    ver = verify_certificate(_rebuilt(cert, auto_images=identity), field_by_name(field_name))
+    assert [c.ok for c in ver.conditions] == [True, True, True, False]
+    assert ver.conditions[3].detail == "sigma^1 is already the identity (relation degree 2)"

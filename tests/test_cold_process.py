@@ -96,7 +96,7 @@ steps["default_run"] = [call(["run"])[0], loaded()]
 steps["equal_q"] = [call(json.loads(sys.argv[3]))[0], loaded()]
 steps["not_equal_q"] = [call(json.loads(sys.argv[4])), loaded()]
 q = xratio.rationals()
-steps["inverse_of_3"] = repr(q.inv(q.from_int(3)).v)
+steps["inverse_of_3"] = repr(q.raw_inv(3))
 print(json.dumps(steps))
 """
 
@@ -119,3 +119,33 @@ def test_a_fresh_process_imports_fractions_and_random_only_where_used():
     assert (code, shown) == (record["exit"], record["stdout"])
     assert "fractions" in modules
     assert steps["inverse_of_3"] == "Fraction(1, 3)"
+
+
+# A fresh interpreter again: fields are interned and the caches last for a
+# process, so an in-process count would depend on which tests ran first.
+_ELEMENT_COUNT = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+from xratio import fields
+from xratio.checks import run_checklist
+from xratio.report import RunConfig
+built = [0]
+init = fields.FieldElement.__init__
+
+def counted(self, field, v):
+    built[0] += 1
+    init(self, field, v)
+
+fields.FieldElement.__init__ = counted
+run_checklist(RunConfig())
+print(built[0])
+"""
+
+
+def test_a_default_run_builds_field_elements_only_where_values_leave_the_package():
+    out = subprocess.run([sys.executable, "-I", "-c", _ELEMENT_COUNT, SRC],
+                         capture_output=True, text=True, check=True)
+    # the zero and one of each of the six fields the run builds (the five
+    # defaults and GENFREE's F101), 17 from elements() and 11 from
+    # sqrt_minus_one(); polynomials, points and maps hold payloads
+    assert int(out.stdout) == 12 + 17 + 11

@@ -177,8 +177,8 @@ def _reference_search(form, degree_bound):
     cl = {}
     for pair, poly in form.coeffs.items():
         cl[pair] = [zero] * (maxdeg + 1)
-        for (k,), c in poly.coefficients():
-            cl[pair][k] = c.v
+        for (k,), c in poly.terms.items():
+            cl[pair][k] = c
     polys = [list(reversed(t)) for t in product(scalars, repeat=degree_bound + 1)]
     tY, tZ, tW = ([flat(lmul(cl[c, c], lmul(q, q))) for q in polys] for c in "YZW")
     rows = {}
@@ -519,7 +519,9 @@ def test_parametrize_inverse_recovers_parameter():
     for k in (1, 2, 3, 4):
         pt = pm.point_at(q.from_int(k))
         x_val = q.from_int(3)
-        y, z, w = (c.substitute({"x": x_val}).constant_value() for c in pt.coords)
+        specialized = [c.substitute({"x": x_val}) for c in pt.coords]
+        assert all(set(c.terms) <= {(0,)} for c in specialized)  # constants
+        y, z, w = (FieldElement(q, c.terms.get((0,), q.raw_zero)) for c in specialized)
         chart = {n1: y / w, n2: z / w}
         assert pm.inverse.substitute({**chart, "x": x_val}) == q.from_int(k)
 

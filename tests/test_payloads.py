@@ -40,7 +40,7 @@ def _random_poly(ring, rng, max_terms=5, max_exp=3):
 
 
 def _ref(p):
-    return dict(p.coefficients())
+    return {e: FieldElement(p.ring.field, c) for e, c in p.terms.items()}
 
 
 def _ref_add(a, b):

@@ -23,7 +23,7 @@ def test_ring_accessors(qring):
     x = qring.var("x")
     assert x.degree_in("x") == 1 and x.total_degree() == 1
     assert qring.zero.is_zero()
-    assert qring.one.constant_value().is_one()
+    assert qring.one.terms == {(0, 0, 0): rationals().raw_one}
     with pytest.raises(XratioError):
         qring.var("nope")
 
@@ -206,12 +206,6 @@ def test_finite_field_coefficients_wrap():
     assert str(x * x * 7) == "2*x^2"
 
 
-def test_constant_value_requires_constant(qring):
-    with pytest.raises(XratioError):
-        qring.var("x").constant_value()
-    assert qring.const(4).constant_value() == rationals().from_int(4)
-
-
 def test_foreign_field_scalar_rejected(qring):
     # an F5 element is not a rational number: it must not be read as 3
     three = prime_field(5).from_int(3)
@@ -239,8 +233,8 @@ def test_payloads_and_coefficients(qring):
     x = ring.var("x")
     p = (x + 3) * (x + 4)  # x^2 + 7x + 12 = x^2 + 2x + 2 over F5
     assert p.terms == {(2,): 1, (1,): 2, (0,): 2}
-    assert dict(p.coefficients()) == {(2,): f5.one, (1,): f5.from_int(2),
-                                      (0,): f5.from_int(2)}
+    assert {e: FieldElement(f5, c) for e, c in p.terms.items()} == {
+        (2,): f5.one, (1,): f5.from_int(2), (0,): f5.from_int(2)}
     assert p.leading() == ((2,), f5.one)
     assert ring.poly({(0,): 5, (1,): f5.from_int(7)}).terms == {(1,): 2}
 
@@ -296,9 +290,9 @@ def test_huge_exponents_stay_exact():
 
 def _schoolbook(p, q):
     """p*q by one FieldElement sum per term pair, exponents added by map."""
-    out = {}
-    for e1, c1 in p.coefficients():
-        for e2, c2 in q.coefficients():
+    field, out = p.ring.field, {}
+    for e1, c1 in ((e, FieldElement(field, c)) for e, c in p.terms.items()):
+        for e2, c2 in ((e, FieldElement(field, c)) for e, c in q.terms.items()):
             e = tuple(map(operator.add, e1, e2))
             out[e] = out[e] + c1 * c2 if e in out else c1 * c2
     return p.ring.poly(out)

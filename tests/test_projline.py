@@ -2,7 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from xratio.fields import XratioError, field_by_name, prime_field, rationals
+from xratio.fields import (FieldElement, FieldMismatchError, XratioError, field_by_name,
+                           prime_field, rationals)
+from xratio.poly import Ring
 from xratio.projline import AffineMap, ProjPoint1, borel_stabilizer
 
 
@@ -30,20 +32,28 @@ def borel_elements(field):
             yield AffineMap(field, alpha, beta)
 
 
+def elements(field, *payloads):
+    """The payloads held by points and maps, as elements for the reference
+    arithmetic below."""
+    return (FieldElement(field, v) for v in payloads)
+
+
 def apply(m, p):
     """The image of the point p under the affine map m, which fixes infinity."""
     if p.infinite:
         return p
-    return ProjPoint1.affine(m.field, m.alpha * p.value + m.beta)
+    alpha, value, beta = elements(m.field, m.alpha, p.value, m.beta)
+    return ProjPoint1.affine(m.field, alpha * value + beta)
 
 
 def compose(m, o):
     """(m*o)(s) = m(o(s))."""
-    return AffineMap(m.field, m.alpha * o.alpha, m.alpha * o.beta + m.beta)
+    alpha, beta, o_alpha, o_beta = elements(m.field, m.alpha, m.beta, o.alpha, o.beta)
+    return AffineMap(m.field, alpha * o_alpha, alpha * o_beta + beta)
 
 
 def coefficients(maps):
-    """(alpha, beta) of each map, in order; an AffineMap has no equality."""
+    """(alpha, beta) payloads of each map, in order; an AffineMap has no equality."""
     return [(m.alpha, m.beta) for m in maps]
 
 
@@ -64,7 +74,7 @@ def test_moebius_action():
     assert apply(m, ProjPoint1.infinity(f7)) == ProjPoint1.infinity(f7)
     assert apply(m, ProjPoint1.affine(f7, f7.from_int(2))) == \
         ProjPoint1.affine(f7, f7.from_int(1))
-    assert coefficients([m]) == [(f7.from_int(3), f7.from_int(2))]
+    assert coefficients([m]) == [(3, 2)]
     assert str(compose(m, AffineMap(f7, 2, 1))) == "s -> 6*s + 5"  # 3(2s + 1) + 2
     assert str(compose(AffineMap(f7, 5, 0), AffineMap(f7, 3, 0))) == "s -> s"
     with pytest.raises(XratioError):
@@ -143,13 +153,13 @@ def test_borel_stabilizer_inverts_once_per_call(name, values, monkeypatch):
     sample = pts(field, values)
     expected = borel_stabilizer(sample, field)
     calls = []
-    inv = field.inv
+    inv = field.raw_inv
 
-    def counted(a):
-        calls.append(a)
-        return inv(a)
+    def counted(v):
+        calls.append(v)
+        return inv(v)
 
-    monkeypatch.setattr(field, "inv", counted)
+    monkeypatch.setattr(field, "raw_inv", counted)
     assert coefficients(borel_stabilizer(sample, field)) == coefficients(expected)
     assert len(calls) == 1  # of s1 - s0, not one per candidate
 
@@ -168,3 +178,31 @@ def test_stabilizer_input_validation():
         borel_stabilizer(pts(rationals(), (0, 1, 2, 3)), rationals())
     with pytest.raises(XratioError):
         borel_stabilizer(pts(prime_field(5), (0, 1, 2, 3)), prime_field(7))
+
+
+def test_points_and_maps_take_only_ints_and_elements_of_their_field():
+    f5, f7 = prime_field(5), prime_field(7)
+    cases = [
+        (lambda: ProjPoint1.affine(f5, f7.from_int(6)), "<F7: 6>"),
+        (lambda: ProjPoint1.affine(f5, "x"), "'x'"),
+        (lambda: AffineMap(f5, 2.5, 1), "2.5"),
+        # the F5 set {1, 2, 3, 6} built from F7 elements: refused at each point
+        (lambda: borel_stabilizer([ProjPoint1.affine(f5, f7.from_int(v))
+                                   for v in (1, 2, 3, 6)], f5), "<F7: 1>"),
+    ]
+    for build, shown in cases:
+        with pytest.raises(FieldMismatchError) as info:
+            build()
+        assert str(info.value) == f"{shown} is not a scalar of F5"  # Ring.const's message
+    with pytest.raises(FieldMismatchError, match=r"^<F7: 6> is not a scalar of F5$"):
+        Ring(f5, ("x",)).const(f7.from_int(6))
+
+
+def test_points_and_maps_hold_canonical_payloads():
+    f5, f3i = prime_field(5), field_by_name("F3(i)")
+    assert ProjPoint1.affine(f5, 7).value == ProjPoint1.affine(f5, f5.from_int(2)).value == 2
+    i = f3i.sqrt_minus_one()
+    m = AffineMap(f3i, i, -1)
+    assert (m.alpha, m.beta) == ((0, 1), (2, 0))
+    assert str(m) == "s -> i*s + 2"
+    assert str(ProjPoint1.affine(f3i, i + 1)) == "1 + i"

@@ -17,8 +17,8 @@ import random
 
 from xratio.autos import perm_automorphism
 from xratio.exprparse import parse_expression
-from xratio.fields import (GaussianField, gaussian_rationals, prime_field, prime_quadratic_field,
-                           rationals)
+from xratio.fields import (FieldElement, GaussianField, gaussian_rationals, prime_field,
+                           prime_quadratic_field, rationals)
 from xratio.perms import all_perms, compose
 from xratio.poly import Ring
 from xratio.ratfunc import RatFunc, rat, rf_eq
@@ -209,7 +209,7 @@ def field_laws(ring, x, y, z):
     assert x * y == y * x
     assert x - x == field.zero
     if not x.is_zero():
-        assert x * field.inv(x) == field.one
+        assert x * FieldElement(field, field.raw_inv(x.v)) == field.one
         assert (y / x) * x == y
         assert x ** -2 * x ** 2 == field.one
     # the constants of k[x, y] and k(x, y) are a copy of the field

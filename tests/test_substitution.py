@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from xratio.fields import field_by_name
+from xratio.fields import FieldElement, field_by_name
 from xratio.poly import Ring
 from xratio.ratfunc import DegenerateSubstitutionError, RatFunc, rat, rf_eq, rvar
 
@@ -32,8 +32,8 @@ def _reference_cleared(p, images, target):
         if deg:
             D = D * images[v][1] ** deg
     N = target.zero
-    for e, c in p.coefficients():
-        term = target.const(c)
+    for e, c in p.terms.items():
+        term = target.const(FieldElement(p.ring.field, c))
         for v, k, deg in zip(names, e, degs):
             if deg:
                 n, d = images[v]
